@@ -197,12 +197,15 @@ def _heat_rows(spec: system.BipartiteSpec, t: float) -> list[str]:
     p_r = thermo.heat_distribution(ledgers, "reverse")
     psi = thermo.psi_factor(ledgers)
 
+    # psi has a row for each forward bin above the floor, in bin order
+    psi_by_bin = np.full(p_f.n_points, np.nan)
+    psi_by_bin[p_f.probs > ledgers.floor] = psi.psi
+
     rows = []
-    for q, pf in sorted(zip(p_f.scalar_points(), p_f.probs), reverse=True):
-        pr_mirror = p_r.prob_at(-q)
+    for q, pf, pr_mirror, psi_q in sorted(
+            zip(p_f.scalar_points(), p_f.probs, p_r.probs[::-1], psi_by_bin),
+            reverse=True):
         ratio = pf / pr_mirror if pr_mirror > ledgers.floor else float("nan")
-        hit = np.flatnonzero(np.abs(psi.q_values - q) <= ledgers.binning)
-        psi_q = float(psi.psi[hit[0]]) if hit.size else float("nan")
         rows.append(",".join(_fmt(x) for x in (
             t, q, pf, pr_mirror, ratio,
             np.exp(q * ledgers.delta_beta), psi_q)))

@@ -1,4 +1,16 @@
-"""Discrete distributions over tolerance-binned real support points."""
+"""Discrete distributions over tolerance-binned real support points.
+
+Binning rule: a sample x lands in the bin keyed by the integer vector
+``round(x / binning)``, and samples share a bin exactly when their keys
+agree in every coordinate.  ``np.round`` is odd-symmetric, so negating
+some coordinates of every sample negates the same key coordinates and
+leaves the partition of the samples into bins unchanged.  A distribution
+and its mirror image over the same samples therefore have the same bins,
+one to one.  The relation checks pair bins that way, not by matching
+support points within ``binning`` (``prob_at``): two bins on either side
+of a rounding boundary can lie closer than ``binning``, and a point match
+then counts the mass of both.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["DiscreteDistribution"]
+
+#: bin keys are int64; |x| / binning must stay below this so none wraps
+_KEY_LIMIT = 2.0 ** 62
 
 
 @dataclass(frozen=True)
@@ -24,8 +39,6 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] != self.probs.shape[0]:
-            pass  # already (n, k)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.points.shape[0] != self.probs.shape[0]:
@@ -38,33 +51,46 @@ class DiscreteDistribution:
         weights: np.ndarray,
         binning: float = 1e-9,
     ) -> "DiscreteDistribution":
-        """Bin weighted samples; values closer than ``binning`` in every
-        coordinate share one bin (keyed by rounding to the tolerance)."""
+        """Bin weighted samples by the module's binning rule; every sample
+        keeps its bin, even at zero weight.  Raises ValueError for a value
+        that is not finite or whose key would overflow."""
+        return cls._binned(values, weights, binning)[0]
+
+    @classmethod
+    def _binned(cls, values, weights,
+                binning: float) -> tuple["DiscreteDistribution", np.ndarray]:
+        """``from_samples`` and the bin index of each sample.  Bins are
+        numbered in lexicographic key order; samples keep their input
+        order within a bin."""
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         w = np.asarray(weights, dtype=float).ravel()
         if vals.shape[0] != w.shape[0]:
             raise ValueError("values and weights length mismatch")
+        scaled = vals / binning
+        if not np.all(np.abs(scaled) < _KEY_LIMIT):
+            raise ValueError(
+                "cannot bin non-finite values or values with |x| / binning >= 2**62")
 
-        keys = np.round(vals / binning).astype(np.int64)
+        keys = np.round(scaled).astype(np.int64)
         order = np.lexsort(keys.T[::-1])
-        keys, vals, w = keys[order], vals[order], w[order]
-        if len(w) == 0:
-            return cls(points=np.zeros((0, vals.shape[1])), probs=np.zeros(0), binning=binning)
-        new_bin = np.any(np.diff(keys, axis=0) != 0, axis=1)
-        bin_id = np.concatenate(([0], np.cumsum(new_bin)))
-        nbins = bin_id[-1] + 1
+        ranked = keys[order]
+        # first sample of each bin in key order (none without samples)
+        starts = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))[:len(w)]
+        bin_id = np.empty(len(w), dtype=np.intp)
+        bin_id[order] = np.cumsum(starts) - 1
+        first = order[starts]
+        nbins = len(first)
         probs = np.bincount(bin_id, weights=w, minlength=nbins)
         # weighted mean location within each bin (spread < binning)
         pts = np.empty((nbins, vals.shape[1]))
         for j in range(vals.shape[1]):
             num = np.bincount(bin_id, weights=w * vals[:, j], minlength=nbins)
-            first = np.searchsorted(bin_id, np.arange(nbins))
             with np.errstate(invalid="ignore"):
                 pts[:, j] = np.where(probs > 0, num / np.where(probs > 0, probs, 1.0),
                                      vals[first, j])
-        return cls(points=pts, probs=probs, binning=binning)
+        return cls(points=pts, probs=probs, binning=binning), bin_id
 
     @property
     def n_points(self) -> int:

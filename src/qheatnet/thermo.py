@@ -278,9 +278,8 @@ def integral_ft(ledgers: LedgerSet, quantity: str, measure: str) -> float:
         return float(np.einsum("k,ki,kj,j->", pops, a0, a1, r1))
     if quantity == "gamma":
         kp = ledgers.keep
-        return float(np.einsum(
-            "k,mi,mj->", pops, ledgers.b0_table[kp], ledgers.b1_table[kp]
-        )) / ledgers.n_anchor
+        return float(pops.sum() * np.dot(ledgers.b0_table[kp].sum(axis=1),
+                                         ledgers.b1_table[kp].sum(axis=1))) / ledgers.n_anchor
     if quantity == "i1":
         return float(np.einsum("kj,ki,j->", a1, a0, ledgers.pp1))
     if quantity == "c1":
@@ -324,7 +323,10 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
 
     ``forward`` bins the forward path weights; ``reverse`` bins the
     time-reversed process, whose heat values are sign-flipped relative to
-    the forward energy differences.
+    the forward energy differences.  Both bin the same table of heat
+    values, mirrored, so by the binning rule the reverse bins are the
+    forward bins in reverse order: ``reverse.probs[::-1]`` is P_r(-Q) on
+    the forward bins.
     """
     if direction == "forward":
         weights = ledgers.fwd.sum(axis=0)
@@ -353,27 +355,24 @@ class JointFT:
 
 
 def joint_distribution(ledgers: LedgerSet) -> JointFT:
-    fwd = DiscreteDistribution.from_samples(
-        np.stack([ledgers.col_q_a, ledgers.col_k, ledgers.col_gamma], axis=1),
-        ledgers.w_f, binning=ledgers.binning)
-    rev = DiscreteDistribution.from_samples(
-        np.stack([-ledgers.col_q_a, -ledgers.col_k, ledgers.col_gamma], axis=1),
-        ledgers.w_r, binning=ledgers.binning)
+    """Bin both ensembles and check each forward bin against the reverse
+    bin holding the same pairs (the binning rule makes that one to one)."""
+    binning, floor = ledgers.binning, ledgers.floor
+    samples = np.stack([ledgers.col_q_a, ledgers.col_k, ledgers.col_gamma], axis=1)
+    mirrored = samples * np.array([-1.0, -1.0, 1.0])
+    fwd, fwd_bin = DiscreteDistribution._binned(samples, ledgers.w_f, binning)
+    rev, rev_bin = DiscreteDistribution._binned(mirrored, ledgers.w_r, binning)
+    partner = np.empty(fwd.n_points, dtype=np.intp)
+    partner[fwd_bin] = rev_bin
 
-    resid, checked, unverified = 0.0, 0, 0
-    for pt, pf in zip(fwd.points, fwd.probs):
-        if pf <= ledgers.floor:
-            continue
-        q, kk, gg = pt
-        pr = rev.prob_at((-q, -kk, gg))
-        if pr <= ledgers.floor:
-            unverified += 1
-            continue
-        checked += 1
-        factor = np.exp(q * ledgers.delta_beta - kk + gg)
-        resid = max(resid, abs(pf - factor * pr))
-    return JointFT(forward=fwd, reverse=rev, max_residual=resid,
-                   n_checked=checked, n_unverified=unverified)
+    pf, pr = fwd.probs, rev.probs[partner]
+    live = pf > floor
+    checked = live & (pr > floor)
+    q, kk, gg = fwd.points[checked].T
+    resid = np.abs(pf[checked] - np.exp(q * ledgers.delta_beta - kk + gg) * pr[checked])
+    return JointFT(forward=fwd, reverse=rev, max_residual=float(resid.max(initial=0.0)),
+                   n_checked=int(checked.sum()),
+                   n_unverified=int((live & ~checked).sum()))
 
 
 @dataclass(frozen=True)
@@ -395,16 +394,15 @@ class PsiReport:
 
 
 def psi_factor(ledgers: LedgerSet) -> PsiReport:
+    """psi and the modified detailed check on every forward heat bin
+    above the probability floor, in bin order."""
     p_f = heat_distribution(ledgers, "forward")
     p_r = heat_distribution(ledgers, "reverse")
 
     # numerator of psi per heat bin: retained pairs through the ledger
-    # columns, floor-dropped pairs through the cancelled product form
-    num = DiscreteDistribution.from_samples(
-        ledgers.col_q_a,
-        ledgers.w_f * np.exp(ledgers.col_k - ledgers.col_gamma),
-        binning=ledgers.binning)
-
+    # columns, floor-dropped pairs through the cancelled product form.
+    # The patch bins the heat table like p_f, so it has p_f's bins, and
+    # each pair's heat is a table entry, so pairs are binned through it.
     nf = ledgers.fmask.sum(axis=0)                     # retained forward labels
     r_ret = np.where(ledgers.rmask, ledgers.rev, 0.0)
     cnt_all = ledgers.n_anchor * ledgers.rev.sum(axis=0)
@@ -412,31 +410,21 @@ def psi_factor(ledgers: LedgerSet) -> PsiReport:
     patch_tab = (np.exp(ledgers.beta_a * ledgers.q_a_tab
                         + ledgers.beta_b * ledgers.q_b_tab)
                  * (cnt_all - cnt_ret.sum(axis=0)) / ledgers.n_anchor)
-    patch = DiscreteDistribution.from_samples(
-        ledgers.q_a_tab.ravel(), patch_tab.ravel(), binning=ledgers.binning)
+    patch, table_bin = DiscreteDistribution._binned(
+        ledgers.q_a_tab.ravel(), patch_tab.ravel(), ledgers.binning)
+    pair_bin = table_bin[ledgers.i0 * ledgers.q_a_tab.shape[1] + ledgers.i1]
+    num = np.bincount(pair_bin, minlength=p_f.n_points,
+                      weights=ledgers.w_f * np.exp(ledgers.col_k - ledgers.col_gamma))
 
-    qs, psis, pfs, prs, resids = [], [], [], [], []
-    skipped = 0
-    for pt, pf in zip(p_f.points, p_f.probs):
-        q = pt[0]
-        if pf <= ledgers.floor:
-            skipped += 1
-            continue
-        numerator = num.prob_at(q) + patch.prob_at(q)
-        psi = numerator / pf
-        pr = p_r.prob_at(-q)
-        qs.append(q)
-        psis.append(psi)
-        pfs.append(pf)
-        prs.append(pr)
-        resids.append(abs(pf * psi - np.exp(q * ledgers.delta_beta) * pr))
-    resids = np.asarray(resids)
+    live = p_f.probs > ledgers.floor
+    q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r.probs[::-1][live]
+    psi = (num + patch.probs)[live] / pf
+    resids = np.abs(pf * psi - np.exp(q * ledgers.delta_beta) * pr)
     return PsiReport(
-        q_values=np.asarray(qs), psi=np.asarray(psis),
-        p_f=np.asarray(pfs), p_r_mirror=np.asarray(prs),
+        q_values=q, psi=psi, p_f=pf, p_r_mirror=pr,
         residuals=resids,
         max_residual=float(resids.max(initial=0.0)),
-        n_skipped=skipped,
+        n_skipped=int(np.count_nonzero(~live)),
     )
 
 

@@ -98,6 +98,13 @@ class TestDistribution:
         assert d.prob_at((0.0, 1.0)) == pytest.approx(0.4)
 
 
+    @pytest.mark.parametrize("values", [[1e10, 2e10, -3e10], [0.0, np.nan, 1.0],
+                                        [np.inf, 0.0, 1.0]])
+    def test_unbinnable_values_rejected(self, values):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            DiscreteDistribution.from_samples(np.array(values), np.array([0.2, 0.3, 0.5]))
+
+
 class TestCli:
     def test_validate_ok(self, example_config, capsys):
         assert cli.main(["validate", "--config", example_config]) == 0
@@ -126,6 +133,18 @@ class TestCli:
     def test_verify_random_instance(self, capsys):
         assert cli.main(["verify", "--dims", "2x3", "--seed", "11", "--time", "0.8"]) == 0
         capsys.readouterr()
+
+    def test_verify_instance_with_bins_across_rounding_boundary(self, capsys):
+        assert cli.main(["verify", "--dims", "3x3", "--seed", "31", "--time", "0.37"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        joint = next(r for r in report["records"] if r["name"] == "joint_detailed_ft")
+        assert joint["value"] < 1e-15
+
+    def test_heat_key_overflow_is_input_error(self, capsys):
+        argv = ["heat", "--dims", "2x2", "--seed", "0", "--time", "0.5",
+                "--tol", "binning=1e-300"]
+        assert cli.main(argv) == 2
+        assert "2**62" in capsys.readouterr().err
 
     def test_verify_needs_source(self, capsys):
         assert cli.main(["verify"]) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qheatnet import randspec, thermo
 from conftest import ledgers_at
@@ -74,6 +75,14 @@ class TestIntegralFTs:
         with pytest.raises(ValueError):
             thermo.integral_ft(led, "heat", "forward")
 
+    @pytest.mark.parametrize("seed,da,db", [(13, 3, 2), (31, 3, 3), (4, 4, 4)])
+    def test_gamma_factored_sum_matches_full_contraction(self, seed, da, db):
+        led = ledgers_at(randspec.random_spec(seed, da, db), 0.37)
+        kp = led.keep
+        full = float(np.einsum("k,mi,mj->", led.pops, led.b0_table[kp],
+                               led.b1_table[kp])) / led.n_anchor
+        assert thermo.integral_ft(led, "gamma", "forward") == pytest.approx(full, abs=1e-14)
+
     def test_jensen_bounds(self, correlated_spec):
         led = ledgers_at(correlated_spec, 0.83)
         for name in ALL_QUANTITIES:
@@ -125,6 +134,63 @@ class TestJointAndPsi:
         joint = thermo.joint_distribution(ledgers_at(correlated_spec, 0.93))
         assert joint.n_checked > 0
         assert joint.max_residual < 1e-12
+
+    def test_joint_counts_reverse_mass_once_across_rounding_boundary(self):
+        # two forward bins of this instance sit within one binning of each
+        # other, split by a gamma rounding boundary; matching support points
+        # within +-binning counted the reverse mass of both bins for each
+        led = ledgers_at(randspec.random_spec(31, 3, 3), 0.37)
+        joint = thermo.joint_distribution(led)
+        gap = np.abs(joint.forward.points[:, None] - joint.forward.points[None]).max(axis=2)
+        np.fill_diagonal(gap, np.inf)
+        assert gap.min() <= led.binning
+        assert joint.n_checked > 0
+        assert joint.max_residual < 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)]),
+           correlated=st.booleans(), t=st.floats(0.05, 3.0))
+    def test_joint_bin_pairing_properties(self, seed, dims, correlated, t):
+        led = ledgers_at(randspec.random_spec(seed, *dims, correlated=correlated), t)
+        joint = thermo.joint_distribution(led)
+        fwd, rev, b, floor = joint.forward, joint.reverse, led.binning, led.floor
+        assert fwd.n_points == rev.n_points
+
+        # each sample's forward bin key and mirrored reverse bin key pair up
+        # one to one: a bijection between the bins
+        samples = np.stack([led.col_q_a, led.col_k, led.col_gamma], axis=1)
+        key_f = np.round(samples / b).astype(np.int64)
+        key_r = np.round(samples * [-1.0, -1.0, 1.0] / b).astype(np.int64)
+        n_f = len(np.unique(key_f, axis=0))
+        assert n_f == len(np.unique(key_r, axis=0)) == fwd.n_points
+        assert len(np.unique(np.hstack([key_f, key_r]), axis=0)) == n_f
+
+        assert joint.n_checked + joint.n_unverified == np.count_nonzero(fwd.probs > floor)
+
+        def isolated(points):
+            gap = np.abs(points[:, None] - points[None]).max(axis=2)
+            np.fill_diagonal(gap, np.inf)
+            return gap.min(initial=np.inf) > 2 * b
+
+        if isolated(fwd.points) and isolated(rev.points):
+            resid, checked, unverified = 0.0, 0, 0
+            for (q, kk, gg), pf in zip(fwd.points, fwd.probs):
+                if pf <= floor:
+                    continue
+                hit = np.all(np.abs(rev.points - [-q, -kk, gg]) <= b, axis=1)
+                pr = rev.probs[hit].sum()
+                if pr <= floor:
+                    unverified += 1
+                    continue
+                checked += 1
+                resid = max(resid, abs(pf - np.exp(q * led.delta_beta - kk + gg) * pr))
+            assert (joint.n_checked, joint.n_unverified) == (checked, unverified)
+            assert joint.max_residual == resid
+
+        psi = thermo.psi_factor(led)
+        p_r = thermo.heat_distribution(led, "reverse")
+        assert np.array_equal(psi.p_r_mirror, [p_r.prob_at(-q) for q in psi.q_values])
 
     def test_psi_unity_without_correlations(self, product_spec):
         psi = thermo.psi_factor(ledgers_at(product_spec, 0.93))
