@@ -1,9 +1,9 @@
 """Heat-exchange statistics of correlated bipartite thermal systems.
 
 The pipeline: describe an instance (:mod:`qheatnet.system`), diagonalize
-its bases and enumerate conditional trajectories (:mod:`qheatnet.bayesnet`),
-then build stochastic ledgers and check the fluctuation relations
-(:mod:`qheatnet.thermo`).  A solvable two-qubit instance with closed-form
+its bases into two-time conditional probability tables
+(:mod:`qheatnet.bayesnet`), then build stochastic ledgers from those
+tables and check the fluctuation relations (:mod:`qheatnet.thermo`).  A solvable two-qubit instance with closed-form
 heat statistics lives in :mod:`qheatnet.qubit`.
 """
 

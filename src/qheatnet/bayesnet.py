@@ -1,16 +1,16 @@
-"""Spectral bases, conditional probabilities and trajectory enumeration.
+"""Spectral bases and the two-time conditional probability tables.
 
 The latent global state evolves deterministically: eigenvectors of the
 initial joint state are pushed forward by the interaction unitary while
-their populations stay fixed.  Local outcomes at each grid time are
-eigenstates of the reduced states, and their probabilities conditioned on
-the global state are squared overlaps.  Enumeration is exhaustive over
-the flat index space; entries below the probability floor are dropped.
+their populations stay fixed.  Local outcomes at t = 0 and at the grid
+time t are eigenstates of the reduced states, and their probabilities
+conditioned on the global state are squared overlaps.  The populations
+and these (D, d_A, d_B) overlap tables are the whole two-time ensemble:
+a path (s, a_0 b_0, a_1 b_1) weighs P_s times one overlap per time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +20,9 @@ from . import linalg, system
 __all__ = [
     "TimeGrid",
     "BasisSet",
-    "ConditionalTrajectory",
     "MarginalTables",
     "build_bases",
-    "conditional_prob",
-    "enumerate_trajectories",
     "reverse_overlap_tables",
-    "reverse_enumerate",
     "local_marginals",
     "path_probability_table",
     "choi_path_probability",
@@ -36,7 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing positive measurement times; t=0 is implicit."""
+    """Strictly increasing positive measurement times; t=0 is implicit.
+
+    ``build_bases`` takes a grid of one time t, the two-time basis at 0
+    and t.  A config file or the command line reads a longer grid as a
+    list of such times, one basis each.
+    """
 
     times: tuple[float, ...]
 
@@ -53,14 +54,10 @@ class TimeGrid:
     def n_steps(self) -> int:
         return len(self.times)
 
-    @property
-    def all_times(self) -> tuple[float, ...]:
-        return (0.0,) + self.times
-
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Global and local spectral data at every grid time.
+    """Global and local spectral data at t = 0 (index 0) and t (index 1).
 
     ``overlaps[n][s, a, b]`` is the probability of local outcomes (a, b)
     at time ``n`` conditioned on global label ``s``.
@@ -69,55 +66,45 @@ class BasisSet:
     spec: system.BipartiteSpec
     grid: TimeGrid
     populations: np.ndarray               # P_s, descending
-    global_vectors: tuple[np.ndarray, ...]  # columns U(t_n)|s>, n = 0..N
+    global_vectors: tuple[np.ndarray, ...]  # columns U(t_n)|s>, n = 0, 1
     local_a: tuple[linalg.EigenSystem, ...]
     local_b: tuple[linalg.EigenSystem, ...]
     energies_a: tuple[np.ndarray, ...]    # <a_n|H_A|a_n>
     energies_b: tuple[np.ndarray, ...]
     overlaps: tuple[np.ndarray, ...]      # (D, d_A, d_B) per time
-    unitaries: tuple[np.ndarray, ...]     # U(t_n), n = 0..N
+    unitaries: tuple[np.ndarray, ...]     # U(t_n), n = 0, 1
 
     @property
     def dim(self) -> int:
         return self.populations.shape[0]
 
-    @property
-    def n_times(self) -> int:
-        return len(self.overlaps)
 
-
-@dataclass(frozen=True)
-class ConditionalTrajectory:
-    """One record (s, (a_0,b_0), ..., (a_N,b_N)) with its path weight."""
-
-    s: int
-    outcomes: tuple[tuple[int, int], ...]
-    weight: float
+def _overlap_table(vecs_a: np.ndarray, vecs_b: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """|<a b|v_s>|^2 as a (D, d_A, d_B) table over the columns v_s of ``vecs``."""
+    amp = linalg.tensor_product(vecs_a, vecs_b).conj().T @ vecs   # (d_A*d_B, D)
+    return np.abs(amp.T.reshape(vecs.shape[1], vecs_a.shape[1], vecs_b.shape[1])) ** 2
 
 
 def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
-    """Diagonalize the global state once and the reduced states at every
-    grid time, with Hamiltonian tie-breaking inside degenerate blocks."""
+    """Diagonalize the global state once and the reduced states at t = 0
+    and at the grid's one time t, with Hamiltonian tie-breaking inside
+    degenerate blocks.  A grid of more than one time raises ValueError."""
+    if grid.n_steps != 1:
+        raise ValueError("build_bases needs a grid of exactly one time (a two-time basis)")
     rho0 = system.build_initial_state(spec)
     da, db = spec.dim_a, spec.dim_b
 
     glob = linalg.hermitian_eigendecompose(rho0, tiebreak=spec.h_total)
     populations = np.clip(glob.values, 0.0, None)
+    u = linalg.unitary_from_hamiltonian(spec.h_int, grid.times[0])
+    unitaries = (np.eye(spec.dim, dtype=complex), u)
+    global_vectors = (glob.vectors, u @ glob.vectors)
 
-    global_vectors = [glob.vectors]
     local_a, local_b = [], []
     energies_a, energies_b = [], []
     overlaps = []
-    unitaries = [np.eye(spec.dim, dtype=complex)]
-
-    for n, t in enumerate(grid.all_times):
-        if n > 0:
-            u = linalg.unitary_from_hamiltonian(spec.h_int, t)
-            unitaries.append(u)
-            global_vectors.append(u @ glob.vectors)
-        vecs = global_vectors[n]
+    for vecs in global_vectors:
         rho_t = (vecs * populations) @ vecs.conj().T
-
         ra = linalg.partial_trace(rho_t, da, db, keep="A")
         rb = linalg.partial_trace(rho_t, da, db, keep="B")
         ea = linalg.hermitian_eigendecompose(ra, tiebreak=spec.h_a)
@@ -128,59 +115,20 @@ def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
             "ij,ik,kj->j", ea.vectors.conj(), spec.h_a, ea.vectors)))
         energies_b.append(np.real(np.einsum(
             "ij,ik,kj->j", eb.vectors.conj(), spec.h_b, eb.vectors)))
-
-        prod = linalg.tensor_product(ea.vectors, eb.vectors)
-        amp = prod.conj().T @ vecs          # (d_A*d_B, D)
-        overlaps.append(np.abs(amp.T.reshape(spec.dim, da, db)) ** 2)
+        overlaps.append(_overlap_table(ea.vectors, eb.vectors, vecs))
 
     return BasisSet(
         spec=spec,
         grid=grid,
         populations=populations,
-        global_vectors=tuple(global_vectors),
+        global_vectors=global_vectors,
         local_a=tuple(local_a),
         local_b=tuple(local_b),
         energies_a=tuple(energies_a),
         energies_b=tuple(energies_b),
         overlaps=tuple(overlaps),
-        unitaries=tuple(unitaries),
+        unitaries=unitaries,
     )
-
-
-def conditional_prob(basis: BasisSet, n: int, a: int, b: int, s: int) -> float:
-    """P(a_n, b_n | s_n), the squared overlap of the product local state
-    with the evolved global eigenstate."""
-    if not 0 <= n < basis.n_times:
-        raise IndexError(f"time index {n} out of range")
-    table = basis.overlaps[n]
-    if not (0 <= s < table.shape[0] and 0 <= a < table.shape[1] and 0 <= b < table.shape[2]):
-        raise IndexError("basis index out of range")
-    return float(table[s, a, b])
-
-
-def enumerate_trajectories(basis: BasisSet) -> list[ConditionalTrajectory]:
-    """All conditional trajectories with weight above the probability floor.
-
-    The weight is the initial population times the product of conditional
-    probabilities at each grid time.
-    """
-    floor = basis.spec.tol.probability_floor
-    da, db = basis.spec.dim_a, basis.spec.dim_b
-    pairs = list(itertools.product(range(da), range(db)))
-    out = []
-    for s in range(basis.dim):
-        ps = basis.populations[s]
-        if ps <= floor:
-            continue
-        for combo in itertools.product(pairs, repeat=basis.n_times):
-            w = ps
-            for n, (a, b) in enumerate(combo):
-                w *= basis.overlaps[n][s, a, b]
-                if w <= floor:
-                    break
-            if w > floor:
-                out.append(ConditionalTrajectory(s=s, outcomes=combo, weight=float(w)))
-    return out
 
 
 def reverse_overlap_tables(basis: BasisSet) -> list[np.ndarray]:
@@ -189,53 +137,15 @@ def reverse_overlap_tables(basis: BasisSet) -> list[np.ndarray]:
     The reversed experiment starts from the same global eigenvectors and
     populations and runs the interaction backwards.  Entry ``m`` of the
     returned list (m = 0 is the start of the reversed process, physical
-    time ``t_N``) holds |<a_n b_n| U^dag(t_N - t_n) |s>|^2 with n = N - m:
-    the local bases are visited in reverse chronological order while the
+    time t) holds |<a_n b_n| U^dag(t - t_n) |s>|^2 with n = 1 - m: the
+    local bases are visited in reverse chronological order while the
     backward evolution accumulates.
     """
-    da, db = basis.spec.dim_a, basis.spec.dim_b
-    nsteps = basis.grid.n_steps
-    u_final = basis.unitaries[nsteps]
-    tables = []
-    for n in range(nsteps, -1, -1):
-        # U^dag(t_N - t_n) == U(t_n) U(t_N)^dag for a fixed generator
-        vecs = basis.unitaries[n] @ u_final.conj().T @ basis.global_vectors[0]
-        prod = linalg.tensor_product(basis.local_a[n].vectors, basis.local_b[n].vectors)
-        amp = prod.conj().T @ vecs
-        tables.append(np.abs(amp.T.reshape(basis.dim, da, db)) ** 2)
-    return tables
-
-
-def reverse_enumerate(basis: BasisSet) -> list[ConditionalTrajectory]:
-    """Trajectories of the time-reversed process.
-
-    A reverse record (s*, (a_N,b_N), ..., (a_0,b_0)) pairs each global
-    label with backward evolution: the factor for physical time t_n is
-    the squared overlap of |a_n b_n> with U^dag(t_N - t_n) applied to the
-    label's initial eigenvector.  Populations are the forward ones;
-    outcomes are stored in reverse chronological order.  For a product
-    initial state this reproduces the forward statistics.
-    """
-    floor = basis.spec.tol.probability_floor
-    da, db = basis.spec.dim_a, basis.spec.dim_b
-    nsteps = basis.grid.n_steps
-    back = reverse_overlap_tables(basis)
-
-    pairs = list(itertools.product(range(da), range(db)))
-    out = []
-    for s in range(basis.dim):
-        ps = basis.populations[s]
-        if ps <= floor:
-            continue
-        for combo in itertools.product(pairs, repeat=nsteps + 1):
-            w = ps
-            for step, (a, b) in enumerate(combo):
-                w *= back[step][s, a, b]
-                if w <= floor:
-                    break
-            if w > floor:
-                out.append(ConditionalTrajectory(s=s, outcomes=combo, weight=float(w)))
-    return out
+    u_final = basis.unitaries[1]
+    # U^dag(t - t_n) == U(t_n) U(t)^dag for a fixed generator
+    return [_overlap_table(basis.local_a[n].vectors, basis.local_b[n].vectors,
+                           basis.unitaries[n] @ u_final.conj().T @ basis.global_vectors[0])
+            for n in (1, 0)]
 
 
 @dataclass(frozen=True)
@@ -251,19 +161,13 @@ class MarginalTables:
     b_1: np.ndarray
 
 
-def _two_time(basis: BasisSet) -> None:
-    if basis.grid.n_steps != 1:
-        raise ValueError("operation requires a two-time grid (exactly one step)")
-
-
 def local_marginals(basis: BasisSet) -> MarginalTables:
-    """Outcome marginals at both times of a two-time grid.
+    """Outcome marginals at t = 0 and t.
 
     The final joint table is computed both by summing over the global
     label and as diagonal matrix elements of the evolved state; the two
-    routes must agree to 1e-12.
+    routes must agree to 1e-12, else :class:`linalg.LinalgError`.
     """
-    _two_time(basis)
     p = basis.populations
     joint_0 = np.einsum("s,sab->ab", p, basis.overlaps[0])
     joint_1 = np.einsum("s,sab->ab", p, basis.overlaps[1])
@@ -275,7 +179,7 @@ def local_marginals(basis: BasisSet) -> MarginalTables:
     direct = direct.reshape(joint_1.shape)
     dev = np.abs(direct - joint_1).max()
     if dev > 1e-12:
-        raise AssertionError(f"marginal routes disagree by {dev:.3e}")
+        raise linalg.LinalgError(f"marginal routes disagree by {dev:.3e}")
 
     return MarginalTables(
         joint_0=joint_0,
@@ -290,7 +194,6 @@ def local_marginals(basis: BasisSet) -> MarginalTables:
 def path_probability_table(basis: BasisSet) -> np.ndarray:
     """Two-time local path probabilities P(a_0,b_0,a_1,b_1), obtained by
     marginalizing the global label out of the trajectory weights."""
-    _two_time(basis)
     return np.einsum(
         "s,sab,scd->abcd", basis.populations, basis.overlaps[0], basis.overlaps[1]
     )
@@ -304,7 +207,6 @@ def choi_path_probability(basis: BasisSet) -> np.ndarray:
     read off as diagonal expectations in the product of local bases.
     Positivity and normalization are inherited from the construction.
     """
-    _two_time(basis)
     d = basis.dim
     v0 = basis.global_vectors[0]
     u = basis.unitaries[1]
@@ -327,7 +229,6 @@ def choi_path_probability(basis: BasisSet) -> np.ndarray:
 def tpm_table(basis: BasisSet) -> np.ndarray:
     """Two-point-measurement path probabilities,
     P_a0 * P_b0 * |<a_1 b_1|U|a_0 b_0>|^2, in the same local bases."""
-    _two_time(basis)
     marg = local_marginals(basis)
     prod0 = linalg.tensor_product(basis.local_a[0].vectors, basis.local_b[0].vectors)
     prod1 = linalg.tensor_product(basis.local_a[1].vectors, basis.local_b[1].vectors)

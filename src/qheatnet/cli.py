@@ -52,6 +52,12 @@ def _parse_tol(pairs, base: system.Tolerances) -> system.Tolerances:
     return base.updated(**kwargs) if kwargs else base
 
 
+def _check_time(t: float, flag: str) -> float:
+    if not (np.isfinite(t) and t >= 0):
+        raise CliError(f"bad {flag} time {t!r} (times must be finite and >= 0)")
+    return t
+
+
 def _parse_sweep(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -60,6 +66,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise CliError(f"bad --sweep {text!r}")
+    _check_time(start, "--sweep")
+    _check_time(stop, "--sweep")
     if steps < 1 or stop < start:
         raise CliError(f"bad --sweep {text!r}")
     return np.linspace(start, stop, steps)
@@ -182,7 +190,7 @@ def _verify_records(spec: system.BipartiteSpec, t: float) -> list[dict]:
 
 def cmd_verify(args) -> int:
     spec, times = _load_spec(args)
-    t = args.time if args.time is not None else times[0]
+    t = _check_time(args.time, "--time") if args.time is not None else times[0]
     return _emit_report(args, "verify", _verify_records(spec, t))
 
 
@@ -217,7 +225,7 @@ def cmd_heat(args) -> int:
     if args.sweep:
         sweep = _parse_sweep(args.sweep)
     elif args.time is not None:
-        sweep = np.array([args.time])
+        sweep = np.array([_check_time(args.time, "--time")])
     else:
         sweep = np.asarray(times)
     lines = [_HEAT_HEADER]

@@ -115,10 +115,3 @@ class DiscreteDistribution:
         if idx.size == 0:
             return default
         return float(self.probs[idx].sum())
-
-    def mean(self) -> np.ndarray:
-        return self.probs @ self.points
-
-    def expectation(self, fn) -> float:
-        """Sum of fn(point) weighted by the masses; fn takes a 1-d array."""
-        return float(sum(p * fn(x) for x, p in zip(self.points, self.probs)))

@@ -25,7 +25,6 @@ __all__ = [
     "gibbs_state",
     "build_initial_state",
     "validate",
-    "evolve",
 ]
 
 
@@ -42,7 +41,8 @@ class Tolerances:
     commutator: float = 1e-10
     positivity: float = 1e-10
     unitarity: float = 1e-10
-    #: trajectory weights below this are dropped from enumerations
+    #: probabilities at or below this count as zero: labels and paths this
+    #: light get no ledger pair, and bins this light are not checked
     probability_floor: float = 1e-14
     #: distribution support points closer than this share one bin
     binning: float = 1e-9
@@ -203,15 +203,3 @@ def build_initial_state(spec: BipartiteSpec) -> np.ndarray:
             f"spec check {bad.name!r} failed with residual {bad.residual:.3e}"
         )
     return _raw_initial_state(spec)
-
-
-def evolve(rho: np.ndarray, u: np.ndarray, unitarity_tol: float = 1e-10) -> np.ndarray:
-    """Conjugate a state by a unitary, U rho U^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if rho.shape != u.shape:
-        raise linalg.LinalgError("state and unitary dimensions differ")
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > unitarity_tol:
-        raise linalg.LinalgError(f"matrix is not unitary (deviation {dev:.3e})")
-    return u @ rho @ u.conj().T

@@ -27,8 +27,6 @@ from .distributions import DiscreteDistribution
 __all__ = [
     "FORWARD_QUANTITIES",
     "REVERSE_QUANTITIES",
-    "AugmentedTrajectory",
-    "Ledger",
     "LedgerSet",
     "CombinedFT",
     "JointFT",
@@ -52,40 +50,6 @@ FORWARD_QUANTITIES = ("i0", "j0", "c0", "sigma_a", "sigma_b", "gamma")
 REVERSE_QUANTITIES = ("i1", "j1", "c1")
 
 
-@dataclass(frozen=True)
-class AugmentedTrajectory:
-    """Forward record plus its anchor label for the reversed process."""
-
-    s: int
-    a0: int
-    b0: int
-    a1: int
-    b1: int
-    s_star: int
-    weight_forward: float
-    weight_reverse: float
-
-
-@dataclass(frozen=True)
-class Ledger:
-    """Per-pair stochastic quantities.  ``i0 = j0 + c0`` and
-    ``i1 = j1 + c1`` hold exactly as computed."""
-
-    q_a: float
-    q_b: float
-    i0: float
-    j0: float
-    c0: float
-    i1: float
-    j1: float
-    c1: float
-    sigma_a: float
-    sigma_b: float
-    gamma: float
-    k: float
-    energy_conserving: bool
-
-
 class LedgerSet:
     """Vectorized ledger data for one basis set on a two-time grid.
 
@@ -94,8 +58,6 @@ class LedgerSet:
     """
 
     def __init__(self, basis: bayesnet.BasisSet):
-        if basis.grid.n_steps != 1:
-            raise ValueError("ledgers require a two-time grid (exactly one step)")
         spec = basis.spec
         da, db, dim = spec.dim_a, spec.dim_b, spec.dim
         floor = spec.tol.probability_floor
@@ -198,32 +160,6 @@ class LedgerSet:
     @property
     def n_pairs(self) -> int:
         return len(self.w_f)
-
-    def records(self) -> list[tuple[AugmentedTrajectory, Ledger]]:
-        out = []
-        db = self.dim_b
-        for n in range(self.n_pairs):
-            traj = AugmentedTrajectory(
-                s=int(self.s_lab[n]),
-                a0=int(self.i0[n] // db), b0=int(self.i0[n] % db),
-                a1=int(self.i1[n] // db), b1=int(self.i1[n] % db),
-                s_star=int(self.t_lab[n]),
-                weight_forward=float(self.w_f[n]),
-                weight_reverse=float(self.w_r[n]),
-            )
-            led = Ledger(
-                q_a=float(self.col_q_a[n]), q_b=float(self.col_q_b[n]),
-                i0=float(self.col_i0[n]), j0=float(self.col_j0[n]),
-                c0=float(self.col_c0[n]),
-                i1=float(self.col_i1[n]), j1=float(self.col_j1[n]),
-                c1=float(self.col_c1[n]),
-                sigma_a=float(self.col_sigma_a[n]),
-                sigma_b=float(self.col_sigma_b[n]),
-                gamma=float(self.col_gamma[n]), k=float(self.col_k[n]),
-                energy_conserving=bool(self.col_energy_ok[n]),
-            )
-            out.append((traj, led))
-        return out
 
 
 def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
@@ -493,24 +429,16 @@ def _entropy_of(p: np.ndarray, floor: float) -> float:
 
 
 def mutual_information_check(ledgers: LedgerSet) -> InfoMeans:
-    kp, pops, floor = ledgers.keep, ledgers.pops, ledgers.floor
-    lnp = np.log(pops[kp])
-
-    def mean_info(table, pp):
-        w = pops[kp, None] * table[kp]
-        ok = (w > floor) & (pp[None, :] > floor)
-        vals = lnp[:, None] - np.log(np.where(pp > floor, pp, 1.0))[None, :]
-        return float(np.sum(w[ok] * vals[ok]))
-
+    pops, floor = ledgers.pops, ledgers.floor
     s_global = _entropy_of(pops, floor)
     info_0 = (_entropy_of(ledgers.marg.a_0, floor)
               + _entropy_of(ledgers.marg.b_0, floor) - s_global)
     info_1 = (_entropy_of(ledgers.marg.a_1, floor)
               + _entropy_of(ledgers.marg.b_1, floor) - s_global)
     return InfoMeans(
-        mean_i0=mean_info(ledgers.a0_table, ledgers.pp0),
+        mean_i0=mean_quantity(ledgers, "i0"),
         info_0=info_0,
-        mean_i1=mean_info(ledgers.a1_table, ledgers.pp1),
+        mean_i1=mean_quantity(ledgers, "i1"),
         info_1=info_1,
     )
 
@@ -519,35 +447,24 @@ def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
     """<X> for one ledger quantity under its own ensemble."""
     pops, floor = ledgers.pops, ledgers.floor
     kp = ledgers.keep
-
-    def klsum(w, num, den):
+    label = pops[kp][:, None]
+    # information terms: (outcome table, numerator, denominator) of the log
+    info = {"i0": (ledgers.a0_table, label, ledgers.pp0),
+            "j0": (ledgers.a0_table, ledgers.joint0, ledgers.pp0),
+            "c0": (ledgers.a0_table, label, ledgers.joint0),
+            "i1": (ledgers.a1_table, label, ledgers.pp1),
+            "j1": (ledgers.a1_table, ledgers.joint1, ledgers.pp1),
+            "c1": (ledgers.a1_table, label, ledgers.joint1)}
+    athermal = {"sigma_a": (ledgers.marg.a_1, ledgers.pth_a1),
+                "sigma_b": (ledgers.marg.b_1, ledgers.pth_b1)}
+    if quantity in info:
+        table, num, den = info[quantity]
+        w = pops[kp, None] * table[kp]
+        num, den = np.broadcast_to(num, w.shape), np.broadcast_to(den, w.shape)
         ok = (w > floor) & (num > floor) & (den > floor)
         return float(np.sum(w[ok] * (np.log(num[ok]) - np.log(den[ok]))))
-
-    if quantity in ("i0", "j0", "c0"):
-        w = pops[kp, None] * ledgers.a0_table[kp]
-        lnp = {"i0": (np.broadcast_to(pops[kp][:, None], w.shape),
-                      np.broadcast_to(ledgers.pp0[None, :], w.shape)),
-               "j0": (np.broadcast_to(ledgers.joint0[None, :], w.shape),
-                      np.broadcast_to(ledgers.pp0[None, :], w.shape)),
-               "c0": (np.broadcast_to(pops[kp][:, None], w.shape),
-                      np.broadcast_to(ledgers.joint0[None, :], w.shape))}[quantity]
-        return klsum(w, *lnp)
-    if quantity in ("i1", "j1", "c1"):
-        w = pops[kp, None] * ledgers.a1_table[kp]
-        lnp = {"i1": (np.broadcast_to(pops[kp][:, None], w.shape),
-                      np.broadcast_to(ledgers.pp1[None, :], w.shape)),
-               "j1": (np.broadcast_to(ledgers.joint1[None, :], w.shape),
-                      np.broadcast_to(ledgers.pp1[None, :], w.shape)),
-               "c1": (np.broadcast_to(pops[kp][:, None], w.shape),
-                      np.broadcast_to(ledgers.joint1[None, :], w.shape))}[quantity]
-        return klsum(w, *lnp)
-    if quantity == "sigma_a":
-        p, q = ledgers.marg.a_1, ledgers.pth_a1
-        ok = p > floor
-        return float(np.sum(p[ok] * (np.log(p[ok]) - np.log(q[ok]))))
-    if quantity == "sigma_b":
-        p, q = ledgers.marg.b_1, ledgers.pth_b1
+    if quantity in athermal:
+        p, q = athermal[quantity]
         ok = p > floor
         return float(np.sum(p[ok] * (np.log(p[ok]) - np.log(q[ok]))))
     if quantity == "gamma":

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, linalg, qubit, randspec
-from qheatnet.distributions import DiscreteDistribution
+from qheatnet import bayesnet, linalg, randspec, thermo
+from conftest import ledgers_at
 
 EA = 0.25        # exp(-beta_a) for occupation 0.2
 EB = 3.0 / 7.0   # exp(-beta_b) for occupation 0.3
@@ -12,7 +14,7 @@ class TestTimeGrid:
     def test_basic(self):
         grid = bayesnet.TimeGrid((0.5, 1.0))
         assert grid.n_steps == 2
-        assert grid.all_times == (0.0, 0.5, 1.0)
+        assert grid.times == (0.5, 1.0)
 
     @pytest.mark.parametrize("times", [(), (0.0,), (-1.0,), (1.0, 0.5), (1.0, 1.0)])
     def test_rejects_bad_times(self, times):
@@ -55,90 +57,59 @@ class TestConditionalProb:
     def test_correlated_value(self, correlated_spec):
         basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.9,)))
         # outcome (0, 1) given the single-excitation eigenvector at t=0
-        assert bayesnet.conditional_prob(basis, 0, 0, 1, 1) == pytest.approx(
-            EB / (EA + EB), abs=1e-12)
-
-    def test_out_of_range(self, correlated_spec):
-        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.9,)))
-        with pytest.raises(IndexError):
-            bayesnet.conditional_prob(basis, 2, 0, 0, 0)
-        with pytest.raises(IndexError):
-            bayesnet.conditional_prob(basis, 0, 0, 0, 4)
+        assert basis.overlaps[0][1, 0, 1] == pytest.approx(EB / (EA + EB), abs=1e-12)
 
 
 class TestEnumerate:
+    """The forward two-time ensemble: P_s times one overlap per time."""
+
     def test_weights_sum_to_one(self, correlated_spec):
-        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.6,)))
-        trajs = bayesnet.enumerate_trajectories(basis)
-        assert len(trajs) <= 64
-        assert sum(t.weight for t in trajs) == pytest.approx(1.0, abs=1e-12)
+        led = ledgers_at(correlated_spec, 0.6)
+        assert led.fwd.shape == (3, 4, 4)
+        assert led.fwd.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_population_branch_absent(self, correlated_spec):
-        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.6,)))
-        labels = {t.s for t in bayesnet.enumerate_trajectories(basis)}
-        assert 3 not in labels  # the exactly-zero eigenvalue
+        led = ledgers_at(correlated_spec, 0.6)
+        assert 3 not in led.keep  # the exactly-zero eigenvalue
+        assert 3 not in led.s_lab and 3 not in led.t_lab
 
     def test_weights_match_tables(self, correlated_spec):
-        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.6,)))
-        for traj in bayesnet.enumerate_trajectories(basis):
-            w = basis.populations[traj.s]
-            for n, (a, b) in enumerate(traj.outcomes):
-                w *= basis.overlaps[n][traj.s, a, b]
-            assert traj.weight == pytest.approx(w, rel=1e-12)
-
-    def test_three_time_marginalizes(self, correlated_spec):
-        grid3 = bayesnet.TimeGrid((0.4, 1.1))
-        basis3 = bayesnet.build_bases(correlated_spec, grid3)
-        basis2 = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((1.1,)))
-        # conditional independence given the label: summing out the middle
-        # outcome reproduces the two-time path weights
-        acc = {}
-        for t in bayesnet.enumerate_trajectories(basis3):
-            key = (t.s, t.outcomes[0], t.outcomes[2])
-            acc[key] = acc.get(key, 0.0) + t.weight
-        for t in bayesnet.enumerate_trajectories(basis2):
-            key = (t.s, t.outcomes[0], t.outcomes[1])
-            assert acc.get(key, 0.0) == pytest.approx(t.weight, abs=1e-12)
-
-
-def _heat_hist(trajs, basis, reverse=False):
-    values, weights = [], []
-    for t in trajs:
-        if reverse:
-            (a_last, _), (a_first, _) = t.outcomes[0], t.outcomes[-1]
-            q = basis.energies_a[0][a_first] - basis.energies_a[1][a_last]
-        else:
-            (a0, _), (a1, _) = t.outcomes[0], t.outcomes[-1]
-            q = basis.energies_a[1][a1] - basis.energies_a[0][a0]
-        values.append(q)
-        weights.append(t.weight)
-    return DiscreteDistribution.from_samples(np.array(values), np.array(weights))
+        led = ledgers_at(correlated_spec, 0.6)
+        basis = led.basis
+        for k, s in enumerate(led.keep):
+            expect = (basis.populations[s]
+                      * np.multiply.outer(basis.overlaps[0][s].ravel(),
+                                          basis.overlaps[1][s].ravel()))
+            assert np.allclose(led.fwd[k], expect, rtol=1e-12, atol=0.0)
 
 
 class TestReverseEnumerate:
+    """The reversed ensemble against the forward one, as heat histograms:
+    reversed heat is the mirrored table, so a product state gives equal
+    forward and reverse statistics."""
+
     def test_normalized(self, correlated_spec):
-        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.8,)))
-        trajs = bayesnet.reverse_enumerate(basis)
-        assert sum(t.weight for t in trajs) == pytest.approx(1.0, abs=1e-12)
+        led = ledgers_at(correlated_spec, 0.8)
+        assert led.rev.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _hists(spec, t):
+        led = ledgers_at(spec, t)
+        return (thermo.heat_distribution(led, "forward"),
+                thermo.heat_distribution(led, "reverse"))
 
     def test_product_state_matches_forward(self, product_spec):
-        basis = bayesnet.build_bases(product_spec, bayesnet.TimeGrid((0.8,)))
-        fwd = _heat_hist(bayesnet.enumerate_trajectories(basis), basis)
-        rev = _heat_hist(bayesnet.reverse_enumerate(basis), basis, reverse=True)
+        fwd, rev = self._hists(product_spec, 0.8)
         for q in (-1.0, 0.0, 1.0):
             assert rev.prob_at(q) == pytest.approx(fwd.prob_at(q), abs=1e-12)
 
     def test_tiny_time_matches_forward(self, correlated_spec):
-        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((1e-9,)))
-        fwd = _heat_hist(bayesnet.enumerate_trajectories(basis), basis)
-        rev = _heat_hist(bayesnet.reverse_enumerate(basis), basis, reverse=True)
+        fwd, rev = self._hists(correlated_spec, 1e-9)
         for q in (-1.0, 0.0, 1.0):
             assert rev.prob_at(q) == pytest.approx(fwd.prob_at(q), abs=1e-7)
 
     def test_correlated_differs_from_forward(self, correlated_spec):
-        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.8,)))
-        fwd = _heat_hist(bayesnet.enumerate_trajectories(basis), basis)
-        rev = _heat_hist(bayesnet.reverse_enumerate(basis), basis, reverse=True)
+        fwd, rev = self._hists(correlated_spec, 0.8)
         assert abs(fwd.prob_at(1.0) - rev.prob_at(1.0)) > 1e-3
 
 
@@ -159,6 +130,16 @@ class TestMarginals:
         marg = bayesnet.local_marginals(basis)
         assert marg.joint_0.sum() == pytest.approx(1.0, abs=1e-12)
         assert marg.joint_1.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_disagreeing_routes_are_typed_error(self, correlated_spec):
+        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.6,)))
+        o0, o1 = basis.overlaps
+        perturbed = o1.copy()
+        perturbed[0, 0, 0] += 1e-9
+        bad = dataclasses.replace(basis, overlaps=(o0, perturbed))
+        with pytest.raises(linalg.LinalgError, match="marginal routes disagree"):
+            bayesnet.local_marginals(bad)
+        assert issubclass(linalg.LinalgError, ValueError)  # the CLI's exit 2
 
 
 class TestPathTables:
@@ -191,6 +172,7 @@ class TestPathTables:
         assert bayesnet.path_probability_table(basis).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_two_time_grid(self, correlated_spec):
-        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.3, 0.7)))
-        with pytest.raises(ValueError):
-            bayesnet.path_probability_table(basis)
+        # every table is two-time, so a grid of two or more times is
+        # rejected where the basis is built
+        with pytest.raises(ValueError, match="exactly one time"):
+            bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.3, 0.7)))

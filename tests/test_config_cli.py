@@ -169,6 +169,29 @@ class TestCli:
         assert cli.main(["heat", "--config", example_config, "--sweep", "1:2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--dims", "2x2", "--seed", "1", "--time", "-5"],
+        ["verify", "--dims", "2x2", "--seed", "1", "--time", "nan"],
+        ["verify", "--dims", "2x2", "--seed", "1", "--time", "inf"],
+        ["heat", "--dims", "2x2", "--seed", "1", "--time", "-0.5"],
+        ["heat", "--dims", "2x2", "--seed", "1", "--time", "nan"],
+        ["heat", "--dims", "2x2", "--seed", "1", "--sweep=-1:0:2"],
+        ["heat", "--dims", "2x2", "--seed", "1", "--sweep", "0:inf:3"],
+        ["heat", "--dims", "2x2", "--seed", "1", "--sweep", "nan:1:2"],
+        ["heat", "--dims", "2x2", "--seed", "1", "--sweep", "1:inf:1"],
+        ["example", "--sweep=-1:1:3"],
+        ["example", "--sweep", "0:nan:3"],
+    ])
+    def test_negative_or_nonfinite_time_rejected(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and >= 0" in captured.err
+
+    def test_zero_time_still_accepted(self, capsys):
+        assert cli.main(["verify", "--dims", "2x2", "--seed", "1", "--time", "0"]) == 0
+        capsys.readouterr()
+
     def test_example_against_oracle(self, tmp_path):
         out = tmp_path / "example.csv"
         report = tmp_path / "report.json"

@@ -101,30 +101,6 @@ class TestInitialState:
             system.build_initial_state(bad)
 
 
-class TestEvolve:
-    def test_identity(self, correlated_spec):
-        rho = system.build_initial_state(correlated_spec)
-        assert np.abs(system.evolve(rho, np.eye(4)) - rho).max() < 1e-15
-
-    def test_full_swap_exchanges_occupations(self, correlated_spec):
-        rho = system.build_initial_state(correlated_spec)
-        u = linalg.unitary_from_hamiltonian(correlated_spec.h_int, 1.0)
-        out = system.evolve(rho, u)
-        ra = linalg.partial_trace(out, 2, 2, "A")
-        assert np.allclose(np.diag(ra).real, [0.7, 0.3], atol=1e-12)
-
-    def test_spectrum_preserved(self, correlated_spec):
-        rho = system.build_initial_state(correlated_spec)
-        u = linalg.unitary_from_hamiltonian(correlated_spec.h_int, 0.31)
-        out = system.evolve(rho, u)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(out)),
-                           np.sort(np.linalg.eigvalsh(rho)), atol=1e-12)
-
-    def test_nonunitary_rejected(self):
-        with pytest.raises(linalg.LinalgError):
-            system.evolve(np.eye(2) / 2, np.diag([1.0, 0.5]))
-
-
 def test_tolerances_updated():
     tol = system.Tolerances().updated(binning=1e-8)
     assert tol.binning == 1e-8
