@@ -32,7 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing positive measurement times; t=0 is implicit.
+    """Strictly increasing, positive, finite measurement times; t=0 is
+    implicit.
 
     ``build_bases`` takes a grid of one time t, the two-time basis at 0
     and t.  A config file or the command line reads a longer grid as a
@@ -46,6 +47,8 @@ class TimeGrid:
             raise ValueError("time grid needs at least one time")
         prev = 0.0
         for t in self.times:
+            if not np.isfinite(t):
+                raise ValueError(f"grid time {t!r} is not finite")
             if not t > prev:
                 raise ValueError("grid times must be strictly increasing and positive")
             prev = t
@@ -202,26 +205,27 @@ def path_probability_table(basis: BasisSet) -> np.ndarray:
 def choi_path_probability(basis: BasisSet) -> np.ndarray:
     """Same table via the channel-state (Choi) route.
 
-    A two-copy state correlates each global eigenvector with itself, the
-    second copy is pushed through the evolution channel, and the table is
-    read off as diagonal expectations in the product of local bases.
-    Positivity and normalization are inherited from the construction.
+    A two-copy state correlates each global eigenvector with itself,
+    Omega = sum_s P_s |w_s><w_s| with w_s = v_s (x) v_s, the second copy
+    is pushed through the evolution channel (I (x) U), and the table is
+    read off as diagonal expectations in the product of local bases at
+    t = 0 (first copy) and t (second copy).  Omega has rank D, so it is
+    kept as its purification: the (D, D, D) tensor w[i, j, s], with U
+    and the two local-basis bras contracted one copy index at a time,
+    giving amplitudes amp[k0, k1, s] and the table sum_s P_s |amp|^2.
+    That costs O(D^4) time and O(D^3) memory; no D^2 x D^2 operator is
+    formed.  Positivity and normalization are inherited from the
+    construction.
     """
     d = basis.dim
     v0 = basis.global_vectors[0]
-    u = basis.unitaries[1]
-
-    omega = np.zeros((d * d, d * d), dtype=complex)
-    for s in range(d):
-        proj = np.outer(v0[:, s], v0[:, s].conj())
-        omega += basis.populations[s] * linalg.tensor_product(proj, proj)
-    big_u = linalg.tensor_product(np.eye(d), u)
-    lam = big_u @ omega @ big_u.conj().T
-
+    w = v0[:, None, :] * v0[None, :, :]                 # w[i, j, s]
+    w = basis.unitaries[1] @ w                          # U on the second copy j
     prod0 = linalg.tensor_product(basis.local_a[0].vectors, basis.local_b[0].vectors)
     prod1 = linalg.tensor_product(basis.local_a[1].vectors, basis.local_b[1].vectors)
-    kets = linalg.tensor_product(prod0, prod1)   # columns |a b> x |a' b'>
-    table = np.real(np.einsum("is,ij,js->s", kets.conj(), lam, kets))
+    w = prod1.conj().T @ w                              # [i, k1, s]
+    amp = (prod0.conj().T @ w.reshape(d, d * d)).reshape(d, d, d)   # [k0, k1, s]
+    table = (np.abs(amp) ** 2) @ basis.populations
     da, db = basis.spec.dim_a, basis.spec.dim_b
     return table.reshape(da, db, da, db)
 

@@ -104,6 +104,8 @@ def load_config(source) -> LoadedConfig:
                 f"({h_a.shape[0]}, {h_b.shape[0]})")
 
     tol_kwargs = dict(data.get("tolerances", {}))
+    # older configs carry a "unitarity" tolerance that nothing ever read
+    tol_kwargs.pop("unitarity", None)
     known = {f.name for f in dataclasses.fields(system.Tolerances)}
     unknown = set(tol_kwargs) - known
     if unknown:

@@ -40,7 +40,6 @@ class Tolerances:
     marginal: float = 1e-10
     commutator: float = 1e-10
     positivity: float = 1e-10
-    unitarity: float = 1e-10
     #: probabilities at or below this count as zero: labels and paths this
     #: light get no ledger pair, and bins this light are not checked
     probability_floor: float = 1e-14

@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, linalg, randspec, thermo
+from qheatnet import bayesnet, linalg, randspec, system, thermo
 from conftest import ledgers_at
 
 EA = 0.25        # exp(-beta_a) for occupation 0.2
@@ -19,6 +20,11 @@ class TestTimeGrid:
     @pytest.mark.parametrize("times", [(), (0.0,), (-1.0,), (1.0, 0.5), (1.0, 1.0)])
     def test_rejects_bad_times(self, times):
         with pytest.raises(ValueError):
+            bayesnet.TimeGrid(times)
+
+    @pytest.mark.parametrize("times", [(np.inf,), (0.5, np.inf), (np.nan,)])
+    def test_rejects_nonfinite_times(self, times):
+        with pytest.raises(ValueError, match="not finite"):
             bayesnet.TimeGrid(times)
 
 
@@ -142,6 +148,38 @@ class TestMarginals:
         assert issubclass(linalg.LinalgError, ValueError)  # the CLI's exit 2
 
 
+def _ladder_spec(levels: int, seed: int) -> system.BipartiteSpec:
+    """Correlated instance on two integer ladders 0..levels-1: interaction
+    and correlation are random Hermitian blocks on the shells of the total
+    bare energy, the correlation has no marginals and is scaled below the
+    smallest product population."""
+    rng = np.random.default_rng(seed)
+    ladder = np.arange(levels, dtype=float)
+    h = np.diag(ladder).astype(complex)
+    dim = levels * levels
+    total = np.add.outer(ladder, ladder).ravel()
+    shells = np.abs(np.subtract.outer(total, total)) < 0.5
+
+    def shell_hermitian():
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return np.where(shells, x + x.conj().T, 0.0)
+
+    h_int = shell_hermitian()
+    h_int /= np.abs(h_int).max()
+    chi = shell_hermitian()
+    eye = np.eye(levels)
+    chi = (chi
+           - linalg.tensor_product(linalg.partial_trace(chi, levels, levels, keep="A"), eye) / levels
+           - linalg.tensor_product(eye, linalg.partial_trace(chi, levels, levels, keep="B")) / levels
+           + np.trace(chi) * np.eye(dim) / dim)
+    beta_a, beta_b = 0.3, 0.6
+    prod = linalg.tensor_product(system.gibbs_state(h, beta_a).rho,
+                                 system.gibbs_state(h, beta_b).rho)
+    chi *= 0.8 * np.linalg.eigvalsh(prod).min() / np.abs(np.linalg.eigvalsh(chi)).max()
+    return system.BipartiteSpec(h_a=h, h_b=h.copy(), beta_a=beta_a, beta_b=beta_b,
+                                chi=chi, h_int=h_int)
+
+
 class TestPathTables:
     @pytest.mark.parametrize("t", [0.3, 1.0, 1.9])
     def test_choi_route_agrees(self, correlated_spec, t):
@@ -151,11 +189,43 @@ class TestPathTables:
         assert np.abs(table - choi).max() < 1e-12
 
     def test_choi_route_random_specs(self):
-        for seed in range(5):
-            spec = randspec.random_spec(seed, 2, 3)
+        cases = [(seed, 2, 3, True) for seed in range(5)]
+        cases += [(seed, 4, 4, corr) for seed in range(3) for corr in (True, False)]
+        for seed, da, db, correlated in cases:
+            spec = randspec.random_spec(seed, da, db, correlated=correlated)
             basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((0.9,)))
             assert np.abs(bayesnet.path_probability_table(basis)
                           - bayesnet.choi_path_probability(basis)).max() < 1e-12
+
+    def test_choi_route_agrees_on_ladder_d36(self):
+        spec = _ladder_spec(6, seed=3)
+        assert system.validate(spec).first_failure() is None
+        assert np.abs(spec.chi).max() > 0.0
+        basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((0.7,)))
+        assert basis.dim == 36
+        assert np.abs(bayesnet.path_probability_table(basis)
+                      - bayesnet.choi_path_probability(basis)).max() < 1e-12
+
+    def test_choi_route_reads_the_unitary(self, correlated_spec):
+        # the Choi route evolves with unitaries[1] itself rather than
+        # reusing the overlap tables, so a different U must show
+        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.7,)))
+        other = linalg.unitary_from_hamiltonian(correlated_spec.h_int, 0.4)
+        swapped = dataclasses.replace(basis, unitaries=(basis.unitaries[0], other))
+        assert np.abs(bayesnet.path_probability_table(swapped)
+                      - bayesnet.choi_path_probability(swapped)).max() > 1e-6
+
+    def test_choi_route_forms_no_two_copy_operator(self):
+        basis = bayesnet.build_bases(randspec.random_spec(0, 4, 4),
+                                     bayesnet.TimeGrid((0.9,)))
+        d = basis.dim
+        tracemalloc.start()
+        try:
+            bayesnet.choi_path_probability(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d ** 4   # bytes of one dense complex D^2 x D^2 matrix
 
     def test_tpm_reduction_for_product(self, product_spec):
         basis = bayesnet.build_bases(product_spec, bayesnet.TimeGrid((0.7,)))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ class TestConfigIO:
         d["dims"] = [3, 2]
         with pytest.raises(config.ConfigError):
             config.load_config(d)
+
+    def test_legacy_unitarity_tolerance_dropped(self, correlated_spec):
+        d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
+        assert "unitarity" not in d["tolerances"]
+        d["tolerances"]["unitarity"] = 1e-10   # as saved by earlier versions
+        loaded = config.load_config(d)
+        assert loaded.spec.tol == correlated_spec.tol
+        assert config.config_dict(loaded.spec, loaded.grid) == config.config_dict(
+            correlated_spec, bayesnet.TimeGrid((1.0,)))
 
     def test_tolerance_override(self, correlated_spec):
         d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
@@ -153,6 +163,27 @@ class TestCli:
     def test_bad_tol_flag(self, example_config, capsys):
         assert cli.main(["verify", "--config", example_config, "--tol", "nope=1"]) == 2
         capsys.readouterr()
+
+    def test_removed_unitarity_tol_flag_rejected(self, example_config, capsys):
+        argv = ["verify", "--config", example_config, "--tol", "unitarity=1"]
+        assert cli.main(argv) == 2
+        assert "bad --tol entry 'unitarity=1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["verify", "heat"])
+    def test_config_with_infinite_time_rejected(self, tmp_path, correlated_spec,
+                                                verb, capsys):
+        d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
+        d["times"] = [float("inf")]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(d))   # written as the JSON token Infinity
+        assert "Infinity" in path.read_text()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([verb, "--config", str(path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid time inf is not finite" in captured.err
 
     def test_heat_csv(self, example_config, tmp_path):
         out = tmp_path / "heat.csv"
