@@ -7,10 +7,13 @@ time t are eigenstates of the reduced states, and their probabilities
 conditioned on the global state are squared overlaps.  The populations
 and these (D, d_A, d_B) overlap tables are the whole two-time ensemble:
 a path (s, a_0 b_0, a_1 b_1) weighs P_s times one overlap per time.
+Everything at t = 0 is independent of t, so a sweep over times builds it
+once and adds only the time-t half per time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,7 @@ __all__ = [
     "BasisSet",
     "MarginalTables",
     "build_bases",
+    "sweep_bases",
     "reverse_overlap_tables",
     "local_marginals",
     "path_probability_table",
@@ -37,7 +41,7 @@ class TimeGrid:
 
     ``build_bases`` takes a grid of one time t, the two-time basis at 0
     and t.  A config file or the command line reads a longer grid as a
-    list of such times, one basis each.
+    list of such times, one basis each (``sweep_bases``).
     """
 
     times: tuple[float, ...]
@@ -76,6 +80,8 @@ class BasisSet:
     energies_b: tuple[np.ndarray, ...]
     overlaps: tuple[np.ndarray, ...]      # (D, d_A, d_B) per time
     unitaries: tuple[np.ndarray, ...]     # U(t_n), n = 0, 1
+    gibbs_a: system.GibbsState            # the thermal states rho_0 is built on
+    gibbs_b: system.GibbsState
 
     @property
     def dim(self) -> int:
@@ -88,50 +94,67 @@ def _overlap_table(vecs_a: np.ndarray, vecs_b: np.ndarray, vecs: np.ndarray) -> 
     return np.abs(amp.T.reshape(vecs.shape[1], vecs_a.shape[1], vecs_b.shape[1])) ** 2
 
 
+def _local_frame(spec: system.BipartiteSpec, populations: np.ndarray, vecs: np.ndarray):
+    """Reduced-state eigensystems of the state with eigenvectors ``vecs``
+    and eigenvalues ``populations``, their local energies <a|H_A|a> and
+    <b|H_B|b>, and its overlap table."""
+    rho_t = (vecs * populations) @ vecs.conj().T
+    local = []
+    for keep, h in (("A", spec.h_a), ("B", spec.h_b)):
+        reduced = linalg.partial_trace(rho_t, spec.dim_a, spec.dim_b, keep=keep)
+        local.append(linalg.hermitian_eigendecompose(reduced, tiebreak=h))
+    ea, eb = local
+    energy_a = np.real(np.einsum("ij,ik,kj->j", ea.vectors.conj(), spec.h_a, ea.vectors))
+    energy_b = np.real(np.einsum("ij,ik,kj->j", eb.vectors.conj(), spec.h_b, eb.vectors))
+    return ea, eb, energy_a, energy_b, _overlap_table(ea.vectors, eb.vectors, vecs)
+
+
 def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
     """Diagonalize the global state once and the reduced states at t = 0
     and at the grid's one time t, with Hamiltonian tie-breaking inside
     degenerate blocks.  A grid of more than one time raises ValueError."""
     if grid.n_steps != 1:
         raise ValueError("build_bases needs a grid of exactly one time (a two-time basis)")
-    rho0 = system.build_initial_state(spec)
-    da, db = spec.dim_a, spec.dim_b
+    return next(sweep_bases(spec, grid.times))
 
-    glob = linalg.hermitian_eigendecompose(rho0, tiebreak=spec.h_total)
+
+def sweep_bases(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:
+    """Yield the two-time basis (0, t) for each t of ``times``, in order.
+
+    The time-independent half is built once, when the first basis is
+    asked for: the validated initial state and its Gibbs states, the
+    global eigensystem, the eigensystem of ``h_int`` and the t = 0 local
+    frame.  Each time adds U(t) from that one eigensystem and its own
+    time-t local frame.  Every basis equals ``build_bases`` at its time
+    bit for bit, and the bases share the t = 0 arrays, so treat them as
+    read-only.  Each t must be a valid grid time (ValueError otherwise).
+    """
+    grids = [TimeGrid((t,)) for t in times]
+    start = system.initial_state(spec)
+    glob = linalg.hermitian_eigendecompose(start.rho, tiebreak=spec.h_total)
     populations = np.clip(glob.values, 0.0, None)
-    u = linalg.unitary_from_hamiltonian(spec.h_int, grid.times[0])
-    unitaries = (np.eye(spec.dim, dtype=complex), u)
-    global_vectors = (glob.vectors, u @ glob.vectors)
+    generator = linalg.hermitian_eigendecompose(spec.h_int)
+    ea0, eb0, energy_a0, energy_b0, overlap0 = _local_frame(spec, populations, glob.vectors)
+    identity = np.eye(spec.dim, dtype=complex)
 
-    local_a, local_b = [], []
-    energies_a, energies_b = [], []
-    overlaps = []
-    for vecs in global_vectors:
-        rho_t = (vecs * populations) @ vecs.conj().T
-        ra = linalg.partial_trace(rho_t, da, db, keep="A")
-        rb = linalg.partial_trace(rho_t, da, db, keep="B")
-        ea = linalg.hermitian_eigendecompose(ra, tiebreak=spec.h_a)
-        eb = linalg.hermitian_eigendecompose(rb, tiebreak=spec.h_b)
-        local_a.append(ea)
-        local_b.append(eb)
-        energies_a.append(np.real(np.einsum(
-            "ij,ik,kj->j", ea.vectors.conj(), spec.h_a, ea.vectors)))
-        energies_b.append(np.real(np.einsum(
-            "ij,ik,kj->j", eb.vectors.conj(), spec.h_b, eb.vectors)))
-        overlaps.append(_overlap_table(ea.vectors, eb.vectors, vecs))
-
-    return BasisSet(
-        spec=spec,
-        grid=grid,
-        populations=populations,
-        global_vectors=global_vectors,
-        local_a=tuple(local_a),
-        local_b=tuple(local_b),
-        energies_a=tuple(energies_a),
-        energies_b=tuple(energies_b),
-        overlaps=tuple(overlaps),
-        unitaries=unitaries,
-    )
+    for grid in grids:
+        u = linalg.unitary_from_eigensystem(generator, grid.times[0])
+        vecs = u @ glob.vectors
+        ea, eb, energy_a, energy_b, overlap = _local_frame(spec, populations, vecs)
+        yield BasisSet(
+            spec=spec,
+            grid=grid,
+            populations=populations,
+            global_vectors=(glob.vectors, vecs),
+            local_a=(ea0, ea),
+            local_b=(eb0, eb),
+            energies_a=(energy_a0, energy_a),
+            energies_b=(energy_b0, energy_b),
+            overlaps=(overlap0, overlap),
+            unitaries=(identity, u),
+            gibbs_a=start.gibbs_a,
+            gibbs_b=start.gibbs_b,
+        )
 
 
 def reverse_overlap_tables(basis: BasisSet) -> list[np.ndarray]:

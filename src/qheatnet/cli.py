@@ -105,6 +105,12 @@ def _grid_time(t: float) -> float:
     return t if t > 0 else TINY_TIME
 
 
+def _sweep_bases(spec: system.BipartiteSpec, sweep):
+    """The two-time basis at each requested time, with one spectral
+    set-up for the whole sweep."""
+    return bayesnet.sweep_bases(spec, [_grid_time(float(t)) for t in sweep])
+
+
 def _write_out(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -197,9 +203,7 @@ def cmd_verify(args) -> int:
 _HEAT_HEADER = "t,Q,P_f,P_r,ratio,exp_QdBeta,Psi"
 
 
-def _heat_rows(spec: system.BipartiteSpec, t: float) -> list[str]:
-    grid = bayesnet.TimeGrid((_grid_time(t),))
-    basis = bayesnet.build_bases(spec, grid)
+def _heat_rows(basis: bayesnet.BasisSet, t: float) -> list[str]:
     ledgers = thermo.compute_ledgers(basis)
     p_f = thermo.heat_distribution(ledgers, "forward")
     p_r = thermo.heat_distribution(ledgers, "reverse")
@@ -229,8 +233,8 @@ def cmd_heat(args) -> int:
     else:
         sweep = np.asarray(times)
     lines = [_HEAT_HEADER]
-    for t in sweep:
-        lines.extend(_heat_rows(spec, float(t)))
+    for t, basis in zip(sweep, _sweep_bases(spec, sweep)):
+        lines.extend(_heat_rows(basis, float(t)))
     _write_out(args, "\n".join(lines) + "\n")
     return 0
 
@@ -247,9 +251,8 @@ def cmd_example(args) -> int:
 
     lines = ["t,Q,P_f,P_f_analytic,P_r,P_r_analytic"]
     worst = 0.0
-    for t in sweep:
+    for t, basis in zip(sweep, _sweep_bases(spec, sweep)):
         t = float(t)
-        basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((_grid_time(t),)))
         ledgers = thermo.compute_ledgers(basis)
         p_f = thermo.heat_distribution(ledgers, "forward")
         p_r = thermo.heat_distribution(ledgers, "reverse")

@@ -21,6 +21,7 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "unitary_from_hamiltonian",
+    "unitary_from_eigensystem",
     "commutator_norm",
     "relative_entropy",
     "von_neumann_entropy",
@@ -168,7 +169,12 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarra
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*t*H) computed spectrally for Hermitian H."""
-    eig = hermitian_eigendecompose(h)
+    return unitary_from_eigensystem(hermitian_eigendecompose(h), t)
+
+
+def unitary_from_eigensystem(eig: EigenSystem, t: float) -> np.ndarray:
+    """exp(-i*t*H) from the spectral decomposition of H, so that one
+    decomposition serves every time."""
     phases = np.exp(-1j * t * eig.values)
     return (eig.vectors * phases) @ eig.vectors.conj().T
 

@@ -55,9 +55,12 @@ def random_spec(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     # integer ladders starting 0, 1 guarantee a degenerate joint shell
-    # (|0 1> and |1 0>); extra levels are drawn from small integers
-    extra = rng.choice([2, 3], size=max(dim_a, dim_b) - 2, replace=False) \
-        if max(dim_a, dim_b) > 2 else np.array([], dtype=int)
+    # (|0 1> and |1 0>); extra levels are distinct integers drawn from
+    # 2, 3, ..., max(3, d - 1) for the larger side d, so the smaller side
+    # gets a random subset of them
+    n_extra = max(dim_a, dim_b) - 2
+    extra = rng.choice(np.arange(2, max(4, n_extra + 2)), size=n_extra, replace=False) \
+        if n_extra > 0 else np.array([], dtype=int)
     levels_a = np.concatenate(([0, 1], np.sort(extra[: dim_a - 2]))).astype(float)
     levels_b = np.concatenate(([0, 1], np.sort(extra[: dim_b - 2]))).astype(float)
 

@@ -22,7 +22,9 @@ __all__ = [
     "CheckResult",
     "ValidationReport",
     "SpecError",
+    "InitialState",
     "gibbs_state",
+    "initial_state",
     "build_initial_state",
     "validate",
 ]
@@ -115,6 +117,15 @@ def gibbs_state(h: np.ndarray, beta: float) -> GibbsState:
 
 
 @dataclass(frozen=True)
+class InitialState:
+    """Joint initial state with the two Gibbs states it is built from."""
+
+    rho: np.ndarray
+    gibbs_a: GibbsState
+    gibbs_b: GibbsState
+
+
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     residual: float
@@ -128,6 +139,8 @@ class CheckResult:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[CheckResult, ...]
+    #: the state the checks were run on, if it could be built
+    initial: InitialState | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -165,8 +178,10 @@ def validate(spec: BipartiteSpec) -> ValidationReport:
     checks.append(CheckResult("chi_marginal_a", float(np.abs(tr_b).max()), tol.marginal))
     checks.append(CheckResult("chi_marginal_b", float(np.abs(tr_a).max()), tol.marginal))
 
+    initial = None
     try:
-        rho0 = _raw_initial_state(spec)
+        initial = _raw_initial_state(spec)
+        rho0 = initial.rho
         checks.append(CheckResult("rho0_unit_trace", float(abs(np.trace(rho0).real - 1.0)), 1e-10))
         eigvals = np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2.0)
         neg = max(0.0, float(-eigvals.min()))
@@ -180,17 +195,18 @@ def validate(spec: BipartiteSpec) -> ValidationReport:
     except linalg.LinalgError:
         checks.append(CheckResult("h_int_energy_conserving", np.inf, tol.commutator))
 
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks), initial)
 
 
-def _raw_initial_state(spec: BipartiteSpec) -> np.ndarray:
+def _raw_initial_state(spec: BipartiteSpec) -> InitialState:
     ga = gibbs_state(spec.h_a, spec.beta_a)
     gb = gibbs_state(spec.h_b, spec.beta_b)
-    return linalg.tensor_product(ga.rho, gb.rho) + spec.chi
+    return InitialState(linalg.tensor_product(ga.rho, gb.rho) + spec.chi, ga, gb)
 
 
-def build_initial_state(spec: BipartiteSpec) -> np.ndarray:
-    """Joint initial state: Gibbs product plus the correlation term.
+def initial_state(spec: BipartiteSpec) -> InitialState:
+    """Validate the spec and return the state its checks were run on, so
+    the Gibbs states are built once.
 
     Raises :class:`SpecError` naming the first failed check if the spec
     is invalid.
@@ -201,4 +217,13 @@ def build_initial_state(spec: BipartiteSpec) -> np.ndarray:
         raise SpecError(
             f"spec check {bad.name!r} failed with residual {bad.residual:.3e}"
         )
-    return _raw_initial_state(spec)
+    return report.initial
+
+
+def build_initial_state(spec: BipartiteSpec) -> np.ndarray:
+    """Joint initial state: Gibbs product plus the correlation term.
+
+    Raises :class:`SpecError` naming the first failed check if the spec
+    is invalid.
+    """
+    return initial_state(spec).rho

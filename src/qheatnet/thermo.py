@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bayesnet, linalg, system
+from . import bayesnet, linalg
 from .distributions import DiscreteDistribution
 
 __all__ = [
@@ -91,8 +91,7 @@ class LedgerSet:
 
         self.e_a0, self.e_a1 = basis.energies_a
         self.e_b0, self.e_b1 = basis.energies_b
-        ga = system.gibbs_state(spec.h_a, spec.beta_a)
-        gb = system.gibbs_state(spec.h_b, spec.beta_b)
+        ga, gb = basis.gibbs_a, basis.gibbs_b
         self.pth_a1 = np.exp(-spec.beta_a * self.e_a1) / ga.z
         self.pth_b1 = np.exp(-spec.beta_b * self.e_b1) / gb.z
         self.gibbs_a, self.gibbs_b = ga, gb

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, linalg, randspec, system, thermo
+from qheatnet import bayesnet, cli, linalg, qubit, randspec, system, thermo
 from conftest import ledgers_at
 
 EA = 0.25        # exp(-beta_a) for occupation 0.2
@@ -51,6 +51,64 @@ class TestBuildBases:
         basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((1.3,)))
         for table in basis.overlaps:
             assert np.allclose(table.sum(axis=(1, 2)), 1.0, atol=1e-12)
+
+
+def _assert_bit_identical(a, b, where="basis"):
+    """Every array reachable from two dataclass trees is array_equal."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), where
+        for n, (x, y) in enumerate(zip(a, b)):
+            _assert_bit_identical(x, y, f"{where}[{n}]")
+    elif isinstance(a, (bayesnet.BasisSet, linalg.EigenSystem, system.GibbsState)):
+        for f in dataclasses.fields(a):
+            _assert_bit_identical(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    else:
+        assert a is b or a == b, where
+
+
+SWEEP_TIMES = (cli.TINY_TIME, 0.37, 1.0, 1.0, 2.9, 0.2)
+SWEEP_SPECS = {
+    f"example-{'corr' if c else 'prod'}": qubit.build_example_spec(qubit.ExampleParams(correlated=c))
+    for c in (True, False)}
+SWEEP_SPECS.update({
+    f"rand-{d}x{d}-{'corr' if c else 'prod'}": randspec.random_spec(seed, d, d, correlated=c)
+    for seed, d in ((0, 2), (1, 3), (2, 4)) for c in (True, False)})
+
+
+class TestSweepBases:
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
+    def test_sweep_matches_single_time(self, name):
+        spec = SWEEP_SPECS[name]
+        bases = list(bayesnet.sweep_bases(spec, SWEEP_TIMES))
+        assert [b.grid.times for b in bases] == [(t,) for t in SWEEP_TIMES]
+        for t, basis in zip(SWEEP_TIMES, bases):
+            _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
+
+    def test_time_independent_half_is_shared(self, correlated_spec):
+        first, second = bayesnet.sweep_bases(correlated_spec, (0.3, 0.8))
+        assert second.overlaps[0] is first.overlaps[0]
+        assert second.local_a[0] is first.local_a[0]
+        assert second.gibbs_a is first.gibbs_a
+        assert not np.array_equal(second.overlaps[1], first.overlaps[1])
+
+    def test_basis_carries_the_gibbs_states(self, correlated_spec):
+        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.5,)))
+        for got, h, beta in ((basis.gibbs_a, correlated_spec.h_a, correlated_spec.beta_a),
+                             (basis.gibbs_b, correlated_spec.h_b, correlated_spec.beta_b)):
+            _assert_bit_identical(got, system.gibbs_state(h, beta))
+        assert thermo.compute_ledgers(basis).gibbs_a is basis.gibbs_a
+
+    @pytest.mark.parametrize("times", [(0.5, 0.0), (np.inf,), (-1.0, 0.5)])
+    def test_bad_time_rejected_before_any_basis(self, correlated_spec, times):
+        with pytest.raises(ValueError):
+            next(bayesnet.sweep_bases(correlated_spec, times))
+
+    def test_invalid_spec_raises_with_name(self, correlated_spec):
+        bad = dataclasses.replace(correlated_spec, chi=correlated_spec.chi * 3.0)
+        with pytest.raises(system.SpecError, match="rho0_positive"):
+            next(bayesnet.sweep_bases(bad, (0.5,)))
 
 
 class TestConditionalProb:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, cli, config, qubit
+from qheatnet import bayesnet, cli, config, linalg, qubit, system
 from qheatnet.distributions import DiscreteDistribution
 
 
@@ -195,6 +195,61 @@ class TestCli:
         # full precision round trip
         val = lines[1].split(",")[2]
         assert float(f"{float(val):.17g}") == float(val)
+
+    @pytest.mark.parametrize("source", ["config", "dims"])
+    def test_heat_sweep_equals_single_times(self, example_config, source, capsys):
+        # one spectral set-up for the sweep must give the rows of a fresh
+        # set-up per time, byte for byte
+        source = {"config": ["--config", example_config],
+                  "dims": ["--dims", "3x3", "--seed", "2"]}[source]
+        assert cli.main(["heat", *source, "--sweep", "0:3:11"]) == 0
+        swept = capsys.readouterr().out
+        expect = [cli._HEAT_HEADER]
+        for t in np.linspace(0.0, 3.0, 11):
+            assert cli.main(["heat", *source, "--time", repr(float(t))]) == 0
+            header, *rows = capsys.readouterr().out.splitlines()
+            assert header == cli._HEAT_HEADER
+            expect.extend(rows)
+        assert swept == "\n".join(expect) + "\n"
+
+    def test_sweep_validates_and_diagonalizes_once(self, example_config, monkeypatch,
+                                                   tmp_path):
+        counts = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((system, "validate"), (system, "gibbs_state"),
+                             (linalg, "hermitian_eigendecompose"),
+                             (linalg, "unitary_from_hamiltonian")):
+            count(module, name)
+        out = tmp_path / "example.csv"
+        assert cli.main(["example", "--sweep", "0:2:101", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 101 * 3
+        # per sweep: one validation building both Gibbs states; the global,
+        # h_int and t = 0 local decompositions; then two local ones per time
+        assert counts["validate"] == 1
+        assert counts["gibbs_state"] <= 6
+        assert counts["hermitian_eigendecompose"] <= 212
+        assert "unitary_from_hamiltonian" not in counts
+
+        counts.clear()
+        assert cli.main(["verify", "--config", example_config,
+                         "--out", str(tmp_path / "report.json")]) == 0
+        assert counts["validate"] == 1
+        assert counts["gibbs_state"] <= 2   # built once per spec, read by the ledgers
+
+    def test_wide_random_instances(self, capsys):
+        assert cli.main(["verify", "--dims", "5x5"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert cli.main(["heat", "--dims", "6x6", "--sweep", "0:1:5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"0", "0.25", "0.5", "0.75", "1"}
 
     def test_bad_sweep(self, example_config, capsys):
         assert cli.main(["heat", "--config", example_config, "--sweep", "1:2"]) == 2

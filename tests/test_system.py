@@ -92,6 +92,24 @@ class TestInitialState:
         assert np.allclose(np.diag(ra).real, [0.8, 0.2])
         assert np.allclose(np.diag(rb).real, [0.7, 0.3])
 
+    def test_initial_state_carries_its_gibbs_states(self, correlated_spec):
+        start = system.initial_state(correlated_spec)
+        assert np.array_equal(start.rho, system.build_initial_state(correlated_spec))
+        for got, h, beta in ((start.gibbs_a, correlated_spec.h_a, correlated_spec.beta_a),
+                             (start.gibbs_b, correlated_spec.h_b, correlated_spec.beta_b)):
+            want = system.gibbs_state(h, beta)
+            assert np.array_equal(got.rho, want.rho) and got.z == want.z
+        assert np.array_equal(
+            start.rho, linalg.tensor_product(start.gibbs_a.rho, start.gibbs_b.rho)
+            + correlated_spec.chi)
+
+    def test_report_has_no_state_when_unbuildable(self, correlated_spec):
+        bad = system.BipartiteSpec(
+            h_a=correlated_spec.h_a, h_b=correlated_spec.h_b, beta_a=1.0, beta_b=1.0,
+            chi=np.zeros((6, 6), dtype=complex), h_int=correlated_spec.h_int)
+        assert system.validate(bad).initial is None
+        assert system.validate(correlated_spec).initial is not None
+
     def test_invalid_raises_with_name(self, correlated_spec):
         bad = system.BipartiteSpec(
             h_a=correlated_spec.h_a, h_b=correlated_spec.h_b,

@@ -223,6 +223,25 @@ class TestBalances:
             bal = thermo.mean_heat_balance(ledgers_at(product_spec, t))
             assert bal.lhs >= -1e-14
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4), (5, 3)]),
+           correlated=st.booleans(), t=st.floats(0.05, 3.0))
+    def test_mean_heat_is_local_energy_change(self, seed, dims, correlated, t):
+        # <Q_A> from the trajectory ensemble against tr[H_A (rho_A(t) - rho_A(0))]
+        # from the states: equal because the outcomes a_n diagonalize rho_A(t_n)
+        from qheatnet import linalg
+        led = ledgers_at(randspec.random_spec(seed, *dims, correlated=correlated), t)
+        basis, spec = led.basis, led.basis.spec
+
+        def energy_a(vecs):
+            rho = (vecs * basis.populations) @ vecs.conj().T
+            reduced = linalg.partial_trace(rho, spec.dim_a, spec.dim_b, keep="A")
+            return np.trace(spec.h_a @ reduced).real
+
+        expect = energy_a(basis.global_vectors[1]) - energy_a(basis.global_vectors[0])
+        assert thermo.mean_heat_balance(led).mean_q_a == pytest.approx(expect, abs=1e-12)
+
     def test_stochastic_information_matches_entropic(self, correlated_spec):
         info = thermo.mutual_information_check(ledgers_at(correlated_spec, 0.44))
         assert info.max_residual < 1e-12
@@ -252,6 +271,33 @@ class TestRandomSpecs:
         from qheatnet import linalg
         assert linalg.commutator_norm(spec.h_int, spec.h_total) < 1e-12
         assert linalg.commutator_norm(spec.chi, spec.h_total) < 1e-12
+
+    @pytest.mark.parametrize("seed, levels_a, beta_a, beta_b", [
+        (0, [0.0, 1.0, 2.0], "0x1.846c1f80234afp-1", "0x1.7a86d67f4b11cp-2"),
+        (1, [0.0, 1.0, 2.0], "0x1.ea7119d8c8a62p+0", "0x1.1713974484bc5p-1"),
+        (2, [0.0, 1.0, 3.0], "0x1.9d681cea9256ep-1", "0x1.af26aab5674abp+0"),
+        (3, [0.0, 1.0, 3.0], "0x1.67b849119c2f6p-1", "0x1.a983bfec35547p+0"),
+    ])
+    def test_small_draws_pinned(self, seed, levels_a, beta_a, beta_b):
+        # up to four levels a side the draws predate the wider ladders
+        spec = randspec.random_spec(seed, 3, 4)
+        assert np.diag(spec.h_a).real.tolist() == levels_a
+        assert np.diag(spec.h_b).real.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert (spec.beta_a.hex(), spec.beta_b.hex()) == (beta_a, beta_b)
+
+    @pytest.mark.parametrize("dims", [(5, 5), (6, 6), (7, 7), (8, 8), (2, 8), (8, 3), (5, 2)])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_wide_ladders_validate(self, dims, correlated):
+        from qheatnet import system
+        for seed in range(3):
+            spec = randspec.random_spec(seed, *dims, correlated=correlated)
+            assert (spec.dim_a, spec.dim_b) == dims
+            assert system.validate(spec).passed
+            levels = np.diag(spec.h_a).real, np.diag(spec.h_b).real
+            for lv in levels:
+                assert list(lv[:2]) == [0.0, 1.0]
+                assert len(np.unique(lv)) == len(lv)
+            assert max(lv.max() for lv in levels) == max(dims) - 1
 
     @pytest.mark.parametrize("seed", [1, 4, 9])
     def test_full_relation_stack(self, seed):
