@@ -80,14 +80,16 @@ class EigenSystem:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Make the first nonzero component of each column real positive."""
+    mag = np.abs(vectors)
+    big = mag > 1e-12
+    # first entry above 1e-12, or the largest entry of a column with none
+    pivot = np.where(big.any(axis=0), big.argmax(axis=0), mag.argmax(axis=0))
+    cols = np.arange(vectors.shape[1])
+    z = vectors[pivot, cols]
+    az = mag[pivot, cols]
+    ok = az > 0                             # a zero column is left alone
     out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        j = idx[0] if idx.size else int(np.argmax(np.abs(col)))
-        z = col[j]
-        if np.abs(z) > 0:
-            out[:, k] = col * (z.conjugate() / np.abs(z))
+    out[:, ok] *= z[ok].conjugate() / az[ok]
     return out
 
 
@@ -98,8 +100,9 @@ def hermitian_eigendecompose(
 ) -> EigenSystem:
     """Eigendecompose a Hermitian matrix deterministically.
 
-    Eigenvalues equal within ``DEGENERACY_RTOL`` times the spectral range
-    form one cluster.  Inside each cluster the basis is rotated to
+    Eigenvalues equal within ``DEGENERACY_RTOL`` times the spectral range,
+    and within half the residual budget ``RESIDUAL_RTOL * max|M|``, form
+    one cluster.  Inside each cluster the basis is rotated to
     diagonalize the projection of ``tiebreak``, ordered by ascending
     tiebreak expectation; without a tiebreak, only the column phases are
     fixed.  The result is a pure function of the input bits.
@@ -121,8 +124,12 @@ def hermitian_eigendecompose(
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
 
+    # a rotation inside a cluster of spread delta moves the reconstruction
+    # by at most delta, so distinct tiny eigenvalues of a cold state must
+    # not share a cluster wider than the residual budget allows
     span = max(w[0] - w[-1], 0.0)
-    gap = DEGENERACY_RTOL * max(span, 1e-300)
+    scale = max(np.abs(m).max(), 1e-300)
+    gap = min(DEGENERACY_RTOL * max(span, 1e-300), 0.5 * RESIDUAL_RTOL * scale)
     start = 0
     for stop in range(1, len(w) + 1):
         if stop < len(w) and w[start] - w[stop] <= gap:
@@ -136,7 +143,6 @@ def hermitian_eigendecompose(
 
     v = _fix_phases(v)
 
-    scale = max(np.abs(m).max(), 1e-300)
     resid = np.abs((v * w) @ v.conj().T - m).max()
     if resid > RESIDUAL_RTOL * scale:
         raise LinalgError(f"eigendecomposition residual too large: {resid:.3e}")

@@ -50,6 +50,34 @@ FORWARD_QUANTITIES = ("i0", "j0", "c0", "sigma_a", "sigma_b", "gamma")
 REVERSE_QUANTITIES = ("i1", "j1", "c1")
 
 
+def _pair_indices(fmask: np.ndarray, rmask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index arrays (ki, kj, i0, i1) of the retained augmented pairs.
+
+    A pair joins a live forward cell ``fmask[ki, i0, i1]`` with a live
+    reverse cell ``rmask[kj, i0, i1]`` on the same outcomes.  The arrays
+    come in the lexicographic (ki, kj, i0, i1) order of ``np.nonzero`` on
+    the K x K x m x m product mask, so every sum over pairs keeps its
+    bits, but the work is O(K m^2 + P) for P pairs: each forward entry is
+    expanded over the reverse labels of its own cell, then the unique
+    integer keys of the pairs are sorted.
+    """
+    k, m, _ = fmask.shape
+    cells = m * m
+    fk, fc = np.nonzero(fmask.reshape(k, cells))
+    # transposed, nonzero runs cell-major with kj ascending inside a cell
+    rc, rk = np.nonzero(rmask.reshape(k, cells).T)
+    per_cell = np.bincount(rc, minlength=cells)
+    cell_start = np.cumsum(per_cell) - per_cell
+    fan = per_cell[fc]                      # reverse labels per forward entry
+    run_start = np.cumsum(fan) - fan
+    kj = rk[np.repeat(cell_start[fc] - run_start, fan) + np.arange(fan.sum())]
+    key = np.sort((np.repeat(fk, fan) * k + kj) * cells + np.repeat(fc, fan))
+    ki_kj, cell = np.divmod(key, cells)
+    ki, kj = np.divmod(ki_kj, k)
+    i0, i1 = np.divmod(cell, m)
+    return ki, kj, i0, i1
+
+
 class LedgerSet:
     """Vectorized ledger data for one basis set on a two-time grid.
 
@@ -119,8 +147,7 @@ class LedgerSet:
         )
 
         # retained augmented pairs: forward label x anchor label
-        pair_mask = self.fmask[:, None, :, :] & self.rmask[None, :, :, :]
-        ki, kj, i0, i1 = np.nonzero(pair_mask)
+        ki, kj, i0, i1 = _pair_indices(self.fmask, self.rmask)
         self.ki, self.kj, self.i0, self.i1 = ki, kj, i0, i1
         s_lab, t_lab = kp[ki], kp[kj]
         self.s_lab, self.t_lab = s_lab, t_lab

@@ -251,6 +251,11 @@ class TestCli:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"0", "0.25", "0.5", "0.75", "1"}
 
+    def test_cold_seven_level_instance_verifies(self, capsys):
+        # its distinct tiny populations used to share one degenerate cluster
+        assert cli.main(["verify", "--dims", "7x7", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+
     def test_bad_sweep(self, example_config, capsys):
         assert cli.main(["heat", "--config", example_config, "--sweep", "1:2"]) == 2
         capsys.readouterr()

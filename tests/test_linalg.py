@@ -54,6 +54,23 @@ class TestEigendecompose:
         gram = eig.vectors.conj().T @ eig.vectors
         assert np.abs(gram - np.eye(dim)).max() < 1e-12
 
+    def test_cold_state_tiny_eigenvalues_stay_apart(self):
+        # distinct populations a few 1e-10 apart lie inside one
+        # DEGENERACY_RTOL cluster; rotating them by the tiebreak used to
+        # break the residual bound
+        rng = np.random.default_rng(5)
+        pops = np.concatenate((np.geomspace(0.5, 1e-6, 8), [4e-10, 2.5e-10, 1e-10, 0.0]))
+        pops /= pops.sum()
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+        rho = (q * pops) @ q.conj().T
+        rho = (rho + rho.conj().T) / 2
+        eig = linalg.hermitian_eigendecompose(rho, tiebreak=random_hermitian(6, 12))
+        span = eig.values[0] - eig.values[-1]
+        assert eig.values[-4] - eig.values[-1] <= linalg.DEGENERACY_RTOL * span
+        assert np.abs(eig.reconstruct() - rho).max() <= (
+            linalg.RESIDUAL_RTOL * np.abs(rho).max())
+        assert np.allclose(eig.values[-4:], pops[-4:], rtol=0.0, atol=1e-15)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(linalg.LinalgError):
             linalg.hermitian_eigendecompose(np.ones((2, 3)))
@@ -61,6 +78,41 @@ class TestEigendecompose:
     def test_rejects_nonhermitian(self):
         with pytest.raises(linalg.LinalgError):
             linalg.hermitian_eigendecompose(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def _fix_phases_loop(vectors):
+    """Column-by-column reference for ``linalg._fix_phases``."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        j = idx[0] if idx.size else int(np.argmax(np.abs(col)))
+        z = col[j]
+        if np.abs(z) > 0:
+            out[:, k] = col * (z.conjugate() / np.abs(z))
+    return out
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+    def test_matches_loop_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        _, v = np.linalg.eigh(random_hermitian(dim, dim))
+        # leading entries at or below 1e-12, and columns with none above it
+        v[: dim // 2] *= rng.choice([0.0, 1e-13, 1e-12, 1.0], size=dim)
+        v[:, :: 3] *= rng.choice([1.0, 1e-13], size=len(v[0, :: 3]))
+        got = linalg._fix_phases(v)
+        assert got.tobytes() == _fix_phases_loop(v).tobytes()
+
+    def test_zero_and_tiny_columns(self):
+        v = np.array([[0.0, 1e-13j, 0.0],
+                      [0.0, -3e-13, 1e-12],
+                      [0.0, 2e-13, -0.5j]], dtype=complex)
+        got = linalg._fix_phases(v)
+        assert got.tobytes() == _fix_phases_loop(v).tobytes()
+        assert got[:, 0].tobytes() == v[:, 0].tobytes()   # zero column left alone
+        assert got[1, 1] == 3e-13                          # largest entry made positive
+        assert got[2, 2] == 0.5                            # 1e-12 is not above the cut
 
 
 class TestTensorAndTrace:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qheatnet import randspec, thermo
+from qheatnet import bayesnet, linalg, randspec, system, thermo
 from conftest import ledgers_at
 
 ALL_QUANTITIES = thermo.FORWARD_QUANTITIES + thermo.REVERSE_QUANTITIES
@@ -54,6 +56,108 @@ class TestLedgers:
         for spec in (correlated_spec, product_spec):
             for t in (0.23, 1.0, 1.77):
                 assert ledgers_at(spec, t).detailed_residual < 1e-12
+
+
+def _dense_pairs(fmask, rmask):
+    """Reference: every cell of the K x K x m x m product mask."""
+    return np.nonzero(fmask[:, None] & rmask[None])
+
+
+def _shell_ladder_spec(levels, seed):
+    """Correlated instance on two integer ladders 0..levels-1, with the
+    interaction and correlation term restricted to the energy shells."""
+    rng = np.random.default_rng(seed)
+    ladder = np.arange(levels, dtype=float)
+    h = np.diag(ladder).astype(complex)
+    dim = levels * levels
+    total = np.add.outer(ladder, ladder).ravel()
+    shells = np.abs(np.subtract.outer(total, total)) < 0.5
+
+    def shell_hermitian():
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        x = np.where(shells, x + x.conj().T, 0.0)
+        return x / np.abs(x).max()
+
+    h_int, chi = shell_hermitian(), shell_hermitian()
+    eye = np.eye(levels)
+    chi = (chi - linalg.tensor_product(linalg.partial_trace(chi, levels, levels, "A"), eye) / levels
+           - linalg.tensor_product(eye, linalg.partial_trace(chi, levels, levels, "B")) / levels
+           + np.trace(chi) * np.eye(dim) / dim)
+    beta_a, beta_b = 0.3, 0.6
+    prod = linalg.tensor_product(system.gibbs_state(h, beta_a).rho,
+                                 system.gibbs_state(h, beta_b).rho)
+    chi *= 0.8 * np.linalg.eigvalsh(prod).min() / np.abs(np.linalg.eigvalsh(chi)).max()
+    spec = system.BipartiteSpec(h_a=h, h_b=h.copy(), beta_a=beta_a, beta_b=beta_b,
+                                chi=chi, h_int=h_int)
+    assert system.validate(spec).passed
+    return spec
+
+
+class TestPairIndices:
+    """The sparse pair builder against the dense product mask."""
+
+    @staticmethod
+    def assert_matches_dense(fmask, rmask):
+        got = thermo._pair_indices(fmask, rmask)
+        want = _dense_pairs(fmask, rmask)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == np.intp
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_random_specs(self, dims, correlated):
+        for seed in range(3):
+            led = ledgers_at(randspec.random_spec(seed, *dims, correlated=correlated),
+                             0.37 + seed)
+            assert led.n_pairs > 0
+            self.assert_matches_dense(led.fmask, led.rmask)
+
+    def test_example_with_zero_population(self, correlated_spec):
+        led = ledgers_at(correlated_spec, 0.71)
+        assert led.n_anchor < correlated_spec.dim
+        self.assert_matches_dense(led.fmask, led.rmask)
+
+    @pytest.mark.parametrize("levels", [6, 8])
+    def test_shell_ladders(self, levels):
+        led = ledgers_at(_shell_ladder_spec(levels, seed=levels), 1.0)
+        assert led.n_pairs > 0
+        self.assert_matches_dense(led.fmask, led.rmask)
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (3, 2), (5, 4), (2, 7)])
+    @pytest.mark.parametrize("density", [0.05, 0.5, 1.0])
+    def test_random_masks(self, k, m, density):
+        rng = np.random.default_rng(k * 100 + m)
+        for _ in range(5):
+            fmask = rng.random((k, m, m)) < density
+            rmask = rng.random((k, m, m)) < density
+            self.assert_matches_dense(fmask, rmask)
+
+    def test_no_pairs(self):
+        fmask = np.zeros((3, 2, 2), dtype=bool)
+        rmask = np.zeros((3, 2, 2), dtype=bool)
+        fmask[:, 0, 0] = True
+        rmask[:, 1, 1] = True       # live cells, but never the same outcomes
+        for f, r in ((fmask, rmask), (fmask, np.zeros_like(rmask))):
+            got = thermo._pair_indices(f, r)
+            assert [g.dtype for g in got] == [np.intp] * 4
+            assert [g.size for g in got] == [0] * 4
+            self.assert_matches_dense(f, r)
+
+    def test_ledger_memory_below_dense_mask(self):
+        # the dense product mask alone holds K^2 m^2 bytes
+        spec = _shell_ladder_spec(8, seed=8)
+        basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((1.0,)))
+        k = int(np.count_nonzero(basis.populations > spec.tol.probability_floor))
+        m = spec.dim_a * spec.dim_b
+        tracemalloc.start()
+        try:
+            thermo.compute_ledgers(basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k * m * m
 
 
 class TestIntegralFTs:
