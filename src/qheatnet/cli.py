@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -82,16 +83,21 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def _load_spec(args) -> tuple[system.BipartiteSpec, tuple[float, ...]]:
-    if getattr(args, "cfg", None):
+    if args.cfg:
+        # a config is the whole spec; these describe a random one instead
+        for flag, given in (("--dims", args.dims), ("--seed", args.seed is not None),
+                            ("--product", args.product)):
+            if given:
+                raise CliError(f"give either --config or {flag}, not both")
         try:
             loaded = config.load_config(args.cfg)
         except config.ConfigError as exc:
             raise CliError(str(exc))
         spec, times = loaded.spec, loaded.grid.times
-    elif getattr(args, "dims", None):
+    elif args.dims:
         da, db = _parse_dims(args.dims)
         spec = randspec.random_spec(
-            args.seed, da, db, correlated=not args.product)
+            args.seed or 0, da, db, correlated=not args.product)
         times = (1.0,)
     else:
         raise CliError("give either --config or --dims with --seed")
@@ -225,6 +231,8 @@ def _heat_rows(basis: bayesnet.BasisSet, t: float) -> list[str]:
 
 
 def cmd_heat(args) -> int:
+    if args.sweep and args.time is not None:
+        raise CliError("give either --sweep or --time, not both")
     spec, times = _load_spec(args)
     if args.sweep:
         sweep = _parse_sweep(args.sweep)
@@ -282,7 +290,10 @@ def _add_common(p: argparse.ArgumentParser, spec_source: bool = True) -> None:
         p.add_argument("--config", dest="cfg", help="JSON problem configuration")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="qheatnet",
         description="Heat-exchange statistics of correlated bipartite "
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the fluctuation relations")
     _add_common(p)
     p.add_argument("--dims", help="random instance dimensions, e.g. 2x3")
-    p.add_argument("--seed", type=int, default=0, help="random instance seed")
+    p.add_argument("--seed", type=int, help="random instance seed (default 0)")
     p.add_argument("--product", action="store_true",
                    help="random instance without initial correlations")
     p.add_argument("--time", type=float, help="evolution time")
@@ -303,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heat", help="heat distributions over time as CSV")
     _add_common(p)
     p.add_argument("--dims", help="random instance dimensions, e.g. 2x3")
-    p.add_argument("--seed", type=int, default=0, help="random instance seed")
+    p.add_argument("--seed", type=int, help="random instance seed (default 0)")
     p.add_argument("--product", action="store_true",
                    help="random instance without initial correlations")
     p.add_argument("--time", type=float, help="single evolution time")

@@ -18,10 +18,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiscreteDistribution"]
+__all__ = ["Bins", "DiscreteDistribution"]
 
 #: bin keys are int64; |x| / binning must stay below this so none wraps
 _KEY_LIMIT = 2.0 ** 62
+
+
+@dataclass(frozen=True)
+class Bins:
+    """A partition of samples into bins by the binning rule.
+
+    ``values`` has shape (n, k); ``bin_id[i]`` is the bin of sample i,
+    bins numbered in lexicographic key order; ``first[j]`` is the first
+    sample of bin j in input order.  Distributions of any weights over the
+    same samples share it (``DiscreteDistribution._collect``).
+    """
+
+    values: np.ndarray
+    bin_id: np.ndarray
+    first: np.ndarray
+    binning: float
+
+    def mirrored(self) -> "Bins":
+        """The bins of the negated samples, without binning them again.
+
+        Negating every key coordinate reverses the lexicographic order of
+        the keys and keeps the input order within a bin, so bin j becomes
+        bin n_bins - 1 - j with the same first sample."""
+        return Bins(values=-self.values, bin_id=len(self.first) - 1 - self.bin_id,
+                    first=self.first[::-1], binning=self.binning)
 
 
 @dataclass(frozen=True)
@@ -54,20 +79,15 @@ class DiscreteDistribution:
         """Bin weighted samples by the module's binning rule; every sample
         keeps its bin, even at zero weight.  Raises ValueError for a value
         that is not finite or whose key would overflow."""
-        return cls._binned(values, weights, binning)[0]
+        return cls._collect(cls._binned(values, binning), weights)
 
-    @classmethod
-    def _binned(cls, values, weights,
-                binning: float) -> tuple["DiscreteDistribution", np.ndarray]:
-        """``from_samples`` and the bin index of each sample.  Bins are
-        numbered in lexicographic key order; samples keep their input
-        order within a bin."""
+    @staticmethod
+    def _binned(values, binning: float) -> "Bins":
+        """The bin of each sample by the binning rule, without weights;
+        the expensive half of ``from_samples``."""
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        w = np.asarray(weights, dtype=float).ravel()
-        if vals.shape[0] != w.shape[0]:
-            raise ValueError("values and weights length mismatch")
         scaled = vals / binning
         if not np.all(np.abs(scaled) < _KEY_LIMIT):
             raise ValueError(
@@ -77,10 +97,18 @@ class DiscreteDistribution:
         order = np.lexsort(keys.T[::-1])
         ranked = keys[order]
         # first sample of each bin in key order (none without samples)
-        starts = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))[:len(w)]
-        bin_id = np.empty(len(w), dtype=np.intp)
+        starts = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))[:len(vals)]
+        bin_id = np.empty(len(vals), dtype=np.intp)
         bin_id[order] = np.cumsum(starts) - 1
-        first = order[starts]
+        return Bins(values=vals, bin_id=bin_id, first=order[starts], binning=binning)
+
+    @classmethod
+    def _collect(cls, bins: "Bins", weights) -> "DiscreteDistribution":
+        """The distribution of ``weights`` over the samples of ``bins``."""
+        vals, bin_id, first = bins.values, bins.bin_id, bins.first
+        w = np.asarray(weights, dtype=float).ravel()
+        if vals.shape[0] != w.shape[0]:
+            raise ValueError("values and weights length mismatch")
         nbins = len(first)
         probs = np.bincount(bin_id, weights=w, minlength=nbins)
         # weighted mean location within each bin (spread < binning)
@@ -90,7 +118,7 @@ class DiscreteDistribution:
             with np.errstate(invalid="ignore"):
                 pts[:, j] = np.where(probs > 0, num / np.where(probs > 0, probs, 1.0),
                                      vals[first, j])
-        return cls(points=pts, probs=probs, binning=binning), bin_id
+        return cls(points=pts, probs=probs, binning=bins.binning)
 
     @property
     def n_points(self) -> int:

@@ -25,6 +25,7 @@ __all__ = [
     "commutator_norm",
     "relative_entropy",
     "von_neumann_entropy",
+    "spectral_entropy",
 ]
 
 #: Relative width (w.r.t. spectral range) within which eigenvalues are
@@ -150,8 +151,18 @@ def hermitian_eigendecompose(
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor index-major."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, the first factor index-major.
+
+    Entry ((i, k), (j, l)) is a[i, j] * b[k, l], the same complex products
+    as ``np.kron`` without its N-d set-up.  Raises :class:`LinalgError`
+    unless both factors are 2-D.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise LinalgError(f"tensor factors must be 2-D, got shapes {a.shape} and {b.shape}")
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
@@ -196,8 +207,14 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: np.ndarray, zero_tol: float = 1e-14) -> float:
     """-tr[rho ln rho] with 0*ln(0) == 0."""
-    eig = hermitian_eigendecompose(rho)
-    p = np.clip(eig.values, 0.0, None)
+    return spectral_entropy(hermitian_eigendecompose(rho).values, zero_tol)
+
+
+def spectral_entropy(values: np.ndarray, zero_tol: float = 1e-14) -> float:
+    """-sum p ln p over the eigenvalues of a state, so that a state already
+    decomposed needs no second decomposition; the value is
+    ``von_neumann_entropy`` of that state bit for bit."""
+    p = np.clip(values, 0.0, None)
     mask = p > zero_tol
     return float(-np.sum(p[mask] * np.log(p[mask])))
 

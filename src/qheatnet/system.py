@@ -10,6 +10,7 @@ can name the first violated condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -77,12 +78,15 @@ class BipartiteSpec:
     def dim(self) -> int:
         return self.dim_a * self.dim_b
 
-    @property
+    @cached_property
     def h_total(self) -> np.ndarray:
-        """H_A x I + I x H_B on the joint space."""
+        """H_A x I + I x H_B on the joint space, built once per spec and
+        shared by its readers, so it is returned read-only."""
         ia = np.eye(self.dim_a)
         ib = np.eye(self.dim_b)
-        return linalg.tensor_product(self.h_a, ib) + linalg.tensor_product(ia, self.h_b)
+        h = linalg.tensor_product(self.h_a, ib) + linalg.tensor_product(ia, self.h_b)
+        h.flags.writeable = False
+        return h
 
 
 @dataclass(frozen=True)

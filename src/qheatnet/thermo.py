@@ -18,11 +18,12 @@ silently lose the 0 * inf contributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import bayesnet, linalg
-from .distributions import DiscreteDistribution
+from .distributions import Bins, DiscreteDistribution
 
 __all__ = [
     "FORWARD_QUANTITIES",
@@ -187,6 +188,13 @@ class LedgerSet:
     def n_pairs(self) -> int:
         return len(self.w_f)
 
+    @cached_property
+    def heat_bins(self) -> Bins:
+        """The heat table ``q_a_tab`` binned once, on first use; the
+        forward and reverse heat distributions and the psi patch all
+        collect their masses on it."""
+        return DiscreteDistribution._binned(self.q_a_tab.ravel(), self.binning)
+
 
 def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
     """Build the augmented-pair ledgers for a two-time basis set."""
@@ -288,18 +296,15 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
     the forward energy differences.  Both bin the same table of heat
     values, mirrored, so by the binning rule the reverse bins are the
     forward bins in reverse order: ``reverse.probs[::-1]`` is P_r(-Q) on
-    the forward bins.
+    the forward bins.  Both therefore collect on the ledgers' one binning
+    of the table, ``heat_bins``.
     """
     if direction == "forward":
-        weights = ledgers.fwd.sum(axis=0)
-        values = ledgers.q_a_tab
-    elif direction == "reverse":
-        weights = ledgers.rev.sum(axis=0)
-        values = -ledgers.q_a_tab
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return DiscreteDistribution.from_samples(
-        values.ravel(), weights.ravel(), binning=ledgers.binning)
+        return DiscreteDistribution._collect(ledgers.heat_bins, ledgers.fwd.sum(axis=0))
+    if direction == "reverse":
+        return DiscreteDistribution._collect(ledgers.heat_bins.mirrored(),
+                                             ledgers.rev.sum(axis=0))
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -322,10 +327,12 @@ def joint_distribution(ledgers: LedgerSet) -> JointFT:
     binning, floor = ledgers.binning, ledgers.floor
     samples = np.stack([ledgers.col_q_a, ledgers.col_k, ledgers.col_gamma], axis=1)
     mirrored = samples * np.array([-1.0, -1.0, 1.0])
-    fwd, fwd_bin = DiscreteDistribution._binned(samples, ledgers.w_f, binning)
-    rev, rev_bin = DiscreteDistribution._binned(mirrored, ledgers.w_r, binning)
+    fwd_bins = DiscreteDistribution._binned(samples, binning)
+    rev_bins = DiscreteDistribution._binned(mirrored, binning)
+    fwd = DiscreteDistribution._collect(fwd_bins, ledgers.w_f)
+    rev = DiscreteDistribution._collect(rev_bins, ledgers.w_r)
     partner = np.empty(fwd.n_points, dtype=np.intp)
-    partner[fwd_bin] = rev_bin
+    partner[fwd_bins.bin_id] = rev_bins.bin_id
 
     pf, pr = fwd.probs, rev.probs[partner]
     live = pf > floor
@@ -363,8 +370,8 @@ def psi_factor(ledgers: LedgerSet) -> PsiReport:
 
     # numerator of psi per heat bin: retained pairs through the ledger
     # columns, floor-dropped pairs through the cancelled product form.
-    # The patch bins the heat table like p_f, so it has p_f's bins, and
-    # each pair's heat is a table entry, so pairs are binned through it.
+    # The patch is collected on p_f's bins of the heat table, and each
+    # pair's heat is a table entry, so pairs are binned through it.
     nf = ledgers.fmask.sum(axis=0)                     # retained forward labels
     r_ret = np.where(ledgers.rmask, ledgers.rev, 0.0)
     cnt_all = ledgers.n_anchor * ledgers.rev.sum(axis=0)
@@ -372,9 +379,8 @@ def psi_factor(ledgers: LedgerSet) -> PsiReport:
     patch_tab = (np.exp(ledgers.beta_a * ledgers.q_a_tab
                         + ledgers.beta_b * ledgers.q_b_tab)
                  * (cnt_all - cnt_ret.sum(axis=0)) / ledgers.n_anchor)
-    patch, table_bin = DiscreteDistribution._binned(
-        ledgers.q_a_tab.ravel(), patch_tab.ravel(), ledgers.binning)
-    pair_bin = table_bin[ledgers.i0 * ledgers.q_a_tab.shape[1] + ledgers.i1]
+    patch = DiscreteDistribution._collect(ledgers.heat_bins, patch_tab)
+    pair_bin = ledgers.heat_bins.bin_id[ledgers.i0 * ledgers.q_a_tab.shape[1] + ledgers.i1]
     num = np.bincount(pair_bin, minlength=p_f.n_points,
                       weights=ledgers.w_f * np.exp(ledgers.col_k - ledgers.col_gamma))
 
@@ -417,16 +423,18 @@ def mean_heat_balance(ledgers: LedgerSet) -> HeatBalance:
 
     rho0, rho1 = _state_pair(ledgers)
     da, db = ledgers.dim_a, ledgers.dim_b
+    basis = ledgers.basis
 
-    def mutual(rho):
-        ra = linalg.partial_trace(rho, da, db, keep="A")
-        rb = linalg.partial_trace(rho, da, db, keep="B")
-        return (linalg.von_neumann_entropy(ra) + linalg.von_neumann_entropy(rb)
+    def mutual(n, rho):
+        # the basis decomposed these reduced states from the same bits;
+        # its tiebreak rotates only the vectors, so the spectra are theirs
+        return (linalg.spectral_entropy(basis.local_a[n].values)
+                + linalg.spectral_entropy(basis.local_b[n].values)
                 - linalg.von_neumann_entropy(rho))
 
     ra1 = linalg.partial_trace(rho1, da, db, keep="A")
     rb1 = linalg.partial_trace(rho1, da, db, keep="B")
-    rhs = (mutual(rho1) - mutual(rho0)
+    rhs = (mutual(1, rho1) - mutual(0, rho0)
            + linalg.relative_entropy(ra1, ledgers.gibbs_a.rho)
            + linalg.relative_entropy(rb1, ledgers.gibbs_b.rho))
     return HeatBalance(

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ class TestConfigIO:
         assert loaded.spec.beta_a == correlated_spec.beta_a
         second = tmp_path / "second.json"
         config.save_config(loaded.spec, loaded.grid, second)
-        assert second.read_text() == open(example_config).read()
+        assert second.read_text() == Path(example_config).read_text()
 
     def test_occupation_shorthand(self, correlated_spec):
         d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
@@ -243,6 +247,86 @@ class TestCli:
                          "--out", str(tmp_path / "report.json")]) == 0
         assert counts["validate"] == 1
         assert counts["gibbs_state"] <= 2   # built once per spec, read by the ledgers
+
+    def test_verify_and_heat_compute_nothing_twice(self, example_config, monkeypatch,
+                                                   tmp_path):
+        counts = {"eig": 0, "binned": 0}
+        eig = linalg.hermitian_eigendecompose
+        binned = DiscreteDistribution._binned
+
+        def counted_eig(*args, **kwargs):
+            counts["eig"] += 1
+            return eig(*args, **kwargs)
+
+        def counted_binned(*args, **kwargs):
+            counts["binned"] += 1
+            return binned(*args, **kwargs)
+        monkeypatch.setattr(linalg, "hermitian_eigendecompose", counted_eig)
+        monkeypatch.setattr(DiscreteDistribution, "_binned", staticmethod(counted_binned))
+
+        out = str(tmp_path / "out")
+        assert cli.main(["verify", "--config", example_config, "--out", out]) == 0
+        # two Gibbs states, the global state, h_int and four reduced states
+        # for the basis; the two global states and the two relative
+        # entropies for the heat balance.  One binning of the heat table
+        # and one per joint direction.
+        assert counts["eig"] <= 14
+        assert counts["binned"] <= 3
+        for argv, points in ((["--time", "0.7"], 1), (["--sweep", "0:1:4"], 4)):
+            counts["binned"] = 0
+            assert cli.main(["heat", "--config", example_config, *argv, "--out", out]) == 0
+            assert counts["binned"] == points
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["heat", "--dims", "2x2", "--sweep", "0:1:3", "--time", "5"], ("--sweep", "--time")),
+        (["heat", "CONFIG", "--sweep", "0:1:3", "--time", "0.5"], ("--sweep", "--time")),
+        (["verify", "CONFIG", "--dims", "2x2"], ("--config", "--dims")),
+        (["heat", "CONFIG", "--dims", "3x3"], ("--config", "--dims")),
+        (["heat", "CONFIG", "--dims", "3x3", "--time", "0.5"], ("--config", "--dims")),
+        (["verify", "CONFIG", "--seed", "3"], ("--config", "--seed")),
+        (["heat", "CONFIG", "--seed", "0", "--time", "0.5"], ("--config", "--seed")),
+        (["verify", "CONFIG", "--product"], ("--config", "--product")),
+    ])
+    def test_conflicting_sources_rejected(self, example_config, argv, flags, capsys):
+        argv = [a for arg in argv
+                for a in (["--config", example_config] if arg == "CONFIG" else [arg])]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(flag in captured.err for flag in flags)
+
+    def test_shared_parser_keeps_no_state_between_calls(self, example_config, capsys):
+        """Each call after another in one process prints what a fresh
+        process prints."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "qheatnet.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            return proc.returncode, proc.stdout
+
+        def here(argv):
+            code = cli.main(argv)
+            return code, capsys.readouterr().out
+
+        cfg = ["--config", example_config]
+        # a floor this high drops labels the relations need, so it fails
+        before = here(["verify", *cfg, "--tol", "marginal=1e-3",
+                       "--tol", "probability_floor=0.2"])
+        argv = ["verify", *cfg]
+        assert here(argv) == fresh(argv) != before
+
+        before = here(["heat", *cfg, "--sweep", "0:1:3"])
+        argv = ["heat", *cfg, "--time", "0.4"]
+        assert here(argv) == fresh(argv) != before
+
+        with pytest.raises(SystemExit):
+            cli.main(["heat", "--time", "not-a-number"])
+        capsys.readouterr()
+        argv = ["heat", "--dims", "2x3", "--seed", "4"]
+        assert here(argv) == fresh(argv)
 
     def test_wide_random_instances(self, capsys):
         assert cli.main(["verify", "--dims", "5x5"]) == 0

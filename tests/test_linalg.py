@@ -120,6 +120,28 @@ class TestTensorAndTrace:
         out = linalg.tensor_product(np.diag([1.0, 2.0]), np.eye(2))
         assert np.allclose(np.diag(out), [1, 1, 2, 2])
 
+    @pytest.mark.parametrize("shape_a,shape_b", [((2, 2), (3, 3)), ((2, 3), (4, 1)),
+                                                 ((1, 5), (3, 2)), ((4, 4), (4, 4))])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_kron_bit_for_bit(self, shape_a, shape_b, dtype):
+        rng = np.random.default_rng(7)
+
+        def draw(shape):
+            x = rng.normal(size=shape)
+            return x + 1j * rng.normal(size=shape) if dtype is complex else x
+
+        a, b = draw(shape_a), draw(shape_b)
+        expect = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        got = linalg.tensor_product(a, b)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("a,b", [(np.ones(2), np.eye(2)), (np.eye(2), np.ones((2, 2, 2))),
+                                     (np.float64(1.0), np.eye(2))])
+    def test_rejects_non_matrix_factors(self, a, b):
+        with pytest.raises(linalg.LinalgError, match="2-D"):
+            linalg.tensor_product(a, b)
+
     def test_partial_trace_product(self):
         ra = np.diag([0.8, 0.2]).astype(complex)
         rb = np.diag([0.7, 0.3]).astype(complex)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qheatnet import bayesnet, linalg, randspec, system, thermo
+from qheatnet.distributions import DiscreteDistribution
 from conftest import ledgers_at
 
 ALL_QUANTITIES = thermo.FORWARD_QUANTITIES + thermo.REVERSE_QUANTITIES
@@ -234,6 +235,57 @@ class TestHeatDistributions:
         assert pf.prob_at(1.0) / pr.prob_at(-1.0) == pytest.approx(12.0 / 7.0, abs=1e-9)
 
 
+def _oracle_instances():
+    """Random instances 2x2 to 4x4 with and without correlations, and a
+    shell-ladder instance at D = 36 whose heat table has many ties."""
+    for dims in ((2, 2), (3, 3), (4, 4)):
+        for correlated in (True, False):
+            yield (f"{dims[0]}x{dims[1]}-{'corr' if correlated else 'prod'}",
+                   randspec.random_spec(5, *dims, correlated=correlated))
+    yield "shell-6x6", _shell_ladder_spec(6, 3)
+
+
+@pytest.fixture(scope="module", params=list(_oracle_instances()), ids=lambda p: p[0])
+def oracle_ledgers(request):
+    return ledgers_at(request.param[1], 0.83)
+
+
+class TestSharedHeatBins:
+    """The one binning of the heat table against binning each direction
+    afresh, as ``heat_distribution`` did before it shared the bins."""
+
+    def test_heat_distributions_match_fresh_binning(self, oracle_ledgers):
+        led = oracle_ledgers
+        for direction, values, weights in (("forward", led.q_a_tab, led.fwd),
+                                           ("reverse", -led.q_a_tab, led.rev)):
+            expect = DiscreteDistribution.from_samples(
+                values.ravel(), weights.sum(axis=0).ravel(), binning=led.binning)
+            got = thermo.heat_distribution(led, direction)
+            assert got.points.tobytes() == expect.points.tobytes(), direction
+            assert got.probs.tobytes() == expect.probs.tobytes(), direction
+
+    def test_mirrored_bins_equal_binning_the_mirror(self, oracle_ledgers):
+        bins = oracle_ledgers.heat_bins
+        fresh = DiscreteDistribution._binned(-bins.values, bins.binning)
+        mirrored = bins.mirrored()
+        for name in ("values", "bin_id", "first"):
+            assert getattr(mirrored, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+    def test_binned_once_per_ledger_set(self, correlated_spec, monkeypatch):
+        calls = []
+        binned = DiscreteDistribution._binned
+
+        def counted(values, binning):
+            calls.append(np.shape(values))
+            return binned(values, binning)
+        monkeypatch.setattr(DiscreteDistribution, "_binned", staticmethod(counted))
+        led = ledgers_at(correlated_spec, 0.61)
+        for direction in ("forward", "reverse", "forward"):
+            thermo.heat_distribution(led, direction)
+        thermo.psi_factor(led)
+        assert calls == [(led.q_a_tab.size,)]
+
+
 class TestJointAndPsi:
     def test_joint_detailed_ft(self, correlated_spec):
         joint = thermo.joint_distribution(ledgers_at(correlated_spec, 0.93))
@@ -316,6 +368,26 @@ class TestBalances:
         for spec in (correlated_spec, product_spec):
             bal = thermo.mean_heat_balance(ledgers_at(spec, 0.87))
             assert bal.residual < 1e-12
+
+    def test_entropies_from_basis_spectra_match_fresh_decompositions(self, oracle_ledgers):
+        # the route that decomposed every reduced state again
+        led = oracle_ledgers
+        rho0, rho1 = thermo._state_pair(led)
+        da, db = led.dim_a, led.dim_b
+
+        def mutual(rho):
+            ra = linalg.partial_trace(rho, da, db, keep="A")
+            rb = linalg.partial_trace(rho, da, db, keep="B")
+            return (linalg.von_neumann_entropy(ra) + linalg.von_neumann_entropy(rb)
+                    - linalg.von_neumann_entropy(rho))
+
+        ra1 = linalg.partial_trace(rho1, da, db, keep="A")
+        rb1 = linalg.partial_trace(rho1, da, db, keep="B")
+        rhs = (mutual(rho1) - mutual(rho0)
+               + linalg.relative_entropy(ra1, led.gibbs_a.rho)
+               + linalg.relative_entropy(rb1, led.gibbs_b.rho))
+        assert np.float64(thermo.mean_heat_balance(led).rhs).tobytes() == \
+            np.float64(rhs).tobytes()
 
     def test_correlations_reverse_heat_flow(self, correlated_spec):
         bal = thermo.mean_heat_balance(ledgers_at(correlated_spec, 0.1))
