@@ -8,7 +8,8 @@ conditioned on the global state are squared overlaps.  The populations
 and these (D, d_A, d_B) overlap tables are the whole two-time ensemble:
 a path (s, a_0 b_0, a_1 b_1) weighs P_s times one overlap per time.
 Everything at t = 0 is independent of t, so a sweep over times builds it
-once and adds only the time-t half per time.
+once and adds the time-t half one block of times at a time, every array
+of a block stacked on a leading time axis.
 """
 
 from __future__ import annotations
@@ -23,15 +24,25 @@ from . import linalg, system
 __all__ = [
     "TimeGrid",
     "BasisSet",
+    "BasisBlock",
     "MarginalTables",
+    "BLOCK_ELEMENTS",
     "build_bases",
     "sweep_bases",
+    "sweep_blocks",
     "reverse_overlap_tables",
     "local_marginals",
     "path_probability_table",
     "choi_path_probability",
     "tpm_table",
 ]
+
+#: Element budget of one block of a sweep: a block holds as many times
+#: T_b as keep the ledger tables built on it, (T_b, K, m, m) for K
+#: retained labels and m = d_A * d_B outcome pairs, within this many
+#: entries, and at least one time.  A larger budget means fewer numpy
+#: passes per sweep but a higher peak memory.
+BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -88,24 +99,83 @@ class BasisSet:
         return self.populations.shape[0]
 
 
+@dataclass(frozen=True)
+class BasisBlock:
+    """The two-time bases (0, t) of a block of times, in one set of arrays.
+
+    Fields mirror :class:`BasisSet`: index 0 of each pair is the t = 0
+    half, shared by every time, and index 1 the time-t half of every
+    time, stacked on a leading time axis: ``global_vectors[1]`` and
+    ``unitaries[1]`` are (T, D, D), ``overlaps[1]`` is (T, D, d_A, d_B),
+    ``energies_a[1]`` is (T, d_A) and ``local_a[1]`` a stacked
+    EigenSystem.  ``local_marginals``, ``reverse_overlap_tables`` and
+    ``thermo.compute_ledgers`` take either kind; a basis is a block of
+    one time without the time axis.
+    """
+
+    spec: system.BipartiteSpec
+    times: tuple[float, ...]
+    populations: np.ndarray
+    global_vectors: tuple[np.ndarray, ...]
+    local_a: tuple[linalg.EigenSystem, ...]
+    local_b: tuple[linalg.EigenSystem, ...]
+    energies_a: tuple[np.ndarray, ...]
+    energies_b: tuple[np.ndarray, ...]
+    overlaps: tuple[np.ndarray, ...]
+    unitaries: tuple[np.ndarray, ...]
+    gibbs_a: system.GibbsState
+    gibbs_b: system.GibbsState
+
+    @property
+    def dim(self) -> int:
+        return self.populations.shape[0]
+
+    def basis(self, k: int) -> BasisSet:
+        """The basis at the block's ``k``-th time, sharing the block's arrays."""
+        la, lb = self.local_a[1], self.local_b[1]
+        return BasisSet(
+            spec=self.spec, grid=TimeGrid((self.times[k],)), populations=self.populations,
+            global_vectors=(self.global_vectors[0], self.global_vectors[1][k]),
+            local_a=(self.local_a[0], linalg.EigenSystem(la.values[k], la.vectors[k])),
+            local_b=(self.local_b[0], linalg.EigenSystem(lb.values[k], lb.vectors[k])),
+            energies_a=(self.energies_a[0], self.energies_a[1][k]),
+            energies_b=(self.energies_b[0], self.energies_b[1][k]),
+            overlaps=(self.overlaps[0], self.overlaps[1][k]),
+            unitaries=(self.unitaries[0], self.unitaries[1][k]),
+            gibbs_a=self.gibbs_a, gibbs_b=self.gibbs_b)
+
+
+def _product_vectors(vecs_a: np.ndarray, vecs_b: np.ndarray) -> np.ndarray:
+    """Columns |a b> of the product of two local bases, a-major: the
+    Kronecker product of the eigenvector matrices, member by member for
+    stacks (..., d, d), with the products of ``linalg.tensor_product``
+    (which takes 2-D factors only)."""
+    prod = vecs_a[..., :, None, :, None] * vecs_b[..., None, :, None, :]
+    m = vecs_a.shape[-1] * vecs_b.shape[-1]
+    return prod.reshape(prod.shape[:-4] + (m, m))
+
+
 def _overlap_table(vecs_a: np.ndarray, vecs_b: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """|<a b|v_s>|^2 as a (D, d_A, d_B) table over the columns v_s of ``vecs``."""
-    amp = linalg.tensor_product(vecs_a, vecs_b).conj().T @ vecs   # (d_A*d_B, D)
-    return np.abs(amp.T.reshape(vecs.shape[1], vecs_a.shape[1], vecs_b.shape[1])) ** 2
+    """|<a b|v_s>|^2 as a (D, d_A, d_B) table over the columns v_s of
+    ``vecs``; stacks give a table per member."""
+    amp = _product_vectors(vecs_a, vecs_b).conj().swapaxes(-1, -2) @ vecs   # (..., d_A*d_B, D)
+    shape = amp.shape[:-2] + (vecs.shape[-1], vecs_a.shape[-1], vecs_b.shape[-1])
+    return np.abs(amp.swapaxes(-1, -2).reshape(shape)) ** 2
 
 
 def _local_frame(spec: system.BipartiteSpec, populations: np.ndarray, vecs: np.ndarray):
     """Reduced-state eigensystems of the state with eigenvectors ``vecs``
     and eigenvalues ``populations``, their local energies <a|H_A|a> and
-    <b|H_B|b>, and its overlap table."""
-    rho_t = (vecs * populations) @ vecs.conj().T
+    <b|H_B|b>, and its overlap table.  For a stack (T, D, D) of
+    eigenvector sets every result is stacked the same way."""
+    rho_t = (vecs * populations) @ vecs.conj().swapaxes(-1, -2)
     local = []
     for keep, h in (("A", spec.h_a), ("B", spec.h_b)):
         reduced = linalg.partial_trace(rho_t, spec.dim_a, spec.dim_b, keep=keep)
         local.append(linalg.hermitian_eigendecompose(reduced, tiebreak=h))
     ea, eb = local
-    energy_a = np.real(np.einsum("ij,ik,kj->j", ea.vectors.conj(), spec.h_a, ea.vectors))
-    energy_b = np.real(np.einsum("ij,ik,kj->j", eb.vectors.conj(), spec.h_b, eb.vectors))
+    energy_a = np.real(np.einsum("...ij,ik,...kj->...j", ea.vectors.conj(), spec.h_a, ea.vectors))
+    energy_b = np.real(np.einsum("...ij,ik,...kj->...j", eb.vectors.conj(), spec.h_b, eb.vectors))
     return ea, eb, energy_a, energy_b, _overlap_table(ea.vectors, eb.vectors, vecs)
 
 
@@ -115,35 +185,58 @@ def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
     degenerate blocks.  A grid of more than one time raises ValueError."""
     if grid.n_steps != 1:
         raise ValueError("build_bases needs a grid of exactly one time (a two-time basis)")
-    return next(sweep_bases(spec, grid.times))
+    return next(sweep_blocks(spec, grid.times)).basis(0)
 
 
 def sweep_bases(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:
     """Yield the two-time basis (0, t) for each t of ``times``, in order.
 
-    The time-independent half is built once, when the first basis is
-    asked for: the validated initial state and its Gibbs states, the
-    global eigensystem, the eigensystem of ``h_int`` and the t = 0 local
-    frame.  Each time adds U(t) from that one eigensystem and its own
-    time-t local frame.  Every basis equals ``build_bases`` at its time
-    bit for bit, and the bases share the t = 0 arrays, so treat them as
-    read-only.  Each t must be a valid grid time (ValueError otherwise).
+    The bases are read off ``sweep_blocks``: the time-independent half
+    is built once, and the time-t half one block of times at a time.
+    Every basis equals ``build_bases`` at its time bit for bit, and the
+    bases share the t = 0 arrays and their block's arrays, so treat them
+    as read-only.  Each t must be a valid grid time (ValueError
+    otherwise).
     """
-    grids = [TimeGrid((t,)) for t in times]
+    for block in sweep_blocks(spec, times):
+        for k in range(len(block.times)):
+            yield block.basis(k)
+
+
+def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisBlock]:
+    """Yield the two-time bases of ``times`` in blocks of consecutive
+    times, in order.
+
+    Before the first block, every time is checked (ValueError for one
+    that is not a valid grid time) and the time-independent half is
+    built once: the validated initial state and its Gibbs states, the
+    global eigensystem, the eigensystem of ``h_int`` and the t = 0 local
+    frame.  Each block then adds, for all its times in one stacked numpy
+    pass each, U(t), the evolved vectors, the reduced states and their
+    tie-broken eigensystems, the local energies and the overlap table.
+    A block holds as many times as keep its ledger tables within
+    ``BLOCK_ELEMENTS`` entries, and at least one.  Stacked operations
+    give each member the bits of the one-time operation, so every basis
+    of a block equals ``build_bases`` at its time bit for bit.
+    """
+    times = [TimeGrid((t,)).times[0] for t in times]
     start = system.initial_state(spec)
     glob = linalg.hermitian_eigendecompose(start.rho, tiebreak=spec.h_total)
     populations = np.clip(glob.values, 0.0, None)
     generator = linalg.hermitian_eigendecompose(spec.h_int)
     ea0, eb0, energy_a0, energy_b0, overlap0 = _local_frame(spec, populations, glob.vectors)
     identity = np.eye(spec.dim, dtype=complex)
+    kept = np.count_nonzero(populations > spec.tol.probability_floor)
+    size = max(1, BLOCK_ELEMENTS // (kept * spec.dim ** 2))
 
-    for grid in grids:
-        u = linalg.unitary_from_eigensystem(generator, grid.times[0])
+    for lo in range(0, len(times), size):
+        block_times = tuple(times[lo:lo + size])
+        u = linalg.unitary_from_eigensystem(generator, block_times)
         vecs = u @ glob.vectors
         ea, eb, energy_a, energy_b, overlap = _local_frame(spec, populations, vecs)
-        yield BasisSet(
+        yield BasisBlock(
             spec=spec,
-            grid=grid,
+            times=block_times,
             populations=populations,
             global_vectors=(glob.vectors, vecs),
             local_a=(ea0, ea),
@@ -157,7 +250,7 @@ def sweep_bases(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[
         )
 
 
-def reverse_overlap_tables(basis: BasisSet) -> list[np.ndarray]:
+def reverse_overlap_tables(basis: BasisSet | BasisBlock) -> list[np.ndarray]:
     """Conditional probability tables of the time-reversed process.
 
     The reversed experiment starts from the same global eigenvectors and
@@ -165,19 +258,21 @@ def reverse_overlap_tables(basis: BasisSet) -> list[np.ndarray]:
     returned list (m = 0 is the start of the reversed process, physical
     time t) holds |<a_n b_n| U^dag(t - t_n) |s>|^2 with n = 1 - m: the
     local bases are visited in reverse chronological order while the
-    backward evolution accumulates.
+    backward evolution accumulates.  For a block both tables are stacked
+    on its time axis.
     """
-    u_final = basis.unitaries[1]
+    back = basis.unitaries[1].conj().swapaxes(-1, -2)
     # U^dag(t - t_n) == U(t_n) U(t)^dag for a fixed generator
     return [_overlap_table(basis.local_a[n].vectors, basis.local_b[n].vectors,
-                           basis.unitaries[n] @ u_final.conj().T @ basis.global_vectors[0])
+                           basis.unitaries[n] @ back @ basis.global_vectors[0])
             for n in (1, 0)]
 
 
 @dataclass(frozen=True)
 class MarginalTables:
     """Two-time outcome marginals; ``joint_1`` is checked against the
-    direct matrix elements of the evolved state during construction."""
+    direct matrix elements of the evolved state during construction.
+    For a block the time-t tables carry its leading time axis."""
 
     joint_0: np.ndarray   # P(a_0, b_0)
     joint_1: np.ndarray   # P(a_1, b_1)
@@ -187,21 +282,22 @@ class MarginalTables:
     b_1: np.ndarray
 
 
-def local_marginals(basis: BasisSet) -> MarginalTables:
+def local_marginals(basis: BasisSet | BasisBlock) -> MarginalTables:
     """Outcome marginals at t = 0 and t.
 
     The final joint table is computed both by summing over the global
     label and as diagonal matrix elements of the evolved state; the two
-    routes must agree to 1e-12, else :class:`linalg.LinalgError`.
+    routes must agree to 1e-12, at every time of a block, else
+    :class:`linalg.LinalgError`.
     """
     p = basis.populations
     joint_0 = np.einsum("s,sab->ab", p, basis.overlaps[0])
-    joint_1 = np.einsum("s,sab->ab", p, basis.overlaps[1])
+    joint_1 = np.einsum("s,...sab->...ab", p, basis.overlaps[1])
 
     vecs = basis.global_vectors[1]
-    rho_t = (vecs * p) @ vecs.conj().T
-    prod = linalg.tensor_product(basis.local_a[1].vectors, basis.local_b[1].vectors)
-    direct = np.real(np.einsum("is,ij,js->s", prod.conj(), rho_t, prod))
+    rho_t = (vecs * p) @ vecs.conj().swapaxes(-1, -2)
+    prod = _product_vectors(basis.local_a[1].vectors, basis.local_b[1].vectors)
+    direct = np.real(np.sum(prod.conj() * (rho_t @ prod), axis=-2))
     direct = direct.reshape(joint_1.shape)
     dev = np.abs(direct - joint_1).max()
     if dev > 1e-12:
@@ -212,8 +308,8 @@ def local_marginals(basis: BasisSet) -> MarginalTables:
         joint_1=joint_1,
         a_0=joint_0.sum(axis=1),
         b_0=joint_0.sum(axis=0),
-        a_1=joint_1.sum(axis=1),
-        b_1=joint_1.sum(axis=0),
+        a_1=joint_1.sum(axis=-1),
+        b_1=joint_1.sum(axis=-2),
     )
 
 

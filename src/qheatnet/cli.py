@@ -34,8 +34,9 @@ class CliError(Exception):
     """Unusable command-line input (exit code 2)."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_row(*values: float) -> str:
+    """Comma-separated values, each with 17 significant digits."""
+    return ",".join(["{:.17g}"] * len(values)).format(*values)
 
 
 def _parse_tol(pairs, base: system.Tolerances) -> system.Tolerances:
@@ -111,10 +112,16 @@ def _grid_time(t: float) -> float:
     return t if t > 0 else TINY_TIME
 
 
-def _sweep_bases(spec: system.BipartiteSpec, sweep):
-    """The two-time basis at each requested time, with one spectral
-    set-up for the whole sweep."""
-    return bayesnet.sweep_bases(spec, [_grid_time(float(t)) for t in sweep])
+def _sweep_blocks(spec: system.BipartiteSpec, sweep):
+    """Yield the requested times of the sweep block by block, each with
+    the bases of all its times: one spectral set-up for the whole sweep,
+    then one stacked pass per block (``bayesnet.sweep_blocks``)."""
+    sweep = [float(t) for t in sweep]
+    done = 0
+    for block in bayesnet.sweep_blocks(spec, [_grid_time(t) for t in sweep]):
+        times = sweep[done:done + len(block.times)]
+        done += len(times)
+        yield times, block
 
 
 def _write_out(args, text: str) -> None:
@@ -209,24 +216,26 @@ def cmd_verify(args) -> int:
 _HEAT_HEADER = "t,Q,P_f,P_r,ratio,exp_QdBeta,Psi"
 
 
-def _heat_rows(basis: bayesnet.BasisSet, t: float) -> list[str]:
-    ledgers = thermo.compute_ledgers(basis)
+def _heat_rows(ledgers: thermo.LedgerBlock, times: list[float]) -> list[str]:
+    """The CSV rows of every time of a ledger block, each time's bins in
+    descending heat order."""
     p_f = thermo.heat_distribution(ledgers, "forward")
     p_r = thermo.heat_distribution(ledgers, "reverse")
     psi = thermo.psi_factor(ledgers)
+    bins = ledgers.heat_bins
 
     # psi has a row for each forward bin above the floor, in bin order
     psi_by_bin = np.full(p_f.n_points, np.nan)
     psi_by_bin[p_f.probs > ledgers.floor] = psi.psi
+    columns = (p_f.scalar_points(), p_f.probs, p_r.probs[bins.mirror], psi_by_bin)
 
     rows = []
-    for q, pf, pr_mirror, psi_q in sorted(
-            zip(p_f.scalar_points(), p_f.probs, p_r.probs[::-1], psi_by_bin),
-            reverse=True):
-        ratio = pf / pr_mirror if pr_mirror > ledgers.floor else float("nan")
-        rows.append(",".join(_fmt(x) for x in (
-            t, q, pf, pr_mirror, ratio,
-            np.exp(q * ledgers.delta_beta), psi_q)))
+    for t, lo, hi in zip(times, bins.starts[:-1], bins.starts[1:]):
+        for q, pf, pr_mirror, psi_q in sorted(
+                zip(*(c[lo:hi].tolist() for c in columns)), reverse=True):
+            ratio = pf / pr_mirror if pr_mirror > ledgers.floor else float("nan")
+            rows.append(_csv_row(t, q, pf, pr_mirror, ratio,
+                                 np.exp(q * ledgers.delta_beta), psi_q))
     return rows
 
 
@@ -241,36 +250,57 @@ def cmd_heat(args) -> int:
     else:
         sweep = np.asarray(times)
     lines = [_HEAT_HEADER]
-    for t, basis in zip(sweep, _sweep_bases(spec, sweep)):
-        lines.extend(_heat_rows(basis, float(t)))
+    for block_times, block in _sweep_blocks(spec, sweep):
+        # the ledgers of one block are dropped before the next is built
+        lines.extend(_heat_rows(thermo.compute_ledgers(block), block_times))
     _write_out(args, "\n".join(lines) + "\n")
     return 0
 
 
+def _heat_per_time(ledgers: thermo.LedgerBlock, times: list[float]):
+    """(t, P_f, P_r) for each time of a ledger block."""
+    starts = ledgers.heat_bins.starts
+    forward = thermo.heat_distribution(ledgers, "forward").split(starts)
+    reverse = thermo.heat_distribution(ledgers, "reverse").split(starts)
+    return list(zip(times, forward, reverse))
+
+
+def _check_tau(tau: float) -> float:
+    # the coupling is pi / (2 tau) and the default sweep ends at 2 tau
+    with np.errstate(over="ignore", divide="ignore"):
+        twice = 2.0 * np.float64(tau)
+        coupling = np.pi / twice
+    if not (tau > 0 and np.isfinite(twice) and np.isfinite(coupling)):
+        raise CliError(f"bad --tau {tau!r} (the swap time must be positive, with "
+                       f"2 tau and the coupling pi / (2 tau) finite)")
+    return tau
+
+
 def cmd_example(args) -> int:
+    tau = _check_tau(args.tau)
     params = qubit.ExampleParams(
         occupation_a=args.occupation_a,
         occupation_b=args.occupation_b,
-        tau=args.tau,
+        tau=tau,
         correlated=not args.product,
     )
     spec = qubit.build_example_spec(params, tol=_parse_tol(args.tol, system.Tolerances()))
-    sweep = _parse_sweep(args.sweep) if args.sweep else np.linspace(0.0, 2.0 * args.tau, 101)
+    if args.sweep:
+        sweep = _parse_sweep(args.sweep)
+    else:
+        sweep = np.linspace(0.0, _check_time(2.0 * tau, "--tau"), 101)
 
     lines = ["t,Q,P_f,P_f_analytic,P_r,P_r_analytic"]
     worst = 0.0
-    for t, basis in zip(sweep, _sweep_bases(spec, sweep)):
-        t = float(t)
-        ledgers = thermo.compute_ledgers(basis)
-        p_f = thermo.heat_distribution(ledgers, "forward")
-        p_r = thermo.heat_distribution(ledgers, "reverse")
-        ana_f = qubit.analytic_heat_distribution(params, t, "forward")
-        ana_r = qubit.analytic_heat_distribution(params, t, "reverse")
-        for q in (1.0, 0.0, -1.0):
-            nf, af = p_f.prob_at(q), ana_f.prob_at(q)
-            nr, ar = p_r.prob_at(q), ana_r.prob_at(q)
-            worst = max(worst, abs(nf - af), abs(nr - ar))
-            lines.append(",".join(_fmt(x) for x in (t, q, nf, af, nr, ar)))
+    for times, block in _sweep_blocks(spec, sweep):
+        for t, p_f, p_r in _heat_per_time(thermo.compute_ledgers(block), times):
+            ana_f = qubit.analytic_heat_distribution(params, t, "forward")
+            ana_r = qubit.analytic_heat_distribution(params, t, "reverse")
+            for q in (1.0, 0.0, -1.0):
+                nf, af = p_f.prob_at(q), ana_f.prob_at(q)
+                nr, ar = p_r.prob_at(q), ana_r.prob_at(q)
+                worst = max(worst, abs(nf - af), abs(nr - ar))
+                lines.append(_csv_row(t, q, nf, af, nr, ar))
     _write_out(args, "\n".join(lines) + "\n")
 
     if args.report:

@@ -15,6 +15,7 @@ then counts the mass of both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,21 +33,52 @@ class Bins:
     bins numbered in lexicographic key order; ``first[j]`` is the first
     sample of bin j in input order.  Distributions of any weights over the
     same samples share it (``DiscreteDistribution._collect``).
+
+    Samples may be cut into groups, a group label acting as a leading key
+    (``grouped``): bins then run group by group, group g holding bins
+    ``starts[g]:starts[g + 1]``, each group's bins in key order.  A plain
+    binning is one group.
     """
 
     values: np.ndarray
     bin_id: np.ndarray
     first: np.ndarray
     binning: float
+    starts: np.ndarray
+
+    def grouped(self, n_groups: int) -> "Bins":
+        """The bins refined by cutting the samples into ``n_groups``
+        consecutive runs of equal length: samples share a bin when they
+        share a bin here and a run.  Each run's bins are those a binning
+        of that run alone would give, in the same order and with the same
+        first samples."""
+        if n_groups == 1:
+            return self                     # one run refines nothing
+        groups = np.arange(len(self.bin_id)) // (len(self.bin_id) // n_groups)
+        key = groups * len(self.first) + self.bin_id
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        heads = np.concatenate(([True], ranked[1:] != ranked[:-1]))[:len(key)]
+        bin_id = np.empty(len(key), dtype=np.intp)
+        bin_id[order] = np.cumsum(heads) - 1
+        first = order[heads]
+        return Bins(values=self.values, bin_id=bin_id, first=first, binning=self.binning,
+                    starts=np.searchsorted(groups[first], np.arange(n_groups + 1)))
+
+    @cached_property
+    def mirror(self) -> np.ndarray:
+        """``mirror[j]``: the bin holding the samples of bin j once every
+        sample is negated.  Negating every key coordinate reverses the
+        lexicographic order of the keys within each group and keeps the
+        input order within a bin."""
+        lo, hi = self.starts[:-1], self.starts[1:]
+        return (lo + hi - 1).repeat(hi - lo) - np.arange(len(self.first))
 
     def mirrored(self) -> "Bins":
-        """The bins of the negated samples, without binning them again.
-
-        Negating every key coordinate reverses the lexicographic order of
-        the keys and keeps the input order within a bin, so bin j becomes
-        bin n_bins - 1 - j with the same first sample."""
-        return Bins(values=-self.values, bin_id=len(self.first) - 1 - self.bin_id,
-                    first=self.first[::-1], binning=self.binning)
+        """The bins of the negated samples, without binning them again:
+        bin j becomes bin ``mirror[j]``, with the same first sample."""
+        return Bins(values=-self.values, bin_id=self.mirror[self.bin_id],
+                    first=self.first[self.mirror], binning=self.binning, starts=self.starts)
 
 
 @dataclass(frozen=True)
@@ -97,10 +129,12 @@ class DiscreteDistribution:
         order = np.lexsort(keys.T[::-1])
         ranked = keys[order]
         # first sample of each bin in key order (none without samples)
-        starts = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))[:len(vals)]
+        heads = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))[:len(vals)]
         bin_id = np.empty(len(vals), dtype=np.intp)
-        bin_id[order] = np.cumsum(starts) - 1
-        return Bins(values=vals, bin_id=bin_id, first=order[starts], binning=binning)
+        bin_id[order] = np.cumsum(heads) - 1
+        first = order[heads]
+        return Bins(values=vals, bin_id=bin_id, first=first, binning=binning,
+                    starts=np.array([0, len(first)]))
 
     @classmethod
     def _collect(cls, bins: "Bins", weights) -> "DiscreteDistribution":
@@ -123,6 +157,12 @@ class DiscreteDistribution:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
+
+    def split(self, starts) -> list["DiscreteDistribution"]:
+        """The distributions of consecutive runs of points, run j being
+        ``starts[j]:starts[j + 1]`` (the groups of a grouped binning)."""
+        return [DiscreteDistribution(self.points[lo:hi], self.probs[lo:hi], self.binning)
+                for lo, hi in zip(starts[:-1], starts[1:])]
 
     @property
     def total(self) -> float:

@@ -53,11 +53,10 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _check_hermitian(m: np.ndarray, tol: float, name: str = "matrix") -> None:
-    scale = max(np.abs(m).max(), 1.0)
-    dev = np.abs(m - m.conj().T).max()
-    if dev > tol * scale:
-        raise LinalgError(f"{name} is not Hermitian (deviation {dev:.3e})")
+def _member(name: str, lead: tuple, i: int) -> str:
+    """``name``, followed by the index of member ``i`` of a stack of
+    shape ``lead``; just ``name`` for a single matrix."""
+    return f"{name} {list(map(int, np.unravel_index(i, lead)))}" if lead else name
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,8 @@ class EigenSystem:
     """Spectral decomposition of a Hermitian matrix.
 
     ``values`` are real and sorted descending; column ``k`` of ``vectors``
-    is the orthonormal eigenvector paired with ``values[k]``.
+    is the orthonormal eigenvector paired with ``values[k]``.  For a stack
+    of matrices both carry the stack's leading axes.
     """
 
     values: np.ndarray
@@ -73,25 +73,46 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
+        return (self.vectors * self.values[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component of each column real positive."""
-    mag = np.abs(vectors)
-    big = mag > 1e-12
+    """Make the first nonzero component of each column real positive; a
+    stack (..., n, n) is fixed member by member."""
+    n = vectors.shape[-1]
+    v = vectors.reshape(-1, n, n)
+    mag = np.abs(v)
     # first entry above 1e-12, or the largest entry of a column with none
-    pivot = np.where(big.any(axis=0), big.argmax(axis=0), mag.argmax(axis=0))
-    cols = np.arange(vectors.shape[1])
-    z = vectors[pivot, cols]
-    az = mag[pivot, cols]
-    ok = az > 0                             # a zero column is left alone
-    out = vectors.copy()
-    out[:, ok] *= z[ok].conjugate() / az[ok]
-    return out
+    pivot = np.where(mag > 1e-12, np.inf, mag).argmax(axis=1)
+    at = np.arange(len(v))[:, None], pivot, np.arange(n)
+    z, az = v[at], mag[at]
+    factor = z.conjugate() / np.where(az > 0, az, 1.0)     # a zero column stays zero
+    return (v * factor[:, None, :]).reshape(vectors.shape)
+
+
+def _rotate_clusters(w: np.ndarray, v: np.ndarray, half_budget: float,
+                     tiebreak: np.ndarray) -> None:
+    """Rotate each degenerate cluster of one member's eigenvalues ``w``,
+    in place on the columns of ``v``, to diagonalize the projected
+    tiebreak.  A cluster is a run within the gap of its first value."""
+    # a rotation inside a cluster of spread delta moves the reconstruction
+    # by at most delta, so distinct tiny eigenvalues of a cold state must
+    # not share a cluster wider than the residual budget allows
+    span = max(w[0] - w[-1], 0.0)
+    gap = min(DEGENERACY_RTOL * max(span, 1e-300), half_budget)
+    start = 0
+    for stop in range(1, len(w) + 1):
+        if stop < len(w) and w[start] - w[stop] <= gap:
+            continue
+        if stop - start > 1:
+            blk = v[:, start:stop]
+            t = blk.conj().T @ tiebreak @ blk
+            _, r = np.linalg.eigh((t + t.conj().T) / 2.0)
+            v[:, start:stop] = blk @ r  # eigh order: tiebreak expectation ascends
+        start = stop
 
 
 def hermitian_eigendecompose(
@@ -107,47 +128,59 @@ def hermitian_eigendecompose(
     diagonalize the projection of ``tiebreak``, ordered by ascending
     tiebreak expectation; without a tiebreak, only the column phases are
     fixed.  The result is a pure function of the input bits.
+
+    ``m`` may be a stack (..., n, n) sharing one (n, n) tiebreak: each
+    member is decomposed exactly as the 2-D call would decompose it, into
+    values (..., n) and vectors (..., n, n).  An error names the first
+    failing member.
     """
-    m = _as_square(m)
-    _check_hermitian(m, hermiticity_tol)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise LinalgError(f"matrix must be square, got shape {m.shape}")
+    n, lead = m.shape[-1], m.shape[:-2]
+    flat = m.reshape(-1, n, n)
+    checked = flat
     if tiebreak is not None:
         tiebreak = _as_square(tiebreak, "tiebreak")
-        if tiebreak.shape != m.shape:
+        if tiebreak.shape != (n, n):
             raise LinalgError("tiebreak dimension mismatch")
-        _check_hermitian(tiebreak, hermiticity_tol, "tiebreak")
+        checked = np.concatenate((flat, tiebreak[None]))
+    # Hermiticity of every member, then of the tiebreak, in one pass
+    size = np.abs(checked).max(axis=(1, 2))
+    dev = np.abs(checked - checked.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = dev > hermiticity_tol * np.maximum(size, 1.0)
+    if np.count_nonzero(bad):
+        i = bad.argmax()
+        name = "tiebreak" if i == len(flat) else _member("matrix", lead, i)
+        raise LinalgError(f"{name} is not Hermitian (deviation {dev[i]:.3e})")
 
     try:
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(flat)
     except np.linalg.LinAlgError as exc:  # iteration cap exceeded
         raise LinalgError(f"eigendecomposition failed to converge: {exc}")
 
     # eigh returns ascending order; the contract is descending.
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    w = w[:, ::-1].copy()
+    v = v[:, :, ::-1].copy()
 
-    # a rotation inside a cluster of spread delta moves the reconstruction
-    # by at most delta, so distinct tiny eigenvalues of a cold state must
-    # not share a cluster wider than the residual budget allows
-    span = max(w[0] - w[-1], 0.0)
-    scale = max(np.abs(m).max(), 1e-300)
-    gap = min(DEGENERACY_RTOL * max(span, 1e-300), 0.5 * RESIDUAL_RTOL * scale)
-    start = 0
-    for stop in range(1, len(w) + 1):
-        if stop < len(w) and w[start] - w[stop] <= gap:
-            continue
-        if stop - start > 1 and tiebreak is not None:
-            blk = v[:, start:stop]
-            t = blk.conj().T @ tiebreak @ blk
-            _, r = np.linalg.eigh((t + t.conj().T) / 2.0)
-            v[:, start:stop] = blk @ r  # eigh order: tiebreak expectation ascends
-        start = stop
+    budget = RESIDUAL_RTOL * np.maximum(size[:len(flat)], 1e-300)
+    if tiebreak is not None:
+        # no gap exceeds half the budget, so only a member with an adjacent
+        # pair that close can have a cluster
+        near = 2.0 * (w[:, :-1] - w[:, 1:]) <= budget[:, None]
+        if np.count_nonzero(near):
+            for i in near.any(axis=1).nonzero()[0]:
+                _rotate_clusters(w[i], v[i], 0.5 * budget[i], tiebreak)
 
     v = _fix_phases(v)
 
-    resid = np.abs((v * w) @ v.conj().T - m).max()
-    if resid > RESIDUAL_RTOL * scale:
-        raise LinalgError(f"eigendecomposition residual too large: {resid:.3e}")
-    return EigenSystem(values=w, vectors=v)
+    resid = np.abs((v * w[:, None, :]) @ v.conj().transpose(0, 2, 1) - flat).max(axis=(1, 2))
+    bad = resid > budget
+    if np.count_nonzero(bad):
+        i = bad.argmax()
+        where = f" in {_member('matrix', lead, i)}" if lead else ""
+        raise LinalgError(f"eigendecomposition residual too large{where}: {resid[i]:.3e}")
+    return EigenSystem(values=w.reshape(m.shape[:-1]), vectors=v.reshape(m.shape))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,18 +202,20 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarra
     """Trace out one subsystem of an operator on a ``dim_a * dim_b`` space.
 
     ``keep`` is ``"A"`` or ``"B"``; the trace of the result equals the
-    trace of the input.
+    trace of the input.  A stack (..., D, D) is traced member by member.
     """
-    m = _as_square(m)
-    if m.shape[0] != dim_a * dim_b:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise LinalgError(f"matrix must be square, got shape {m.shape}")
+    if m.shape[-1] != dim_a * dim_b:
         raise LinalgError(
-            f"dimension mismatch: {m.shape[0]} != {dim_a}*{dim_b}"
+            f"dimension mismatch: {m.shape[-1]} != {dim_a}*{dim_b}"
         )
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    t = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     if keep == "A":
-        return np.einsum("ikjk->ij", t)
+        return np.einsum("...ikjk->...ij", t)
     if keep == "B":
-        return np.einsum("kikj->ij", t)
+        return np.einsum("...kikj->...ij", t)
     raise LinalgError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -189,11 +224,12 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     return unitary_from_eigensystem(hermitian_eigendecompose(h), t)
 
 
-def unitary_from_eigensystem(eig: EigenSystem, t: float) -> np.ndarray:
+def unitary_from_eigensystem(eig: EigenSystem, t) -> np.ndarray:
     """exp(-i*t*H) from the spectral decomposition of H, so that one
-    decomposition serves every time."""
-    phases = np.exp(-1j * t * eig.values)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    decomposition serves every time.  For an array of times the result
+    is the stack of unitaries, each equal to its one-time result."""
+    phases = np.exp((-1j * np.asarray(t, dtype=float))[..., None] * eig.values)
+    return (eig.vectors * phases[..., None, :]) @ eig.vectors.conj().T
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -29,6 +29,7 @@ __all__ = [
     "FORWARD_QUANTITIES",
     "REVERSE_QUANTITIES",
     "LedgerSet",
+    "LedgerBlock",
     "CombinedFT",
     "JointFT",
     "PsiReport",
@@ -61,38 +62,58 @@ def _pair_indices(fmask: np.ndarray, rmask: np.ndarray) -> tuple[np.ndarray, ...
     bits, but the work is O(K m^2 + P) for P pairs: each forward entry is
     expanded over the reverse labels of its own cell, then the unique
     integer keys of the pairs are sorted.
+
+    Masks (T, K, m, m) of a block of T times give (t, ki, kj, i0, i1):
+    the time index joins the cell, pairs never join two times, and the
+    keys sort time-major, so the pairs of each time are one contiguous
+    run in the one-time order.
     """
-    k, m, _ = fmask.shape
+    if fmask.ndim == 3:
+        return _pair_indices(fmask[None], rmask[None])[1:]
+    n_t, k, m, _ = fmask.shape
     cells = m * m
-    fk, fc = np.nonzero(fmask.reshape(k, cells))
-    # transposed, nonzero runs cell-major with kj ascending inside a cell
-    rc, rk = np.nonzero(rmask.reshape(k, cells).T)
-    per_cell = np.bincount(rc, minlength=cells)
-    cell_start = np.cumsum(per_cell) - per_cell
-    fan = per_cell[fc]                      # reverse labels per forward entry
-    run_start = np.cumsum(fan) - fan
-    kj = rk[np.repeat(cell_start[fc] - run_start, fan) + np.arange(fan.sum())]
-    key = np.sort((np.repeat(fk, fan) * k + kj) * cells + np.repeat(fc, fan))
-    ki_kj, cell = np.divmod(key, cells)
-    ki, kj = np.divmod(ki_kj, k)
+    # forward entries as (time * K + ki, cell); reverse entries grouped by
+    # cell over all times, kj ascending inside a cell
+    fk, fc = np.divmod(fmask.ravel().nonzero()[0], cells)
+    rc, rk = np.divmod(rmask.reshape(n_t, k, cells).transpose(0, 2, 1).ravel().nonzero()[0], k)
+    fcell = fk // k * cells + fc
+    per_cell = np.bincount(rc, minlength=n_t * cells)
+    cell_start = per_cell.cumsum() - per_cell
+    fan = per_cell[fcell]                   # reverse labels per forward entry
+    run_start = fan.cumsum() - fan
+    kj = rk[(cell_start[fcell] - run_start).repeat(fan) + np.arange(fan.sum())]
+    key = (fk.repeat(fan) * k + kj) * cells + fc.repeat(fan)
+    key.sort()
+    t_ki_kj, cell = np.divmod(key, cells)
+    t_ki, kj = np.divmod(t_ki_kj, k)
+    t, ki = np.divmod(t_ki, k)
     i0, i1 = np.divmod(cell, m)
-    return ki, kj, i0, i1
+    return t, ki, kj, i0, i1
 
 
-class LedgerSet:
-    """Vectorized ledger data for one basis set on a two-time grid.
+class LedgerBlock:
+    """Vectorized ledger data for a block of two-time bases.
 
-    Array attributes index the retained augmented pairs; the per-label
-    probability tables stay available for the closed-form averages.
+    Tables carry the block's leading time axis; per-label tables of the
+    t = 0 half (``a0_table``, ``joint0``, ``pp0``, ``e_a0``, ``e_b0``)
+    are shared.  Pair arrays list the retained augmented pairs of all
+    times, time-major, ``t_index`` holding each pair's time; the pairs
+    of one time keep the one-time order.  ``all_energy_conserving`` and
+    ``detailed_residual`` hold one value per time, and ``marg`` is
+    ``bayesnet.local_marginals`` of the basis.  A one-time basis is a
+    block of one time, its tables read with a time axis of length one,
+    and a :class:`LedgerSet` is that block read at its time.
     """
 
-    def __init__(self, basis: bayesnet.BasisSet):
+    def __init__(self, basis: bayesnet.BasisBlock | bayesnet.BasisSet):
         spec = basis.spec
         da, db, dim = spec.dim_a, spec.dim_b, spec.dim
         floor = spec.tol.probability_floor
         binning = spec.tol.binning
+        n_t = basis.overlaps[1].size // basis.overlaps[0].size
 
         self.basis = basis
+        self.n_times = n_t
         self.floor = floor
         self.binning = binning
         self.beta_a = spec.beta_a
@@ -108,18 +129,19 @@ class LedgerSet:
 
         m = da * db
         self.a0_table = basis.overlaps[0].reshape(dim, m)
-        self.a1_table = basis.overlaps[1].reshape(dim, m)
+        self.a1_table = basis.overlaps[1].reshape(n_t, dim, m)
         back = bayesnet.reverse_overlap_tables(basis)
-        self.b1_table = back[0].reshape(dim, m)   # t1 local bases vs anchors
-        self.b0_table = back[1].reshape(dim, m)   # t0 local bases vs backward-evolved
+        self.b1_table = back[0].reshape(n_t, dim, m)   # t1 local bases vs anchors
+        self.b0_table = back[1].reshape(n_t, dim, m)   # t0 local bases vs backward-evolved
 
+        a_1, b_1 = marg.a_1.reshape(n_t, da), marg.b_1.reshape(n_t, db)
         self.joint0 = marg.joint_0.ravel()
-        self.joint1 = marg.joint_1.ravel()
+        self.joint1 = marg.joint_1.reshape(n_t, m)
         self.pp0 = np.outer(marg.a_0, marg.b_0).ravel()
-        self.pp1 = np.outer(marg.a_1, marg.b_1).ravel()
+        self.pp1 = (a_1[:, :, None] * b_1[:, None, :]).reshape(n_t, m)
 
-        self.e_a0, self.e_a1 = basis.energies_a
-        self.e_b0, self.e_b1 = basis.energies_b
+        self.e_a0, self.e_a1 = basis.energies_a[0], basis.energies_a[1].reshape(n_t, da)
+        self.e_b0, self.e_b1 = basis.energies_b[0], basis.energies_b[1].reshape(n_t, db)
         ga, gb = basis.gibbs_a, basis.gibbs_b
         self.pth_a1 = np.exp(-spec.beta_a * self.e_a1) / ga.z
         self.pth_b1 = np.exp(-spec.beta_b * self.e_b1) / gb.z
@@ -128,61 +150,61 @@ class LedgerSet:
         # heat tables over flattened outcome pairs (i0, i1)
         a0idx, b0idx = np.divmod(np.arange(m), db)
         self.flat_a, self.flat_b = a0idx, b0idx
-        qa = self.e_a1[a0idx][None, :] - self.e_a0[a0idx][:, None]
-        qb = self.e_b1[b0idx][None, :] - self.e_b0[b0idx][:, None]
+        qa = self.e_a1[:, None, a0idx] - self.e_a0[a0idx][:, None]
+        qb = self.e_b1[:, None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
 
         kp = self.keep
-        self.fwd = (self.pops[kp, None, None]
-                    * self.a0_table[kp][:, :, None]
-                    * self.a1_table[kp][:, None, :])
+        self.fwd = ((self.pops[kp, None, None] * self.a0_table[kp][:, :, None])
+                    * self.a1_table[:, kp][:, :, None, :])
         self.rev = (self.pops[kp, None, None]
-                    * self.b0_table[kp][:, :, None]
-                    * self.b1_table[kp][:, None, :])
+                    * self.b0_table[:, kp][..., None]
+                    * self.b1_table[:, kp][:, :, None, :])
         self.fmask = self.fwd > floor
         self.rmask = self.rev > floor
 
-        fany = self.fmask.any(axis=0)
-        self.all_energy_conserving = bool(
-            np.abs((qa + qb)[fany]).max(initial=0.0) <= binning
-        )
+        # per time: no live forward cell moves energy out of the pair
+        leak = np.where(self.fmask.any(axis=1), np.abs(qa + qb), 0.0)
+        self.all_energy_conserving = leak.max(axis=(1, 2)) <= binning
 
-        # retained augmented pairs: forward label x anchor label
-        ki, kj, i0, i1 = _pair_indices(self.fmask, self.rmask)
-        self.ki, self.kj, self.i0, self.i1 = ki, kj, i0, i1
+        # retained augmented pairs: forward label x anchor label, per time
+        t, ki, kj, i0, i1 = _pair_indices(self.fmask, self.rmask)
+        self.t_index, self.ki, self.kj, self.i0, self.i1 = t, ki, kj, i0, i1
         s_lab, t_lab = kp[ki], kp[kj]
         self.s_lab, self.t_lab = s_lab, t_lab
 
-        self.w_f = self.fwd[ki, i0, i1] / self.n_anchor
-        self.w_r = self.rev[kj, i0, i1] / self.n_anchor
+        self.w_f = self.fwd[t, ki, i0, i1] / self.n_anchor
+        self.w_r = self.rev[t, kj, i0, i1] / self.n_anchor
 
         ln_pops = np.log(self.pops[kp])
         ln_j0 = np.log(self.joint0[i0])
-        ln_j1 = np.log(self.joint1[i1])
+        ln_j1 = np.log(self.joint1[t, i1])
         self.col_j0 = ln_j0 - np.log(self.pp0[i0])
         self.col_c0 = ln_pops[ki] - ln_j0
         self.col_i0 = self.col_j0 + self.col_c0
-        self.col_j1 = ln_j1 - np.log(self.pp1[i1])
+        self.col_j1 = ln_j1 - np.log(self.pp1[t, i1])
         self.col_c1 = ln_pops[kj] - ln_j1
         self.col_i1 = self.col_j1 + self.col_c1
-        self.col_sigma_a = (np.log(marg.a_1[a0idx[i1]])
-                            - np.log(self.pth_a1[a0idx[i1]]))
-        self.col_sigma_b = (np.log(marg.b_1[b0idx[i1]])
-                            - np.log(self.pth_b1[b0idx[i1]]))
+        at_a, at_b = t * da + a0idx[i1], t * db + b0idx[i1]   # flat (T, d) positions
+        self.col_sigma_a = (np.log(a_1.ravel()[at_a])
+                            - np.log(self.pth_a1.ravel()[at_a]))
+        self.col_sigma_b = (np.log(b_1.ravel()[at_b])
+                            - np.log(self.pth_b1.ravel()[at_b]))
         self.col_gamma = (
-            np.log(self.a0_table[s_lab, i0]) + np.log(self.a1_table[s_lab, i1])
-            - np.log(self.b0_table[t_lab, i0]) - np.log(self.b1_table[t_lab, i1])
+            np.log(self.a0_table[s_lab, i0]) + np.log(self.a1_table[t, s_lab, i1])
+            - np.log(self.b0_table[t, t_lab, i0]) - np.log(self.b1_table[t, t_lab, i1])
         )
         self.col_k = self.col_i1 - self.col_i0 + self.col_sigma_a + self.col_sigma_b
-        self.col_q_a = qa[i0, i1]
-        self.col_q_b = qb[i0, i1]
+        self.col_q_a = qa[t, i0, i1]
+        self.col_q_b = qb[t, i0, i1]
         self.col_energy_ok = np.abs(self.col_q_a + self.col_q_b) <= binning
 
         self.exponent = (self.beta_a * self.col_q_a + self.beta_b * self.col_q_b
                          + self.col_i0 - self.col_i1
                          - self.col_sigma_a - self.col_sigma_b + self.col_gamma)
         resid = np.log(self.w_f) - np.log(self.w_r) - self.exponent
-        self.detailed_residual = float(np.abs(resid).max(initial=0.0))
+        self.detailed_residual = np.zeros(n_t)
+        np.maximum.at(self.detailed_residual, t, np.abs(resid))
 
     @property
     def n_pairs(self) -> int:
@@ -190,15 +212,55 @@ class LedgerSet:
 
     @cached_property
     def heat_bins(self) -> Bins:
-        """The heat table ``q_a_tab`` binned once, on first use; the
+        """The heat table ``q_a_tab`` binned once, on first use, time by
+        time: the bins of time k are ``starts[k]:starts[k + 1]``.  The
         forward and reverse heat distributions and the psi patch all
         collect their masses on it."""
-        return DiscreteDistribution._binned(self.q_a_tab.ravel(), self.binning)
+        bins = DiscreteDistribution._binned(self.q_a_tab.ravel(), self.binning)
+        return bins.grouped(self.n_times)
 
 
-def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
-    """Build the augmented-pair ledgers for a two-time basis set."""
+#: LedgerBlock tables a LedgerSet reads at its one time
+_AT_TIME = ("a1_table", "b0_table", "b1_table", "joint1", "pp1", "e_a1", "e_b1",
+            "pth_a1", "pth_b1", "q_a_tab", "q_b_tab", "fwd", "rev", "fmask", "rmask")
+
+
+class LedgerSet:
+    """Vectorized ledger data for one basis set on a two-time grid.
+
+    Array attributes index the retained augmented pairs; the per-label
+    probability tables stay available for the closed-form averages.  It
+    is the :class:`LedgerBlock` of its one time (``block``), read at that
+    time, so one time and a sweep share every line of arithmetic.
+    """
+
+    def __init__(self, basis: bayesnet.BasisSet):
+        block = LedgerBlock(basis)
+        self.__dict__.update(block.__dict__)
+        self.__dict__.update({name: block.__dict__[name][0] for name in _AT_TIME})
+        self.block = block
+        self.all_energy_conserving = bool(block.all_energy_conserving[0])
+        self.detailed_residual = float(block.detailed_residual[0])
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.w_f)
+
+    @property
+    def heat_bins(self) -> Bins:
+        return self.block.heat_bins
+
+
+def compute_ledgers(basis: bayesnet.BasisSet | bayesnet.BasisBlock) -> LedgerSet | LedgerBlock:
+    """Build the augmented-pair ledgers for a two-time basis set, or for
+    every time of a block at once."""
+    if isinstance(basis, bayesnet.BasisBlock):
+        return LedgerBlock(basis)
     return LedgerSet(basis)
+
+
+def _block(ledgers: LedgerSet | LedgerBlock) -> LedgerBlock:
+    return ledgers.block if isinstance(ledgers, LedgerSet) else ledgers
 
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray, floor: float) -> np.ndarray:
@@ -288,7 +350,8 @@ def combined_integral_ft(ledgers: LedgerSet) -> CombinedFT:
     )
 
 
-def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> DiscreteDistribution:
+def heat_distribution(ledgers: LedgerSet | LedgerBlock,
+                      direction: str = "forward") -> DiscreteDistribution:
     """Distribution of the heat absorbed by subsystem A.
 
     ``forward`` bins the forward path weights; ``reverse`` bins the
@@ -298,12 +361,19 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
     forward bins in reverse order: ``reverse.probs[::-1]`` is P_r(-Q) on
     the forward bins.  Both therefore collect on the ledgers' one binning
     of the table, ``heat_bins``.
+
+    For a :class:`LedgerBlock` the result holds the distributions of all
+    its times, one after another: time k has the bins
+    ``heat_bins.starts[k]:starts[k + 1]``, each equal to its one-time
+    distribution bit for bit, and the mirror is taken within each time
+    (``probs[heat_bins.mirror]`` is P_r(-Q) on the forward bins).
     """
+    block = _block(ledgers)
     if direction == "forward":
-        return DiscreteDistribution._collect(ledgers.heat_bins, ledgers.fwd.sum(axis=0))
+        return DiscreteDistribution._collect(block.heat_bins, block.fwd.sum(axis=1))
     if direction == "reverse":
-        return DiscreteDistribution._collect(ledgers.heat_bins.mirrored(),
-                                             ledgers.rev.sum(axis=0))
+        return DiscreteDistribution._collect(block.heat_bins.mirrored(),
+                                             block.rev.sum(axis=1))
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -362,32 +432,38 @@ class PsiReport:
     n_skipped: int
 
 
-def psi_factor(ledgers: LedgerSet) -> PsiReport:
+def psi_factor(ledgers: LedgerSet | LedgerBlock) -> PsiReport:
     """psi and the modified detailed check on every forward heat bin
-    above the probability floor, in bin order."""
-    p_f = heat_distribution(ledgers, "forward")
-    p_r = heat_distribution(ledgers, "reverse")
+    above the probability floor, in bin order.  For a block the report
+    runs over the bins of all its times, time by time, as
+    ``heat_distribution`` does; ``max_residual`` and ``n_skipped`` cover
+    the whole block."""
+    block = _block(ledgers)
+    bins = block.heat_bins
+    p_f = heat_distribution(block, "forward")
+    p_r = heat_distribution(block, "reverse")
 
     # numerator of psi per heat bin: retained pairs through the ledger
     # columns, floor-dropped pairs through the cancelled product form.
     # The patch is collected on p_f's bins of the heat table, and each
     # pair's heat is a table entry, so pairs are binned through it.
-    nf = ledgers.fmask.sum(axis=0)                     # retained forward labels
-    r_ret = np.where(ledgers.rmask, ledgers.rev, 0.0)
-    cnt_all = ledgers.n_anchor * ledgers.rev.sum(axis=0)
-    cnt_ret = nf[None, :, :] * r_ret
-    patch_tab = (np.exp(ledgers.beta_a * ledgers.q_a_tab
-                        + ledgers.beta_b * ledgers.q_b_tab)
-                 * (cnt_all - cnt_ret.sum(axis=0)) / ledgers.n_anchor)
-    patch = DiscreteDistribution._collect(ledgers.heat_bins, patch_tab)
-    pair_bin = ledgers.heat_bins.bin_id[ledgers.i0 * ledgers.q_a_tab.shape[1] + ledgers.i1]
-    num = np.bincount(pair_bin, minlength=p_f.n_points,
-                      weights=ledgers.w_f * np.exp(ledgers.col_k - ledgers.col_gamma))
+    nf = block.fmask.sum(axis=1)                       # retained forward labels
+    r_ret = np.where(block.rmask, block.rev, 0.0)
+    cnt_all = block.n_anchor * block.rev.sum(axis=1)
+    cnt_ret = nf[:, None] * r_ret
+    patch_tab = (np.exp(block.beta_a * block.q_a_tab
+                        + block.beta_b * block.q_b_tab)
+                 * (cnt_all - cnt_ret.sum(axis=1)) / block.n_anchor)
+    patch = DiscreteDistribution._collect(bins, patch_tab)
+    m = block.q_a_tab.shape[-1]
+    cell = (block.t_index * m + block.i0) * m + block.i1
+    num = np.bincount(bins.bin_id[cell], minlength=p_f.n_points,
+                      weights=block.w_f * np.exp(block.col_k - block.col_gamma))
 
-    live = p_f.probs > ledgers.floor
-    q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r.probs[::-1][live]
+    live = p_f.probs > block.floor
+    q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r.probs[bins.mirror][live]
     psi = (num + patch.probs)[live] / pf
-    resids = np.abs(pf * psi - np.exp(q * ledgers.delta_beta) * pr)
+    resids = np.abs(pf * psi - np.exp(q * block.delta_beta) * pr)
     return PsiReport(
         q_values=q, psi=psi, p_f=pf, p_r_mirror=pr,
         residuals=resids,

@@ -86,6 +86,25 @@ class TestSweepBases:
         for t, basis in zip(SWEEP_TIMES, bases):
             _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
 
+    @pytest.mark.parametrize("name", ["example-corr", "rand-3x3-prod", "rand-4x4-corr"])
+    @pytest.mark.parametrize("per_block", [1, 2, 4, None])
+    def test_blocks_hold_the_budgeted_times(self, name, per_block, monkeypatch):
+        spec = SWEEP_SPECS[name]
+        kept = np.count_nonzero(bayesnet.build_bases(spec, bayesnet.TimeGrid((1.0,)))
+                                .populations > spec.tol.probability_floor)
+        per_time = kept * spec.dim ** 2
+        if per_block is None:
+            per_block = max(1, bayesnet.BLOCK_ELEMENTS // per_time)
+        else:   # a budget a little short of the next time
+            monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", (per_block + 1) * per_time - 1)
+        blocks = list(bayesnet.sweep_blocks(spec, SWEEP_TIMES))
+        assert [b.times for b in blocks] == [SWEEP_TIMES[i:i + per_block]
+                                            for i in range(0, len(SWEEP_TIMES), per_block)]
+        bases = [block.basis(k) for block in blocks for k in range(len(block.times))]
+        for t, basis in zip(SWEEP_TIMES, bases):
+            _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
+        assert all(b.overlaps[0] is blocks[0].overlaps[0] for b in blocks)
+
     def test_time_independent_half_is_shared(self, correlated_spec):
         first, second = bayesnet.sweep_bases(correlated_spec, (0.3, 0.8))
         assert second.overlaps[0] is first.overlaps[0]

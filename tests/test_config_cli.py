@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, cli, config, linalg, qubit, system
+from qheatnet import bayesnet, cli, config, linalg, qubit, randspec, system
 from qheatnet.distributions import DiscreteDistribution
 
 
@@ -200,21 +201,58 @@ class TestCli:
         val = lines[1].split(",")[2]
         assert float(f"{float(val):.17g}") == float(val)
 
-    @pytest.mark.parametrize("source", ["config", "dims"])
-    def test_heat_sweep_equals_single_times(self, example_config, source, capsys):
-        # one spectral set-up for the sweep must give the rows of a fresh
-        # set-up per time, byte for byte
-        source = {"config": ["--config", example_config],
-                  "dims": ["--dims", "3x3", "--seed", "2"]}[source]
-        assert cli.main(["heat", *source, "--sweep", "0:3:11"]) == 0
-        swept = capsys.readouterr().out
-        expect = [cli._HEAT_HEADER]
-        for t in np.linspace(0.0, 3.0, 11):
-            assert cli.main(["heat", *source, "--time", repr(float(t))]) == 0
-            header, *rows = capsys.readouterr().out.splitlines()
-            assert header == cli._HEAT_HEADER
-            expect.extend(rows)
-        assert swept == "\n".join(expect) + "\n"
+    @pytest.mark.parametrize("source", ["config", "dims", "2x2", "2x2-product",
+                                        "4x4", "4x4-product"])
+    def test_heat_sweep_equals_single_times(self, example_config, source, monkeypatch,
+                                            capsys):
+        # one spectral set-up and block-by-block evaluation for the sweep
+        # must give the rows of a fresh set-up per time, byte for byte,
+        # whether the sweep fits one block or spans several
+        if source in ("config", "dims"):
+            argv = {"config": ["--config", example_config],
+                    "dims": ["--dims", "3x3", "--seed", "2"]}[source]
+            lengths = [11]
+        else:
+            dims, _, product = source.partition("-")
+            argv = ["--dims", dims, "--seed", "3"] + (["--product"] if product else [])
+            d = int(dims[0])
+            spec = randspec.random_spec(3, d, d, correlated=not product)
+            kept = np.count_nonzero(bayesnet.build_bases(spec, bayesnet.TimeGrid((1.0,)))
+                                    .populations > spec.tol.probability_floor)
+            per_time = kept * spec.dim ** 2
+            per_block = max(1, bayesnet.BLOCK_ELEMENTS // per_time)
+            if per_block > 8:         # keep the one-time reference runs few
+                per_block = 4
+                monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", per_block * per_time)
+            lengths = [max(1, per_block - 1), per_block + 1, 3 * per_block + 2]
+            spans = [sum(1 for _ in bayesnet.sweep_blocks(spec, np.linspace(0.1, 3.0, n)))
+                     for n in lengths]
+            assert spans == [1, 2, 4]
+        for n in lengths:
+            assert cli.main(["heat", *argv, "--sweep", f"0:3:{n}"]) == 0
+            swept = capsys.readouterr().out
+            expect = [cli._HEAT_HEADER]
+            for t in np.linspace(0.0, 3.0, n):
+                assert cli.main(["heat", *argv, "--time", repr(float(t))]) == 0
+                header, *rows = capsys.readouterr().out.splitlines()
+                assert header == cli._HEAT_HEADER
+                expect.extend(rows)
+            assert swept == "\n".join(expect) + "\n"
+
+    def test_sweep_memory_bounded_by_block_budget(self, tmp_path):
+        # a block's stacked tables are a few dozen float arrays of at most
+        # BLOCK_ELEMENTS entries; holding all 101 times of a 4x4 sweep at
+        # once (about 4e5 entries per table) does not fit this bound
+        argv = ["heat", "--dims", "4x4", "--seed", "0", "--sweep", "0:3:101",
+                "--out", str(tmp_path / "heat.csv")]
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 8 * bayesnet.BLOCK_ELEMENTS
 
     def test_sweep_validates_and_diagonalizes_once(self, example_config, monkeypatch,
                                                    tmp_path):
@@ -236,7 +274,8 @@ class TestCli:
         assert cli.main(["example", "--sweep", "0:2:101", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 101 * 3
         # per sweep: one validation building both Gibbs states; the global,
-        # h_int and t = 0 local decompositions; then two local ones per time
+        # h_int and t = 0 local decompositions; then two stacked local ones
+        # per block of times, and a block holds at least one time
         assert counts["validate"] == 1
         assert counts["gibbs_state"] <= 6
         assert counts["hermitian_eigendecompose"] <= 212
@@ -272,10 +311,14 @@ class TestCli:
         # and one per joint direction.
         assert counts["eig"] <= 14
         assert counts["binned"] <= 3
-        for argv, points in ((["--time", "0.7"], 1), (["--sweep", "0:1:4"], 4)):
+        # heat bins its heat tables once per block of times, not per time
+        spec = config.load_config(example_config).spec
+        for argv, sweep in ((["--time", "0.7"], [0.7]),
+                            (["--sweep", "0:1:4"], np.linspace(0.0, 1.0, 4))):
             counts["binned"] = 0
             assert cli.main(["heat", "--config", example_config, *argv, "--out", out]) == 0
-            assert counts["binned"] == points
+            blocks = bayesnet.sweep_blocks(spec, [cli._grid_time(t) for t in sweep])
+            assert counts["binned"] <= sum(1 for _ in blocks)
 
     @pytest.mark.parametrize("argv,flags", [
         (["heat", "--dims", "2x2", "--sweep", "0:1:3", "--time", "5"], ("--sweep", "--time")),
@@ -362,6 +405,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("tau", ["0", "-1", "-0.0", "nan", "inf", "1e-320", "1e308"])
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "0:1:3"]])
+    def test_bad_swap_time_rejected(self, tau, sweep, capsys):
+        # zero divided by zero, negative times ran silently at TINY_TIME,
+        # and a subnormal tau overflowed the coupling to a nan residual
+        assert cli.main(["example", "--tau", tau, *sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tau" in captured.err
 
     def test_zero_time_still_accepted(self, capsys):
         assert cli.main(["verify", "--dims", "2x2", "--seed", "1", "--time", "0"]) == 0

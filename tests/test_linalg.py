@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +81,118 @@ class TestEigendecompose:
         with pytest.raises(linalg.LinalgError):
             linalg.hermitian_eigendecompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
+
+
+def _eigendecompose_one(m, tiebreak=None):
+    """The one-matrix routine as it was before stacks were accepted,
+    kept as the reference for bits and for cost."""
+    m = np.asarray(m, dtype=complex)
+    scale = max(np.abs(m).max(), 1.0)
+    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+        raise linalg.LinalgError("matrix is not Hermitian")
+    if tiebreak is not None:
+        tiebreak = np.asarray(tiebreak, dtype=complex)
+        if np.abs(tiebreak - tiebreak.conj().T).max() > 1e-10 * max(np.abs(tiebreak).max(), 1.0):
+            raise linalg.LinalgError("tiebreak is not Hermitian")
+    w, v = np.linalg.eigh(m)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    span = max(w[0] - w[-1], 0.0)
+    scale = max(np.abs(m).max(), 1e-300)
+    gap = min(linalg.DEGENERACY_RTOL * max(span, 1e-300), 0.5 * linalg.RESIDUAL_RTOL * scale)
+    start = 0
+    for stop in range(1, len(w) + 1):
+        if stop < len(w) and w[start] - w[stop] <= gap:
+            continue
+        if stop - start > 1 and tiebreak is not None:
+            blk = v[:, start:stop]
+            t = blk.conj().T @ tiebreak @ blk
+            _, r = np.linalg.eigh((t + t.conj().T) / 2.0)
+            v[:, start:stop] = blk @ r
+        start = stop
+    mag = np.abs(v)
+    big = mag > 1e-12
+    pivot = np.where(big.any(axis=0), big.argmax(axis=0), mag.argmax(axis=0))
+    cols = np.arange(v.shape[1])
+    z, az = v[pivot, cols], mag[pivot, cols]
+    ok = az > 0
+    v[:, ok] *= z[ok].conjugate() / az[ok]
+    resid = np.abs((v * w) @ v.conj().T - m).max()
+    if resid > linalg.RESIDUAL_RTOL * scale:
+        raise linalg.LinalgError("eigendecomposition residual too large")
+    return linalg.EigenSystem(values=w, vectors=v)
+
+
+def _hermitian_stack(seed, n, count=6):
+    """Hermitian members of scales 0.1 to 100 with distinct, exactly
+    degenerate, nearly degenerate (gaps of 1e-13 to 1e-10 of the range)
+    and tiny eigenvalues."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for k in range(count):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        vals = np.sort(rng.normal(size=n))[::-1]
+        if k % 3 == 1:
+            vals[(n - 1) // 2:] = vals[-1]
+        elif k % 3 == 2:
+            vals[1:] = vals[0] - np.cumsum(rng.choice([1e-13, 1e-11, 1e-10, 0.3], n - 1))
+        if k == count - 1:
+            vals = np.geomspace(1.0, 1e-12, n) * np.where(np.arange(n) % 2, 0.0, 1.0)
+        x = (q * vals) @ q.conj().T * 10.0 ** (k % 4 - 1)   # each member its own scale
+        members.append((x + x.conj().T) / 2)
+    return np.stack(members)
+
+
+class TestStackedEigendecompose:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("tiebreak", ["none", "diagonal", "random"])
+    def test_members_equal_one_matrix_calls(self, n, tiebreak):
+        stack = _hermitian_stack(n, n)
+        tb = {"none": None, "diagonal": np.diag(np.arange(n, 0, -1.0)).astype(complex),
+              "random": random_hermitian(100 + n, n)}[tiebreak]
+        eig = linalg.hermitian_eigendecompose(stack, tiebreak=tb)
+        assert eig.values.shape == (len(stack), n) and eig.vectors.shape == stack.shape
+        for k, member in enumerate(stack):
+            one = linalg.hermitian_eigendecompose(member, tiebreak=tb)
+            ref = _eigendecompose_one(member, tiebreak=tb)
+            for got in (one, ref):
+                assert eig.values[k].tobytes() == got.values.tobytes()
+                assert eig.vectors[k].tobytes() == got.vectors.tobytes()
+
+    def test_leading_axes_kept(self):
+        stack = _hermitian_stack(3, 4).reshape(2, 3, 4, 4)
+        eig = linalg.hermitian_eigendecompose(stack, tiebreak=np.diag([1.0, 2, 3, 4]))
+        assert eig.values.shape == (2, 3, 4) and eig.vectors.shape == (2, 3, 4, 4)
+        assert eig.vectors[1, 2].tobytes() == linalg.hermitian_eigendecompose(
+            stack[1, 2], tiebreak=np.diag([1.0, 2, 3, 4])).vectors.tobytes()
+        assert np.abs(eig.reconstruct() - stack).max() < 1e-12
+
+    @pytest.mark.parametrize("shape,index", [((5,), "[3]"), ((2, 4), "[0, 3]")])
+    def test_non_hermitian_member_named(self, shape, index):
+        stack = _hermitian_stack(9, 3, count=int(np.prod(shape))).reshape(*shape, 3, 3)
+        flat = stack.reshape(-1, 3, 3)
+        flat[3, 0, 1] += 1e-3
+        with pytest.raises(linalg.LinalgError, match=re.escape(f"matrix {index} is not Hermitian")):
+            linalg.hermitian_eigendecompose(stack)
+
+    def test_non_hermitian_tiebreak_named(self):
+        tb = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(linalg.LinalgError, match="tiebreak is not Hermitian"):
+            linalg.hermitian_eigendecompose(_hermitian_stack(2, 2), tiebreak=tb)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_one_matrix_costs_no_more_than_before(self, n):
+        # verify makes 14 one-matrix calls; taking stacks must not slow them.
+        # Best of interleaved rounds, with 10% for timer noise.
+        import timeit
+        m, tb = random_hermitian(n, n), np.diag(np.arange(n, dtype=float)).astype(complex)
+        best = {"stacked": np.inf, "before": np.inf}
+        for rnd in range(20):
+            order = ("stacked", "before") if rnd % 2 else ("before", "stacked")
+            for name in order:
+                fn = linalg.hermitian_eigendecompose if name == "stacked" else _eigendecompose_one
+                best[name] = min(best[name], timeit.timeit(lambda: fn(m, tb), number=100))
+        assert best["stacked"] <= 1.10 * best["before"], best
 
 def _fix_phases_loop(vectors):
     """Column-by-column reference for ``linalg._fix_phases``."""

@@ -286,6 +286,123 @@ class TestSharedHeatBins:
         assert calls == [(led.q_a_tab.size,)]
 
 
+def _block_cases():
+    """Random instances with several blocks of times each, and a D = 36
+    shell ladder whose heat table has many ties."""
+    for dims in ((2, 2), (3, 2), (3, 3), (4, 4)):
+        for correlated in (True, False):
+            yield (f"{dims[0]}x{dims[1]}-{'corr' if correlated else 'prod'}",
+                   randspec.random_spec(7, *dims, correlated=correlated))
+    yield "shell-6x6", _shell_ladder_spec(6, 3)
+
+
+class TestLedgerBlocks:
+    """A block of times against the one-time path at each of its times."""
+
+    #: includes a repeated time and a time below the others
+    TIMES = (1e-12, 0.37, 0.9, 0.9, 1.6, 0.2, 2.9)
+    #: ledger attributes shared by every time of a block, and those with
+    #: one entry per pair
+    SHARED = ("floor", "binning", "beta_a", "beta_b", "delta_beta", "dim_a", "dim_b",
+              "pops", "keep", "n_anchor", "a0_table", "joint0", "pp0", "e_a0", "e_b0",
+              "gibbs_a", "gibbs_b", "flat_a", "flat_b")
+    PAIRS = ("ki", "kj", "i0", "i1", "s_lab", "t_lab", "w_f", "w_r",
+             "col_j0", "col_c0", "col_i0", "col_j1", "col_c1", "col_i1",
+             "col_sigma_a", "col_sigma_b", "col_gamma", "col_k", "col_q_a", "col_q_b",
+             "col_energy_ok", "exponent")
+
+    @pytest.fixture(params=list(_block_cases()), ids=lambda p: p[0])
+    def blocks(self, request, monkeypatch):
+        spec = request.param[1]
+        kept = np.count_nonzero(bayesnet.build_bases(spec, bayesnet.TimeGrid((1.0,)))
+                                .populations > spec.tol.probability_floor)
+        # three times per block, so the last block is short
+        monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", 3 * kept * spec.dim ** 2)
+        blocks = list(bayesnet.sweep_blocks(spec, self.TIMES))
+        assert [len(b.times) for b in blocks] == [3, 3, 1]
+        return spec, blocks
+
+    def one_time(self, spec, t):
+        return ledgers_at(spec, t)
+
+    def test_tables_and_pairs_match_one_time(self, blocks):
+        spec, blocks = blocks
+        for block in blocks:
+            led = thermo.compute_ledgers(block)
+            assert isinstance(led, thermo.LedgerBlock)
+            assert np.all(np.diff(led.t_index) >= 0)            # time-major
+            for k, t in enumerate(block.times):
+                one = self.one_time(spec, t)
+                for name in thermo._AT_TIME:
+                    assert getattr(led, name)[k].tobytes() == getattr(one, name).tobytes(), name
+                for name in self.SHARED:
+                    got, want = getattr(led, name), getattr(one, name)
+                    if isinstance(want, system.GibbsState):
+                        assert got.rho.tobytes() == want.rho.tobytes(), name
+                    elif isinstance(want, np.ndarray):
+                        assert got.tobytes() == want.tobytes(), name
+                    else:
+                        assert got == want, name
+                for name in self.PAIRS:
+                    got = getattr(led, name)[led.t_index == k]
+                    assert got.tobytes() == getattr(one, name).tobytes(), name
+                for name in ("joint_1", "a_1", "b_1"):
+                    assert (getattr(led.marg, name)[k].tobytes()
+                            == getattr(one.marg, name).tobytes()), name
+                assert led.detailed_residual[k] == one.detailed_residual
+                assert led.all_energy_conserving[k] == one.all_energy_conserving
+
+    def test_heat_distributions_and_psi_match_one_time(self, blocks):
+        spec, blocks = blocks
+        for block in blocks:
+            led = thermo.compute_ledgers(block)
+            starts = led.heat_bins.starts
+            p_f = thermo.heat_distribution(led, "forward")
+            p_r = thermo.heat_distribution(led, "reverse")
+            psi = thermo.psi_factor(led)
+            live = np.concatenate(([0], np.cumsum(p_f.probs > led.floor)))[starts]
+            for k, t in enumerate(block.times):
+                one = self.one_time(spec, t)
+                bins = slice(starts[k], starts[k + 1])
+                for got, direction in ((p_f, "forward"), (p_r, "reverse")):
+                    want = thermo.heat_distribution(one, direction)
+                    assert got.points[bins].tobytes() == want.points.tobytes()
+                    assert got.probs[bins].tobytes() == want.probs.tobytes()
+                want = thermo.psi_factor(one)
+                for name in ("q_values", "psi", "p_f", "p_r_mirror", "residuals"):
+                    got_k = getattr(psi, name)[live[k]:live[k + 1]]
+                    assert got_k.tobytes() == getattr(want, name).tobytes(), name
+            per_time = [thermo.psi_factor(self.one_time(spec, t)) for t in block.times]
+            assert psi.max_residual == max(r.max_residual for r in per_time)
+            assert psi.n_skipped == sum(r.n_skipped for r in per_time)
+
+    def test_heat_bins_grouped_by_time(self, blocks):
+        spec, blocks = blocks
+        for block in blocks:
+            bins = thermo.compute_ledgers(block).heat_bins
+            m2 = spec.dim ** 2
+            for k, t in enumerate(block.times):
+                one = self.one_time(spec, t).heat_bins
+                cells = slice(k * m2, (k + 1) * m2)
+                assert np.array_equal(bins.bin_id[cells] - bins.starts[k], one.bin_id)
+                assert np.array_equal(bins.first[bins.starts[k]:bins.starts[k + 1]] - k * m2,
+                                      one.first)
+                assert np.array_equal(bins.mirror[bins.starts[k]:bins.starts[k + 1]]
+                                      - bins.starts[k], one.mirror)
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (3, 2), (5, 4)])
+    def test_block_pair_indices_are_per_time_runs(self, k, m):
+        rng = np.random.default_rng(k * 10 + m)
+        fmask = rng.random((4, k, m, m)) < 0.5
+        rmask = rng.random((4, k, m, m)) < 0.5
+        fmask[2] = False                    # a time without pairs
+        t, *pairs = thermo._pair_indices(fmask, rmask)
+        assert np.all(np.diff(t) >= 0)
+        for step in range(4):
+            for got, want in zip(pairs, _dense_pairs(fmask[step], rmask[step])):
+                assert np.array_equal(got[t == step], want)
+
+
 class TestJointAndPsi:
     def test_joint_detailed_ft(self, correlated_spec):
         joint = thermo.joint_distribution(ledgers_at(correlated_spec, 0.93))
