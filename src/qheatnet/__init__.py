@@ -7,7 +7,7 @@ tables and check the fluctuation relations (:mod:`qheatnet.thermo`).  A solvable
 heat statistics lives in :mod:`qheatnet.qubit`.
 """
 
-from .bayesnet import BasisSet, TimeGrid, build_bases, sweep_bases
+from .bayesnet import BasisSet, TimeGrid, build_bases, sweep_blocks
 from .distributions import DiscreteDistribution
 from .system import BipartiteSpec, Tolerances, build_initial_state, validate
 from .thermo import LedgerSet, compute_ledgers
@@ -23,7 +23,7 @@ __all__ = [
     "TimeGrid",
     "BasisSet",
     "build_bases",
-    "sweep_bases",
+    "sweep_blocks",
     "DiscreteDistribution",
     "LedgerSet",
     "compute_ledgers",

@@ -7,9 +7,11 @@ time t are eigenstates of the reduced states, and their probabilities
 conditioned on the global state are squared overlaps.  The populations
 and these (D, d_A, d_B) overlap tables are the whole two-time ensemble:
 a path (s, a_0 b_0, a_1 b_1) weighs P_s times one overlap per time.
-Everything at t = 0 is independent of t, so a sweep over times builds it
-once and adds the time-t half one block of times at a time, every array
-of a block stacked on a leading time axis.
+Everything at t = 0 is independent of t.  A basis holds the time-t half
+of one time or of a block of times: its time-t arrays carry the leading
+shape of its times, none for one time and (T,) for a block, so a sweep
+builds the t = 0 half once and adds the time-t half one block at a time
+through the same lines as one time.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from . import linalg, system
 __all__ = [
     "TimeGrid",
     "BasisSet",
-    "BasisBlock",
     "MarginalTables",
     "BLOCK_ELEMENTS",
     "build_bases",
-    "sweep_bases",
     "sweep_blocks",
     "reverse_overlap_tables",
     "local_marginals",
@@ -52,7 +52,7 @@ class TimeGrid:
 
     ``build_bases`` takes a grid of one time t, the two-time basis at 0
     and t.  A config file or the command line reads a longer grid as a
-    list of such times, one basis each (``sweep_bases``).
+    list of such times, swept block by block (``sweep_blocks``).
     """
 
     times: tuple[float, ...]
@@ -75,21 +75,27 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Global and local spectral data at t = 0 (index 0) and t (index 1).
+    """Global and local spectral data at t = 0 (index 0) and at ``times``
+    (index 1), one time t or a block of times.
 
-    ``overlaps[n][s, a, b]`` is the probability of local outcomes (a, b)
-    at time ``n`` conditioned on global label ``s``.
+    ``overlaps[n][..., s, a, b]`` is the probability of local outcomes
+    (a, b) at time ``n`` conditioned on global label ``s``.  The t = 0
+    half has no time axis; every time-t array carries the leading shape
+    of ``times``, none for one time and (T,) for a tuple of T times:
+    ``global_vectors[1]`` and ``unitaries[1]`` are (..., D, D),
+    ``overlaps[1]`` is (..., D, d_A, d_B), ``energies_a[1]`` is
+    (..., d_A) and ``local_a[1]`` an EigenSystem stacked the same way.
     """
 
     spec: system.BipartiteSpec
-    grid: TimeGrid
+    times: float | tuple[float, ...]
     populations: np.ndarray               # P_s, descending
     global_vectors: tuple[np.ndarray, ...]  # columns U(t_n)|s>, n = 0, 1
     local_a: tuple[linalg.EigenSystem, ...]
     local_b: tuple[linalg.EigenSystem, ...]
     energies_a: tuple[np.ndarray, ...]    # <a_n|H_A|a_n>
     energies_b: tuple[np.ndarray, ...]
-    overlaps: tuple[np.ndarray, ...]      # (D, d_A, d_B) per time
+    overlaps: tuple[np.ndarray, ...]      # (..., D, d_A, d_B) per time
     unitaries: tuple[np.ndarray, ...]     # U(t_n), n = 0, 1
     gibbs_a: system.GibbsState            # the thermal states rho_0 is built on
     gibbs_b: system.GibbsState
@@ -97,52 +103,6 @@ class BasisSet:
     @property
     def dim(self) -> int:
         return self.populations.shape[0]
-
-
-@dataclass(frozen=True)
-class BasisBlock:
-    """The two-time bases (0, t) of a block of times, in one set of arrays.
-
-    Fields mirror :class:`BasisSet`: index 0 of each pair is the t = 0
-    half, shared by every time, and index 1 the time-t half of every
-    time, stacked on a leading time axis: ``global_vectors[1]`` and
-    ``unitaries[1]`` are (T, D, D), ``overlaps[1]`` is (T, D, d_A, d_B),
-    ``energies_a[1]`` is (T, d_A) and ``local_a[1]`` a stacked
-    EigenSystem.  ``local_marginals``, ``reverse_overlap_tables`` and
-    ``thermo.compute_ledgers`` take either kind; a basis is a block of
-    one time without the time axis.
-    """
-
-    spec: system.BipartiteSpec
-    times: tuple[float, ...]
-    populations: np.ndarray
-    global_vectors: tuple[np.ndarray, ...]
-    local_a: tuple[linalg.EigenSystem, ...]
-    local_b: tuple[linalg.EigenSystem, ...]
-    energies_a: tuple[np.ndarray, ...]
-    energies_b: tuple[np.ndarray, ...]
-    overlaps: tuple[np.ndarray, ...]
-    unitaries: tuple[np.ndarray, ...]
-    gibbs_a: system.GibbsState
-    gibbs_b: system.GibbsState
-
-    @property
-    def dim(self) -> int:
-        return self.populations.shape[0]
-
-    def basis(self, k: int) -> BasisSet:
-        """The basis at the block's ``k``-th time, sharing the block's arrays."""
-        la, lb = self.local_a[1], self.local_b[1]
-        return BasisSet(
-            spec=self.spec, grid=TimeGrid((self.times[k],)), populations=self.populations,
-            global_vectors=(self.global_vectors[0], self.global_vectors[1][k]),
-            local_a=(self.local_a[0], linalg.EigenSystem(la.values[k], la.vectors[k])),
-            local_b=(self.local_b[0], linalg.EigenSystem(lb.values[k], lb.vectors[k])),
-            energies_a=(self.energies_a[0], self.energies_a[1][k]),
-            energies_b=(self.energies_b[0], self.energies_b[1][k]),
-            overlaps=(self.overlaps[0], self.overlaps[1][k]),
-            unitaries=(self.unitaries[0], self.unitaries[1][k]),
-            gibbs_a=self.gibbs_a, gibbs_b=self.gibbs_b)
 
 
 def _product_vectors(vecs_a: np.ndarray, vecs_b: np.ndarray) -> np.ndarray:
@@ -179,64 +139,28 @@ def _local_frame(spec: system.BipartiteSpec, populations: np.ndarray, vecs: np.n
     return ea, eb, energy_a, energy_b, _overlap_table(ea.vectors, eb.vectors, vecs)
 
 
-def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
-    """Diagonalize the global state once and the reduced states at t = 0
-    and at the grid's one time t, with Hamiltonian tie-breaking inside
-    degenerate blocks.  A grid of more than one time raises ValueError."""
-    if grid.n_steps != 1:
-        raise ValueError("build_bases needs a grid of exactly one time (a two-time basis)")
-    return next(sweep_blocks(spec, grid.times)).basis(0)
-
-
-def sweep_bases(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:
-    """Yield the two-time basis (0, t) for each t of ``times``, in order.
-
-    The bases are read off ``sweep_blocks``: the time-independent half
-    is built once, and the time-t half one block of times at a time.
-    Every basis equals ``build_bases`` at its time bit for bit, and the
-    bases share the t = 0 arrays and their block's arrays, so treat them
-    as read-only.  Each t must be a valid grid time (ValueError
-    otherwise).
-    """
-    for block in sweep_blocks(spec, times):
-        for k in range(len(block.times)):
-            yield block.basis(k)
-
-
-def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisBlock]:
-    """Yield the two-time bases of ``times`` in blocks of consecutive
-    times, in order.
-
-    Before the first block, every time is checked (ValueError for one
-    that is not a valid grid time) and the time-independent half is
-    built once: the validated initial state and its Gibbs states, the
-    global eigensystem, the eigensystem of ``h_int`` and the t = 0 local
-    frame.  Each block then adds, for all its times in one stacked numpy
-    pass each, U(t), the evolved vectors, the reduced states and their
-    tie-broken eigensystems, the local energies and the overlap table.
-    A block holds as many times as keep its ledger tables within
-    ``BLOCK_ELEMENTS`` entries, and at least one.  Stacked operations
-    give each member the bits of the one-time operation, so every basis
-    of a block equals ``build_bases`` at its time bit for bit.
-    """
-    times = [TimeGrid((t,)).times[0] for t in times]
+def _time_independent_half(spec: system.BipartiteSpec):
+    """Build the half of ``spec``'s bases that no time changes: the
+    validated initial state and its Gibbs states, the global eigensystem,
+    the eigensystem of ``h_int`` and the t = 0 local frame.  Return the
+    populations and a function adding the time-t half for one time, or
+    for a tuple of times in one stacked numpy pass each: U(t), the
+    evolved vectors, the reduced states and their tie-broken
+    eigensystems, the local energies and the overlap table."""
     start = system.initial_state(spec)
     glob = linalg.hermitian_eigendecompose(start.rho, tiebreak=spec.h_total)
     populations = np.clip(glob.values, 0.0, None)
     generator = linalg.hermitian_eigendecompose(spec.h_int)
     ea0, eb0, energy_a0, energy_b0, overlap0 = _local_frame(spec, populations, glob.vectors)
     identity = np.eye(spec.dim, dtype=complex)
-    kept = np.count_nonzero(populations > spec.tol.probability_floor)
-    size = max(1, BLOCK_ELEMENTS // (kept * spec.dim ** 2))
 
-    for lo in range(0, len(times), size):
-        block_times = tuple(times[lo:lo + size])
-        u = linalg.unitary_from_eigensystem(generator, block_times)
+    def basis_at(times) -> BasisSet:
+        u = linalg.unitary_from_eigensystem(generator, times)
         vecs = u @ glob.vectors
         ea, eb, energy_a, energy_b, overlap = _local_frame(spec, populations, vecs)
-        yield BasisBlock(
+        return BasisSet(
             spec=spec,
-            times=block_times,
+            times=times,
             populations=populations,
             global_vectors=(glob.vectors, vecs),
             local_a=(ea0, ea),
@@ -248,9 +172,42 @@ def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator
             gibbs_a=start.gibbs_a,
             gibbs_b=start.gibbs_b,
         )
+    return populations, basis_at
 
 
-def reverse_overlap_tables(basis: BasisSet | BasisBlock) -> list[np.ndarray]:
+def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
+    """Diagonalize the global state once and the reduced states at t = 0
+    and at the grid's one time t, with Hamiltonian tie-breaking inside
+    degenerate blocks.  The basis has no time axis.  A grid of more than
+    one time raises ValueError."""
+    if grid.n_steps != 1:
+        raise ValueError("build_bases needs a grid of exactly one time (a two-time basis)")
+    return _time_independent_half(spec)[1](grid.times[0])
+
+
+def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:
+    """Yield the two-time bases of ``times`` in blocks of consecutive
+    times, in order, each block one basis with a (T_b,) time axis.
+
+    Before the first block, every time is checked (ValueError for one
+    that is not a valid grid time) and the time-independent half is
+    built once.  A block holds as many times as keep its ledger tables
+    within ``BLOCK_ELEMENTS`` entries, and at least one.  Stacked
+    operations give each member the bits of the one-time operation, so
+    the time-t arrays of a block, read at its k-th time, equal those of
+    ``build_bases`` at that time bit for bit.  The blocks share the
+    t = 0 arrays, so treat them as read-only.
+    """
+    times = [TimeGrid((t,)).times[0] for t in times]
+    populations, basis_at = _time_independent_half(spec)
+    # no label above the floor fails in the ledgers; size such blocks as one
+    kept = max(1, np.count_nonzero(populations > spec.tol.probability_floor))
+    size = max(1, BLOCK_ELEMENTS // (kept * spec.dim ** 2))
+    for lo in range(0, len(times), size):
+        yield basis_at(tuple(times[lo:lo + size]))
+
+
+def reverse_overlap_tables(basis: BasisSet) -> list[np.ndarray]:
     """Conditional probability tables of the time-reversed process.
 
     The reversed experiment starts from the same global eigenvectors and
@@ -282,7 +239,7 @@ class MarginalTables:
     b_1: np.ndarray
 
 
-def local_marginals(basis: BasisSet | BasisBlock) -> MarginalTables:
+def local_marginals(basis: BasisSet) -> MarginalTables:
     """Outcome marginals at t = 0 and t.
 
     The final joint table is computed both by summing over the global
@@ -314,8 +271,9 @@ def local_marginals(basis: BasisSet | BasisBlock) -> MarginalTables:
 
 
 def path_probability_table(basis: BasisSet) -> np.ndarray:
-    """Two-time local path probabilities P(a_0,b_0,a_1,b_1), obtained by
-    marginalizing the global label out of the trajectory weights."""
+    """Two-time local path probabilities P(a_0,b_0,a_1,b_1) of a basis of
+    one time, obtained by marginalizing the global label out of the
+    trajectory weights."""
     return np.einsum(
         "s,sab,scd->abcd", basis.populations, basis.overlaps[0], basis.overlaps[1]
     )

@@ -216,9 +216,9 @@ def cmd_verify(args) -> int:
 _HEAT_HEADER = "t,Q,P_f,P_r,ratio,exp_QdBeta,Psi"
 
 
-def _heat_rows(ledgers: thermo.LedgerBlock, times: list[float]) -> list[str]:
-    """The CSV rows of every time of a ledger block, each time's bins in
-    descending heat order."""
+def _heat_rows(ledgers: thermo.LedgerSet, times: list[float]) -> list[str]:
+    """The CSV rows of every time of the ledgers of a block, each time's
+    bins in descending heat order."""
     p_f = thermo.heat_distribution(ledgers, "forward")
     p_r = thermo.heat_distribution(ledgers, "reverse")
     psi = thermo.psi_factor(ledgers)
@@ -257,8 +257,8 @@ def cmd_heat(args) -> int:
     return 0
 
 
-def _heat_per_time(ledgers: thermo.LedgerBlock, times: list[float]):
-    """(t, P_f, P_r) for each time of a ledger block."""
+def _heat_per_time(ledgers: thermo.LedgerSet, times: list[float]):
+    """(t, P_f, P_r) for each time of the ledgers of a block."""
     starts = ledgers.heat_bins.starts
     forward = thermo.heat_distribution(ledgers, "forward").split(starts)
     reverse = thermo.heat_distribution(ledgers, "reverse").split(starts)

@@ -110,7 +110,10 @@ def load_config(source) -> LoadedConfig:
     unknown = set(tol_kwargs) - known
     if unknown:
         raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
-    tol = system.Tolerances(**{k: float(v) for k, v in tol_kwargs.items()})
+    try:
+        tol = system.Tolerances(**{k: float(v) for k, v in tol_kwargs.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc))
 
     spec = system.BipartiteSpec(
         h_a=h_a, h_b=h_b,

@@ -34,10 +34,10 @@ class Bins:
     sample of bin j in input order.  Distributions of any weights over the
     same samples share it (``DiscreteDistribution._collect``).
 
-    Samples may be cut into groups, a group label acting as a leading key
-    (``grouped``): bins then run group by group, group g holding bins
-    ``starts[g]:starts[g + 1]``, each group's bins in key order.  A plain
-    binning is one group.
+    Samples may carry a group label, acting as a leading key
+    (``DiscreteDistribution._binned``): bins then run group by group,
+    group g holding bins ``starts[g]:starts[g + 1]``, each group's bins
+    in key order.  A plain binning is one group.
     """
 
     values: np.ndarray
@@ -45,25 +45,6 @@ class Bins:
     first: np.ndarray
     binning: float
     starts: np.ndarray
-
-    def grouped(self, n_groups: int) -> "Bins":
-        """The bins refined by cutting the samples into ``n_groups``
-        consecutive runs of equal length: samples share a bin when they
-        share a bin here and a run.  Each run's bins are those a binning
-        of that run alone would give, in the same order and with the same
-        first samples."""
-        if n_groups == 1:
-            return self                     # one run refines nothing
-        groups = np.arange(len(self.bin_id)) // (len(self.bin_id) // n_groups)
-        key = groups * len(self.first) + self.bin_id
-        order = np.argsort(key, kind="stable")
-        ranked = key[order]
-        heads = np.concatenate(([True], ranked[1:] != ranked[:-1]))[:len(key)]
-        bin_id = np.empty(len(key), dtype=np.intp)
-        bin_id[order] = np.cumsum(heads) - 1
-        first = order[heads]
-        return Bins(values=self.values, bin_id=bin_id, first=first, binning=self.binning,
-                    starts=np.searchsorted(groups[first], np.arange(n_groups + 1)))
 
     @cached_property
     def mirror(self) -> np.ndarray:
@@ -114,9 +95,13 @@ class DiscreteDistribution:
         return cls._collect(cls._binned(values, binning), weights)
 
     @staticmethod
-    def _binned(values, binning: float) -> "Bins":
+    def _binned(values, binning: float, group=None) -> "Bins":
         """The bin of each sample by the binning rule, without weights;
-        the expensive half of ``from_samples``."""
+        the expensive half of ``from_samples``.  An integer ``group``
+        label per sample (0, 1, ...) is a leading key: samples share a
+        bin when they share a group and a key, and the bins of each group
+        are those a binning of that group alone would give, in the same
+        order and with the same first samples."""
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
@@ -126,6 +111,8 @@ class DiscreteDistribution:
                 "cannot bin non-finite values or values with |x| / binning >= 2**62")
 
         keys = np.round(scaled).astype(np.int64)
+        if group is not None:
+            keys = np.column_stack((group, keys))
         order = np.lexsort(keys.T[::-1])
         ranked = keys[order]
         # first sample of each bin in key order (none without samples)
@@ -133,8 +120,9 @@ class DiscreteDistribution:
         bin_id = np.empty(len(vals), dtype=np.intp)
         bin_id[order] = np.cumsum(heads) - 1
         first = order[heads]
-        return Bins(values=vals, bin_id=bin_id, first=first, binning=binning,
-                    starts=np.array([0, len(first)]))
+        starts = (np.array([0, len(first)]) if group is None
+                  else np.searchsorted(keys[first, 0], np.arange(group.max() + 2)))
+        return Bins(values=vals, bin_id=bin_id, first=first, binning=binning, starts=starts)
 
     @classmethod
     def _collect(cls, bins: "Bins", weights) -> "DiscreteDistribution":
@@ -160,7 +148,7 @@ class DiscreteDistribution:
 
     def split(self, starts) -> list["DiscreteDistribution"]:
         """The distributions of consecutive runs of points, run j being
-        ``starts[j]:starts[j + 1]`` (the groups of a grouped binning)."""
+        ``starts[j]:starts[j + 1]`` (the groups of a binning by group)."""
         return [DiscreteDistribution(self.points[lo:hi], self.probs[lo:hi], self.binning)
                 for lo, hi in zip(starts[:-1], starts[1:])]
 

@@ -9,7 +9,7 @@ can name the first violated condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +37,9 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Validation tolerance bundle.  All values are absolute."""
+    """Validation tolerance bundle.  All values are absolute, finite and
+    non-negative, ``binning`` positive and ``probability_floor`` below
+    one (ValueError otherwise)."""
 
     hermiticity: float = 1e-10
     marginal: float = 1e-10
@@ -48,6 +50,17 @@ class Tolerances:
     probability_floor: float = 1e-14
     #: distribution support points closer than this share one bin
     binning: float = 1e-9
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {f.name} = {value!r} must be finite and >= 0")
+        if not self.binning > 0:
+            raise ValueError(f"tolerance binning = {self.binning!r} must be > 0")
+        if not self.probability_floor < 1:
+            raise ValueError(f"tolerance probability_floor = {self.probability_floor!r} "
+                             f"must be < 1")
 
     def updated(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -29,7 +29,6 @@ __all__ = [
     "FORWARD_QUANTITIES",
     "REVERSE_QUANTITIES",
     "LedgerSet",
-    "LedgerBlock",
     "CombinedFT",
     "JointFT",
     "PsiReport",
@@ -91,26 +90,31 @@ def _pair_indices(fmask: np.ndarray, rmask: np.ndarray) -> tuple[np.ndarray, ...
     return t, ki, kj, i0, i1
 
 
-class LedgerBlock:
-    """Vectorized ledger data for a block of two-time bases.
+class LedgerSet:
+    """Vectorized ledger data for a two-time basis, of one time or of a
+    block of times.
 
-    Tables carry the block's leading time axis; per-label tables of the
-    t = 0 half (``a0_table``, ``joint0``, ``pp0``, ``e_a0``, ``e_b0``)
-    are shared.  Pair arrays list the retained augmented pairs of all
-    times, time-major, ``t_index`` holding each pair's time; the pairs
-    of one time keep the one-time order.  ``all_energy_conserving`` and
-    ``detailed_residual`` hold one value per time, and ``marg`` is
-    ``bayesnet.local_marginals`` of the basis.  A one-time basis is a
-    block of one time, its tables read with a time axis of length one,
-    and a :class:`LedgerSet` is that block read at its time.
+    Tables of the time-t half carry the basis's leading time shape, none
+    for one time and (T,) for a block; the per-label tables of the t = 0
+    half (``a0_table``, ``joint0``, ``pp0``, ``e_a0``, ``e_b0``) have
+    none.  Pair arrays list the retained augmented pairs of all times,
+    time-major, ``t_index`` holding each pair's time (0 for one time);
+    the pairs of one time keep its one-time order.
+    ``all_energy_conserving`` and ``detailed_residual`` have the time
+    shape, and ``marg`` is ``bayesnet.local_marginals`` of the basis.
+    The closed-form averages and relation checks below read the tables of
+    one time; ``heat_distribution`` and ``psi_factor`` take either.
+    Raises ValueError when no global label is above the probability
+    floor, leaving no anchor.
     """
 
-    def __init__(self, basis: bayesnet.BasisBlock | bayesnet.BasisSet):
+    def __init__(self, basis: bayesnet.BasisSet):
         spec = basis.spec
         da, db, dim = spec.dim_a, spec.dim_b, spec.dim
         floor = spec.tol.probability_floor
         binning = spec.tol.binning
-        n_t = basis.overlaps[1].size // basis.overlaps[0].size
+        lead = basis.overlaps[1].shape[:-3]
+        n_t = int(np.prod(lead))
 
         self.basis = basis
         self.n_times = n_t
@@ -121,27 +125,29 @@ class LedgerBlock:
         self.delta_beta = spec.beta_a - spec.beta_b
         self.dim_a, self.dim_b = da, db
 
-        marg = bayesnet.local_marginals(basis)
-        self.marg = marg
         self.pops = basis.populations
         self.keep = np.flatnonzero(self.pops > floor)
         self.n_anchor = len(self.keep)
+        if not self.n_anchor:
+            raise ValueError(f"no global label has a population above "
+                             f"probability_floor = {floor!r}")
+        marg = bayesnet.local_marginals(basis)
+        self.marg = marg
 
         m = da * db
         self.a0_table = basis.overlaps[0].reshape(dim, m)
-        self.a1_table = basis.overlaps[1].reshape(n_t, dim, m)
+        self.a1_table = basis.overlaps[1].reshape(lead + (dim, m))
         back = bayesnet.reverse_overlap_tables(basis)
-        self.b1_table = back[0].reshape(n_t, dim, m)   # t1 local bases vs anchors
-        self.b0_table = back[1].reshape(n_t, dim, m)   # t0 local bases vs backward-evolved
+        self.b1_table = back[0].reshape(lead + (dim, m))   # t1 local bases vs anchors
+        self.b0_table = back[1].reshape(lead + (dim, m))   # t0 local bases vs backward-evolved
 
-        a_1, b_1 = marg.a_1.reshape(n_t, da), marg.b_1.reshape(n_t, db)
         self.joint0 = marg.joint_0.ravel()
-        self.joint1 = marg.joint_1.reshape(n_t, m)
+        self.joint1 = marg.joint_1.reshape(lead + (m,))
         self.pp0 = np.outer(marg.a_0, marg.b_0).ravel()
-        self.pp1 = (a_1[:, :, None] * b_1[:, None, :]).reshape(n_t, m)
+        self.pp1 = (marg.a_1[..., :, None] * marg.b_1[..., None, :]).reshape(lead + (m,))
 
-        self.e_a0, self.e_a1 = basis.energies_a[0], basis.energies_a[1].reshape(n_t, da)
-        self.e_b0, self.e_b1 = basis.energies_b[0], basis.energies_b[1].reshape(n_t, db)
+        self.e_a0, self.e_a1 = basis.energies_a
+        self.e_b0, self.e_b1 = basis.energies_b
         ga, gb = basis.gibbs_a, basis.gibbs_b
         self.pth_a1 = np.exp(-spec.beta_a * self.e_a1) / ga.z
         self.pth_b1 = np.exp(-spec.beta_b * self.e_b1) / gb.z
@@ -150,61 +156,67 @@ class LedgerBlock:
         # heat tables over flattened outcome pairs (i0, i1)
         a0idx, b0idx = np.divmod(np.arange(m), db)
         self.flat_a, self.flat_b = a0idx, b0idx
-        qa = self.e_a1[:, None, a0idx] - self.e_a0[a0idx][:, None]
-        qb = self.e_b1[:, None, b0idx] - self.e_b0[b0idx][:, None]
+        qa = self.e_a1[..., None, a0idx] - self.e_a0[a0idx][:, None]
+        qb = self.e_b1[..., None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
 
         kp = self.keep
         self.fwd = ((self.pops[kp, None, None] * self.a0_table[kp][:, :, None])
-                    * self.a1_table[:, kp][:, :, None, :])
+                    * self.a1_table[..., kp, None, :])
         self.rev = (self.pops[kp, None, None]
-                    * self.b0_table[:, kp][..., None]
-                    * self.b1_table[:, kp][:, :, None, :])
+                    * self.b0_table[..., kp, :, None]
+                    * self.b1_table[..., kp, None, :])
         self.fmask = self.fwd > floor
         self.rmask = self.rev > floor
 
         # per time: no live forward cell moves energy out of the pair
-        leak = np.where(self.fmask.any(axis=1), np.abs(qa + qb), 0.0)
-        self.all_energy_conserving = leak.max(axis=(1, 2)) <= binning
+        leak = np.where(self.fmask.any(axis=-3), np.abs(qa + qb), 0.0)
+        self.all_energy_conserving = (leak.max(axis=(-2, -1)) <= binning)[()]
 
-        # retained augmented pairs: forward label x anchor label, per time
-        t, ki, kj, i0, i1 = _pair_indices(self.fmask, self.rmask)
+        # retained augmented pairs: forward label x anchor label, per time,
+        # gathered from (T, ...) views of the tables, one time being T = 1
+        def per_time(table):
+            return table.reshape((n_t,) + table.shape[len(lead):])
+        fwd, rev, a1, b0, b1 = map(per_time, (self.fwd, self.rev, self.a1_table,
+                                               self.b0_table, self.b1_table))
+        t, ki, kj, i0, i1 = _pair_indices(per_time(self.fmask), per_time(self.rmask))
         self.t_index, self.ki, self.kj, self.i0, self.i1 = t, ki, kj, i0, i1
         s_lab, t_lab = kp[ki], kp[kj]
         self.s_lab, self.t_lab = s_lab, t_lab
 
-        self.w_f = self.fwd[t, ki, i0, i1] / self.n_anchor
-        self.w_r = self.rev[t, kj, i0, i1] / self.n_anchor
+        self.w_f = fwd[t, ki, i0, i1] / self.n_anchor
+        self.w_r = rev[t, kj, i0, i1] / self.n_anchor
 
         ln_pops = np.log(self.pops[kp])
         ln_j0 = np.log(self.joint0[i0])
-        ln_j1 = np.log(self.joint1[t, i1])
+        ln_j1 = np.log(per_time(self.joint1)[t, i1])
         self.col_j0 = ln_j0 - np.log(self.pp0[i0])
         self.col_c0 = ln_pops[ki] - ln_j0
         self.col_i0 = self.col_j0 + self.col_c0
-        self.col_j1 = ln_j1 - np.log(self.pp1[t, i1])
+        self.col_j1 = ln_j1 - np.log(per_time(self.pp1)[t, i1])
         self.col_c1 = ln_pops[kj] - ln_j1
         self.col_i1 = self.col_j1 + self.col_c1
         at_a, at_b = t * da + a0idx[i1], t * db + b0idx[i1]   # flat (T, d) positions
-        self.col_sigma_a = (np.log(a_1.ravel()[at_a])
+        self.col_sigma_a = (np.log(marg.a_1.ravel()[at_a])
                             - np.log(self.pth_a1.ravel()[at_a]))
-        self.col_sigma_b = (np.log(b_1.ravel()[at_b])
+        self.col_sigma_b = (np.log(marg.b_1.ravel()[at_b])
                             - np.log(self.pth_b1.ravel()[at_b]))
         self.col_gamma = (
-            np.log(self.a0_table[s_lab, i0]) + np.log(self.a1_table[t, s_lab, i1])
-            - np.log(self.b0_table[t, t_lab, i0]) - np.log(self.b1_table[t, t_lab, i1])
+            np.log(self.a0_table[s_lab, i0]) + np.log(a1[t, s_lab, i1])
+            - np.log(b0[t, t_lab, i0]) - np.log(b1[t, t_lab, i1])
         )
         self.col_k = self.col_i1 - self.col_i0 + self.col_sigma_a + self.col_sigma_b
-        self.col_q_a = qa[t, i0, i1]
-        self.col_q_b = qb[t, i0, i1]
+        self.col_q_a = per_time(qa)[t, i0, i1]
+        self.col_q_b = per_time(qb)[t, i0, i1]
         self.col_energy_ok = np.abs(self.col_q_a + self.col_q_b) <= binning
 
         self.exponent = (self.beta_a * self.col_q_a + self.beta_b * self.col_q_b
                          + self.col_i0 - self.col_i1
                          - self.col_sigma_a - self.col_sigma_b + self.col_gamma)
         resid = np.log(self.w_f) - np.log(self.w_r) - self.exponent
-        self.detailed_residual = np.zeros(n_t)
-        np.maximum.at(self.detailed_residual, t, np.abs(resid))
+        detailed = np.zeros(n_t)
+        np.maximum.at(detailed, t, np.abs(resid))
+        self.detailed_residual = detailed.reshape(lead)[()]
 
     @property
     def n_pairs(self) -> int:
@@ -212,55 +224,22 @@ class LedgerBlock:
 
     @cached_property
     def heat_bins(self) -> Bins:
-        """The heat table ``q_a_tab`` binned once, on first use, time by
-        time: the bins of time k are ``starts[k]:starts[k + 1]``.  The
-        forward and reverse heat distributions and the psi patch all
+        """The heat table ``q_a_tab`` binned once, on first use, with the
+        time of a block as a leading key: the bins of time k are
+        ``starts[k]:starts[k + 1]``, those of binning that time alone.
+        The forward and reverse heat distributions and the psi patch all
         collect their masses on it."""
-        bins = DiscreteDistribution._binned(self.q_a_tab.ravel(), self.binning)
-        return bins.grouped(self.n_times)
+        values = self.q_a_tab.ravel()
+        if self.n_times == 1:               # one time is one group
+            return DiscreteDistribution._binned(values, self.binning)
+        time = np.arange(self.n_times).repeat(values.size // self.n_times)
+        return DiscreteDistribution._binned(values, self.binning, time)
 
 
-#: LedgerBlock tables a LedgerSet reads at its one time
-_AT_TIME = ("a1_table", "b0_table", "b1_table", "joint1", "pp1", "e_a1", "e_b1",
-            "pth_a1", "pth_b1", "q_a_tab", "q_b_tab", "fwd", "rev", "fmask", "rmask")
-
-
-class LedgerSet:
-    """Vectorized ledger data for one basis set on a two-time grid.
-
-    Array attributes index the retained augmented pairs; the per-label
-    probability tables stay available for the closed-form averages.  It
-    is the :class:`LedgerBlock` of its one time (``block``), read at that
-    time, so one time and a sweep share every line of arithmetic.
-    """
-
-    def __init__(self, basis: bayesnet.BasisSet):
-        block = LedgerBlock(basis)
-        self.__dict__.update(block.__dict__)
-        self.__dict__.update({name: block.__dict__[name][0] for name in _AT_TIME})
-        self.block = block
-        self.all_energy_conserving = bool(block.all_energy_conserving[0])
-        self.detailed_residual = float(block.detailed_residual[0])
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.w_f)
-
-    @property
-    def heat_bins(self) -> Bins:
-        return self.block.heat_bins
-
-
-def compute_ledgers(basis: bayesnet.BasisSet | bayesnet.BasisBlock) -> LedgerSet | LedgerBlock:
-    """Build the augmented-pair ledgers for a two-time basis set, or for
-    every time of a block at once."""
-    if isinstance(basis, bayesnet.BasisBlock):
-        return LedgerBlock(basis)
+def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
+    """Build the augmented-pair ledgers for a two-time basis, of one
+    time or of every time of a block at once."""
     return LedgerSet(basis)
-
-
-def _block(ledgers: LedgerSet | LedgerBlock) -> LedgerBlock:
-    return ledgers.block if isinstance(ledgers, LedgerSet) else ledgers
 
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray, floor: float) -> np.ndarray:
@@ -346,12 +325,11 @@ def combined_integral_ft(ledgers: LedgerSet) -> CombinedFT:
     return CombinedFT(
         value=ret + patch,
         value_delta_beta=ret_db + patch,
-        all_energy_conserving=ledgers.all_energy_conserving,
+        all_energy_conserving=bool(ledgers.all_energy_conserving),
     )
 
 
-def heat_distribution(ledgers: LedgerSet | LedgerBlock,
-                      direction: str = "forward") -> DiscreteDistribution:
+def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> DiscreteDistribution:
     """Distribution of the heat absorbed by subsystem A.
 
     ``forward`` bins the forward path weights; ``reverse`` bins the
@@ -362,18 +340,17 @@ def heat_distribution(ledgers: LedgerSet | LedgerBlock,
     the forward bins.  Both therefore collect on the ledgers' one binning
     of the table, ``heat_bins``.
 
-    For a :class:`LedgerBlock` the result holds the distributions of all
+    For the ledgers of a block the result holds the distributions of all
     its times, one after another: time k has the bins
     ``heat_bins.starts[k]:starts[k + 1]``, each equal to its one-time
     distribution bit for bit, and the mirror is taken within each time
     (``probs[heat_bins.mirror]`` is P_r(-Q) on the forward bins).
     """
-    block = _block(ledgers)
     if direction == "forward":
-        return DiscreteDistribution._collect(block.heat_bins, block.fwd.sum(axis=1))
+        return DiscreteDistribution._collect(ledgers.heat_bins, ledgers.fwd.sum(axis=-3))
     if direction == "reverse":
-        return DiscreteDistribution._collect(block.heat_bins.mirrored(),
-                                             block.rev.sum(axis=1))
+        return DiscreteDistribution._collect(ledgers.heat_bins.mirrored(),
+                                             ledgers.rev.sum(axis=-3))
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -432,38 +409,37 @@ class PsiReport:
     n_skipped: int
 
 
-def psi_factor(ledgers: LedgerSet | LedgerBlock) -> PsiReport:
+def psi_factor(ledgers: LedgerSet) -> PsiReport:
     """psi and the modified detailed check on every forward heat bin
-    above the probability floor, in bin order.  For a block the report
-    runs over the bins of all its times, time by time, as
-    ``heat_distribution`` does; ``max_residual`` and ``n_skipped`` cover
-    the whole block."""
-    block = _block(ledgers)
-    bins = block.heat_bins
-    p_f = heat_distribution(block, "forward")
-    p_r = heat_distribution(block, "reverse")
+    above the probability floor, in bin order.  For the ledgers of a
+    block the report runs over the bins of all its times, time by time,
+    as ``heat_distribution`` does; ``max_residual`` and ``n_skipped``
+    cover the whole block."""
+    bins = ledgers.heat_bins
+    p_f = heat_distribution(ledgers, "forward")
+    p_r = heat_distribution(ledgers, "reverse")
 
     # numerator of psi per heat bin: retained pairs through the ledger
     # columns, floor-dropped pairs through the cancelled product form.
     # The patch is collected on p_f's bins of the heat table, and each
     # pair's heat is a table entry, so pairs are binned through it.
-    nf = block.fmask.sum(axis=1)                       # retained forward labels
-    r_ret = np.where(block.rmask, block.rev, 0.0)
-    cnt_all = block.n_anchor * block.rev.sum(axis=1)
-    cnt_ret = nf[:, None] * r_ret
-    patch_tab = (np.exp(block.beta_a * block.q_a_tab
-                        + block.beta_b * block.q_b_tab)
-                 * (cnt_all - cnt_ret.sum(axis=1)) / block.n_anchor)
+    nf = ledgers.fmask.sum(axis=-3)                    # retained forward labels
+    r_ret = np.where(ledgers.rmask, ledgers.rev, 0.0)
+    cnt_all = ledgers.n_anchor * ledgers.rev.sum(axis=-3)
+    cnt_ret = nf[..., None, :, :] * r_ret
+    patch_tab = (np.exp(ledgers.beta_a * ledgers.q_a_tab
+                        + ledgers.beta_b * ledgers.q_b_tab)
+                 * (cnt_all - cnt_ret.sum(axis=-3)) / ledgers.n_anchor)
     patch = DiscreteDistribution._collect(bins, patch_tab)
-    m = block.q_a_tab.shape[-1]
-    cell = (block.t_index * m + block.i0) * m + block.i1
+    m = ledgers.q_a_tab.shape[-1]
+    cell = (ledgers.t_index * m + ledgers.i0) * m + ledgers.i1
     num = np.bincount(bins.bin_id[cell], minlength=p_f.n_points,
-                      weights=block.w_f * np.exp(block.col_k - block.col_gamma))
+                      weights=ledgers.w_f * np.exp(ledgers.col_k - ledgers.col_gamma))
 
-    live = p_f.probs > block.floor
+    live = p_f.probs > ledgers.floor
     q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r.probs[bins.mirror][live]
     psi = (num + patch.probs)[live] / pf
-    resids = np.abs(pf * psi - np.exp(q * block.delta_beta) * pr)
+    resids = np.abs(pf * psi - np.exp(q * ledgers.delta_beta) * pr)
     return PsiReport(
         q_values=q, psi=psi, p_f=pf, p_r_mirror=pr,
         residuals=resids,

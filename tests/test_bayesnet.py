@@ -68,6 +68,19 @@ def _assert_bit_identical(a, b, where="basis"):
         assert a is b or a == b, where
 
 
+def _at_time(block, k):
+    """The basis of a block at its k-th time: every time-t array read at k."""
+    def pick(pair):
+        t0, tt = pair
+        if isinstance(tt, linalg.EigenSystem):
+            return t0, linalg.EigenSystem(tt.values[k], tt.vectors[k])
+        return t0, tt[k]
+    return dataclasses.replace(block, times=block.times[k], **{
+        name: pick(getattr(block, name))
+        for name in ("global_vectors", "local_a", "local_b", "energies_a", "energies_b",
+                     "overlaps", "unitaries")})
+
+
 SWEEP_TIMES = (cli.TINY_TIME, 0.37, 1.0, 1.0, 2.9, 0.2)
 SWEEP_SPECS = {
     f"example-{'corr' if c else 'prod'}": qubit.build_example_spec(qubit.ExampleParams(correlated=c))
@@ -81,8 +94,9 @@ class TestSweepBases:
     @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
     def test_sweep_matches_single_time(self, name):
         spec = SWEEP_SPECS[name]
-        bases = list(bayesnet.sweep_bases(spec, SWEEP_TIMES))
-        assert [b.grid.times for b in bases] == [(t,) for t in SWEEP_TIMES]
+        blocks = list(bayesnet.sweep_blocks(spec, SWEEP_TIMES))
+        bases = [_at_time(block, k) for block in blocks for k in range(len(block.times))]
+        assert [b.times for b in bases] == list(SWEEP_TIMES)
         for t, basis in zip(SWEEP_TIMES, bases):
             _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
 
@@ -100,17 +114,32 @@ class TestSweepBases:
         blocks = list(bayesnet.sweep_blocks(spec, SWEEP_TIMES))
         assert [b.times for b in blocks] == [SWEEP_TIMES[i:i + per_block]
                                             for i in range(0, len(SWEEP_TIMES), per_block)]
-        bases = [block.basis(k) for block in blocks for k in range(len(block.times))]
+        bases = [_at_time(block, k) for block in blocks for k in range(len(block.times))]
         for t, basis in zip(SWEEP_TIMES, bases):
             _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
         assert all(b.overlaps[0] is blocks[0].overlaps[0] for b in blocks)
 
-    def test_time_independent_half_is_shared(self, correlated_spec):
-        first, second = bayesnet.sweep_bases(correlated_spec, (0.3, 0.8))
+    def test_time_independent_half_is_shared(self, correlated_spec, monkeypatch):
+        monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", 1)     # one time per block
+        first, second = bayesnet.sweep_blocks(correlated_spec, (0.3, 0.8))
         assert second.overlaps[0] is first.overlaps[0]
         assert second.local_a[0] is first.local_a[0]
         assert second.gibbs_a is first.gibbs_a
         assert not np.array_equal(second.overlaps[1], first.overlaps[1])
+
+    def test_time_axis_only_on_blocks(self, correlated_spec):
+        one = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.37,)))
+        block, = bayesnet.sweep_blocks(correlated_spec, (0.37, 0.9, 1.6))
+        assert one.times == 0.37 and block.times == (0.37, 0.9, 1.6)
+        pairs = [(getattr(one, name), getattr(block, name))
+                 for name in ("global_vectors", "energies_a", "energies_b", "overlaps",
+                              "unitaries")]
+        pairs += [((getattr(one, name)[0].values, getattr(one, name)[1].values),
+                   (getattr(block, name)[0].values, getattr(block, name)[1].values))
+                  for name in ("local_a", "local_b")]
+        for (one_0, one_t), (block_0, block_t) in pairs:
+            assert one_t.shape == one_0.shape == block_0.shape
+            assert block_t.shape == (3,) + one_t.shape
 
     def test_basis_carries_the_gibbs_states(self, correlated_spec):
         basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.5,)))
@@ -122,12 +151,12 @@ class TestSweepBases:
     @pytest.mark.parametrize("times", [(0.5, 0.0), (np.inf,), (-1.0, 0.5)])
     def test_bad_time_rejected_before_any_basis(self, correlated_spec, times):
         with pytest.raises(ValueError):
-            next(bayesnet.sweep_bases(correlated_spec, times))
+            next(bayesnet.sweep_blocks(correlated_spec, times))
 
     def test_invalid_spec_raises_with_name(self, correlated_spec):
         bad = dataclasses.replace(correlated_spec, chi=correlated_spec.chi * 3.0)
         with pytest.raises(system.SpecError, match="rho0_positive"):
-            next(bayesnet.sweep_bases(bad, (0.5,)))
+            next(bayesnet.sweep_blocks(bad, (0.5,)))
 
 
 class TestConditionalProb:

@@ -169,6 +169,31 @@ class TestCli:
         assert cli.main(["verify", "--config", example_config, "--tol", "nope=1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("verb", ["verify", "heat"])
+    @pytest.mark.parametrize("tol,name", [
+        ("probability_floor=0.9", "probability_floor"),   # no label above it
+        ("probability_floor=1", "probability_floor"),
+        ("probability_floor=nan", "probability_floor"),
+        ("binning=inf", "binning"),
+        ("binning=-1e-9", "binning"),
+        ("binning=0", "binning"),
+        ("marginal=-1", "marginal"),
+    ])
+    def test_bad_tolerance_is_input_error(self, verb, tol, name, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([verb, "--dims", "2x2", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err
+
+    @pytest.mark.parametrize("tol", [{"binning": float("inf")}, {"probability_floor": 1.5},
+                                     {"hermiticity": -1e-12}, {"binning": "x"}])
+    def test_bad_config_tolerance_is_config_error(self, tmp_path, correlated_spec, tol):
+        d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
+        d["tolerances"].update(tol)
+        with pytest.raises(config.ConfigError):
+            config.load_config(d)
+
     def test_removed_unitarity_tol_flag_rejected(self, example_config, capsys):
         argv = ["verify", "--config", example_config, "--tol", "unitarity=1"]
         assert cli.main(argv) == 2

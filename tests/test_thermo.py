@@ -301,8 +301,10 @@ class TestLedgerBlocks:
 
     #: includes a repeated time and a time below the others
     TIMES = (1e-12, 0.37, 0.9, 0.9, 1.6, 0.2, 2.9)
-    #: ledger attributes shared by every time of a block, and those with
-    #: one entry per pair
+    #: ledger tables with the block's time axis, those shared by every
+    #: time of a block, and those with one entry per pair
+    AT_TIME = ("a1_table", "b0_table", "b1_table", "joint1", "pp1", "e_a1", "e_b1",
+               "pth_a1", "pth_b1", "q_a_tab", "q_b_tab", "fwd", "rev", "fmask", "rmask")
     SHARED = ("floor", "binning", "beta_a", "beta_b", "delta_beta", "dim_a", "dim_b",
               "pops", "keep", "n_anchor", "a0_table", "joint0", "pp0", "e_a0", "e_b0",
               "gibbs_a", "gibbs_b", "flat_a", "flat_b")
@@ -329,11 +331,11 @@ class TestLedgerBlocks:
         spec, blocks = blocks
         for block in blocks:
             led = thermo.compute_ledgers(block)
-            assert isinstance(led, thermo.LedgerBlock)
+            assert isinstance(led, thermo.LedgerSet)
             assert np.all(np.diff(led.t_index) >= 0)            # time-major
             for k, t in enumerate(block.times):
                 one = self.one_time(spec, t)
-                for name in thermo._AT_TIME:
+                for name in self.AT_TIME:
                     assert getattr(led, name)[k].tobytes() == getattr(one, name).tobytes(), name
                 for name in self.SHARED:
                     got, want = getattr(led, name), getattr(one, name)
@@ -351,6 +353,18 @@ class TestLedgerBlocks:
                             == getattr(one.marg, name).tobytes()), name
                 assert led.detailed_residual[k] == one.detailed_residual
                 assert led.all_energy_conserving[k] == one.all_energy_conserving
+
+    def test_time_axis_only_on_blocks(self, blocks):
+        spec, blocks = blocks
+        one = self.one_time(spec, self.TIMES[1])
+        for block in blocks:
+            led = thermo.compute_ledgers(block)
+            lead = (len(block.times),)
+            for name in self.AT_TIME:
+                assert getattr(led, name).shape == lead + getattr(one, name).shape, name
+            for name in ("detailed_residual", "all_energy_conserving"):
+                assert np.shape(getattr(led, name)) == lead and np.shape(getattr(one, name)) == ()
+            assert one.a1_table.shape == one.a0_table.shape
 
     def test_heat_distributions_and_psi_match_one_time(self, blocks):
         spec, blocks = blocks
