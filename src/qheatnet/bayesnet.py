@@ -47,12 +47,12 @@ BLOCK_ELEMENTS = 2 ** 15
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing, positive, finite measurement times; t=0 is
-    implicit.
+    """Finite, non-negative, strictly increasing measurement times.
 
     ``build_bases`` takes a grid of one time t, the two-time basis at 0
-    and t.  A config file or the command line reads a longer grid as a
-    list of such times, swept block by block (``sweep_blocks``).
+    and t; t = 0 is an ordinary time, its unitary the identity to
+    rounding.  A config file or the command line reads a longer grid as
+    a list of such times, swept block by block (``sweep_blocks``).
     """
 
     times: tuple[float, ...]
@@ -60,12 +60,12 @@ class TimeGrid:
     def __post_init__(self):
         if len(self.times) < 1:
             raise ValueError("time grid needs at least one time")
-        prev = 0.0
+        prev = -np.inf
         for t in self.times:
             if not np.isfinite(t):
                 raise ValueError(f"grid time {t!r} is not finite")
-            if not t > prev:
-                raise ValueError("grid times must be strictly increasing and positive")
+            if not (t >= 0 and t > prev):
+                raise ValueError("grid times must be >= 0 and strictly increasing")
             prev = t
 
     @property

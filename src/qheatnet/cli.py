@@ -25,9 +25,6 @@ __all__ = ["main"]
 FT_TOL = 1e-9
 #: tolerance for the analytic-oracle comparison in ``example``
 ORACLE_TOL = 1e-10
-#: stand-in evolution time for a requested t == 0 (grid times must be
-#: positive; distributions are continuous in t, so the error is O(t))
-TINY_TIME = 1e-12
 
 
 class CliError(Exception):
@@ -108,22 +105,6 @@ def _load_spec(args) -> tuple[system.BipartiteSpec, tuple[float, ...]]:
     return spec, times
 
 
-def _grid_time(t: float) -> float:
-    return t if t > 0 else TINY_TIME
-
-
-def _sweep_blocks(spec: system.BipartiteSpec, sweep):
-    """Yield the requested times of the sweep block by block, each with
-    the bases of all its times: one spectral set-up for the whole sweep,
-    then one stacked pass per block (``bayesnet.sweep_blocks``)."""
-    sweep = [float(t) for t in sweep]
-    done = 0
-    for block in bayesnet.sweep_blocks(spec, [_grid_time(t) for t in sweep]):
-        times = sweep[done:done + len(block.times)]
-        done += len(times)
-        yield times, block
-
-
 def _write_out(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -169,8 +150,7 @@ def cmd_validate(args) -> int:
 
 
 def _verify_records(spec: system.BipartiteSpec, t: float) -> list[dict]:
-    grid = bayesnet.TimeGrid((_grid_time(t),))
-    basis = bayesnet.build_bases(spec, grid)
+    basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((t,)))
     ledgers = thermo.compute_ledgers(basis)
 
     records = []
@@ -216,7 +196,7 @@ def cmd_verify(args) -> int:
 _HEAT_HEADER = "t,Q,P_f,P_r,ratio,exp_QdBeta,Psi"
 
 
-def _heat_rows(ledgers: thermo.LedgerSet, times: list[float]) -> list[str]:
+def _heat_rows(ledgers: thermo.LedgerSet) -> list[str]:
     """The CSV rows of every time of the ledgers of a block, each time's
     bins in descending heat order."""
     p_f = thermo.heat_distribution(ledgers, "forward")
@@ -230,7 +210,7 @@ def _heat_rows(ledgers: thermo.LedgerSet, times: list[float]) -> list[str]:
     columns = (p_f.scalar_points(), p_f.probs, p_r.probs[bins.mirror], psi_by_bin)
 
     rows = []
-    for t, lo, hi in zip(times, bins.starts[:-1], bins.starts[1:]):
+    for t, lo, hi in zip(ledgers.basis.times, bins.starts[:-1], bins.starts[1:]):
         for q, pf, pr_mirror, psi_q in sorted(
                 zip(*(c[lo:hi].tolist() for c in columns)), reverse=True):
             ratio = pf / pr_mirror if pr_mirror > ledgers.floor else float("nan")
@@ -250,19 +230,19 @@ def cmd_heat(args) -> int:
     else:
         sweep = np.asarray(times)
     lines = [_HEAT_HEADER]
-    for block_times, block in _sweep_blocks(spec, sweep):
+    for block in bayesnet.sweep_blocks(spec, sweep):
         # the ledgers of one block are dropped before the next is built
-        lines.extend(_heat_rows(thermo.compute_ledgers(block), block_times))
+        lines.extend(_heat_rows(thermo.compute_ledgers(block)))
     _write_out(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _heat_per_time(ledgers: thermo.LedgerSet, times: list[float]):
+def _heat_per_time(ledgers: thermo.LedgerSet):
     """(t, P_f, P_r) for each time of the ledgers of a block."""
     starts = ledgers.heat_bins.starts
     forward = thermo.heat_distribution(ledgers, "forward").split(starts)
     reverse = thermo.heat_distribution(ledgers, "reverse").split(starts)
-    return list(zip(times, forward, reverse))
+    return list(zip(ledgers.basis.times, forward, reverse))
 
 
 def _check_tau(tau: float) -> float:
@@ -292,8 +272,8 @@ def cmd_example(args) -> int:
 
     lines = ["t,Q,P_f,P_f_analytic,P_r,P_r_analytic"]
     worst = 0.0
-    for times, block in _sweep_blocks(spec, sweep):
-        for t, p_f, p_r in _heat_per_time(thermo.compute_ledgers(block), times):
+    for block in bayesnet.sweep_blocks(spec, sweep):
+        for t, p_f, p_r in _heat_per_time(thermo.compute_ledgers(block)):
             ana_f = qubit.analytic_heat_distribution(params, t, "forward")
             ana_r = qubit.analytic_heat_distribution(params, t, "reverse")
             for q in (1.0, 0.0, -1.0):

@@ -6,10 +6,10 @@ agree in every coordinate.  ``np.round`` is odd-symmetric, so negating
 some coordinates of every sample negates the same key coordinates and
 leaves the partition of the samples into bins unchanged.  A distribution
 and its mirror image over the same samples therefore have the same bins,
-one to one.  The relation checks pair bins that way, not by matching
-support points within ``binning`` (``prob_at``): two bins on either side
-of a rounding boundary can lie closer than ``binning``, and a point match
-then counts the mass of both.
+one to one.  The relation checks pair bins that way, and ``prob_at``
+looks a point up by the same rule: it reads the bin whose key is the
+point's key, never a neighbour, even one closer than ``binning`` across a
+rounding boundary.
 """
 
 from __future__ import annotations
@@ -162,11 +162,13 @@ class DiscreteDistribution:
         return self.points[:, 0]
 
     def prob_at(self, point, default: float = 0.0) -> float:
-        """Mass of the bin containing ``point``; ``default`` if none."""
+        """Mass of the bin whose key ``round(x / binning)`` is that of
+        ``point``, by the binning rule; ``default`` if none."""
         q = np.atleast_1d(np.asarray(point, dtype=float))
         if q.shape[0] != self.points.shape[1]:
             raise ValueError("point dimension mismatch")
-        hit = np.all(np.abs(self.points - q[None, :]) <= self.binning, axis=1)
+        # np.rint: the rounding of np.round to integers, without its wrapper
+        hit = np.all(np.rint(self.points / self.binning) == np.rint(q / self.binning), axis=1)
         idx = np.flatnonzero(hit)
         if idx.size == 0:
             return default

@@ -52,23 +52,18 @@ REVERSE_QUANTITIES = ("i1", "j1", "c1")
 
 
 def _pair_indices(fmask: np.ndarray, rmask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Index arrays (ki, kj, i0, i1) of the retained augmented pairs.
+    """Index arrays (t, ki, kj, i0, i1) of the retained augmented pairs
+    of masks (T, K, m, m) over T times.
 
-    A pair joins a live forward cell ``fmask[ki, i0, i1]`` with a live
-    reverse cell ``rmask[kj, i0, i1]`` on the same outcomes.  The arrays
-    come in the lexicographic (ki, kj, i0, i1) order of ``np.nonzero`` on
-    the K x K x m x m product mask, so every sum over pairs keeps its
-    bits, but the work is O(K m^2 + P) for P pairs: each forward entry is
-    expanded over the reverse labels of its own cell, then the unique
+    A pair joins a live forward cell ``fmask[t, ki, i0, i1]`` with a live
+    reverse cell ``rmask[t, kj, i0, i1]`` on the same time and outcomes.
+    The arrays come in the lexicographic (t, ki, kj, i0, i1) order of
+    ``np.nonzero`` on the T x K x K x m x m product mask, so the pairs of
+    each time are one contiguous run and every sum over pairs keeps its
+    bits, but the work is O(T K m^2 + P) for P pairs: each forward entry
+    is expanded over the reverse labels of its own cell, then the unique
     integer keys of the pairs are sorted.
-
-    Masks (T, K, m, m) of a block of T times give (t, ki, kj, i0, i1):
-    the time index joins the cell, pairs never join two times, and the
-    keys sort time-major, so the pairs of each time are one contiguous
-    run in the one-time order.
     """
-    if fmask.ndim == 3:
-        return _pair_indices(fmask[None], rmask[None])[1:]
     n_t, k, m, _ = fmask.shape
     cells = m * m
     # forward entries as (time * K + ki, cell); reverse entries grouped by
@@ -103,7 +98,8 @@ class LedgerSet:
     ``all_energy_conserving`` and ``detailed_residual`` have the time
     shape, and ``marg`` is ``bayesnet.local_marginals`` of the basis.
     The closed-form averages and relation checks below read the tables of
-    one time; ``heat_distribution`` and ``psi_factor`` take either.
+    one time and raise ValueError for a block, even of one time;
+    ``heat_distribution`` and ``psi_factor`` take either.
     Raises ValueError when no global label is above the probability
     floor, leaving no anchor.
     """
@@ -242,6 +238,13 @@ def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
     return LedgerSet(basis)
 
 
+def _one_time(ledgers: LedgerSet, name: str) -> None:
+    """ValueError naming ``name`` for the ledgers of a block of times."""
+    if isinstance(ledgers.basis.times, tuple):
+        raise ValueError(f"{name} reads the ledgers of one time, not of a block "
+                         f"of {ledgers.n_times} times")
+
+
 def _guarded_ratio(num: np.ndarray, den: np.ndarray, floor: float) -> np.ndarray:
     out = np.zeros_like(num)
     ok = den > floor
@@ -258,6 +261,7 @@ def integral_ft(ledgers: LedgerSet, quantity: str, measure: str) -> float:
     Sums that cancel the label population run over all labels, including
     zero-population ones.
     """
+    _one_time(ledgers, "integral_ft")
     if measure not in ("forward", "reverse"):
         raise ValueError(f"unknown measure {measure!r}")
     expected = "forward" if quantity in FORWARD_QUANTITIES else (
@@ -312,6 +316,7 @@ class CombinedFT:
 
 
 def combined_integral_ft(ledgers: LedgerSet) -> CombinedFT:
+    _one_time(ledgers, "combined_integral_ft")
     ret = float(np.sum(ledgers.w_f * np.exp(-ledgers.exponent)))
     # pairs dropped by the probability floor contribute their reverse
     # weight exactly (w_f * exp(-X) == w_r pointwise), so patch with the
@@ -371,6 +376,7 @@ class JointFT:
 def joint_distribution(ledgers: LedgerSet) -> JointFT:
     """Bin both ensembles and check each forward bin against the reverse
     bin holding the same pairs (the binning rule makes that one to one)."""
+    _one_time(ledgers, "joint_distribution")
     binning, floor = ledgers.binning, ledgers.floor
     samples = np.stack([ledgers.col_q_a, ledgers.col_k, ledgers.col_gamma], axis=1)
     mirrored = samples * np.array([-1.0, -1.0, 1.0])
@@ -470,6 +476,7 @@ def _state_pair(ledgers: LedgerSet):
 
 
 def mean_heat_balance(ledgers: LedgerSet) -> HeatBalance:
+    _one_time(ledgers, "mean_heat_balance")
     mean_q_a = float(np.sum(ledgers.fwd.sum(axis=0) * ledgers.q_a_tab))
     lhs = mean_q_a * ledgers.delta_beta
 
@@ -509,18 +516,14 @@ class InfoMeans:
         return max(abs(self.mean_i0 - self.info_0), abs(self.mean_i1 - self.info_1))
 
 
-def _entropy_of(p: np.ndarray, floor: float) -> float:
-    ok = p > floor
-    return float(-np.sum(p[ok] * np.log(p[ok])))
-
-
 def mutual_information_check(ledgers: LedgerSet) -> InfoMeans:
-    pops, floor = ledgers.pops, ledgers.floor
-    s_global = _entropy_of(pops, floor)
-    info_0 = (_entropy_of(ledgers.marg.a_0, floor)
-              + _entropy_of(ledgers.marg.b_0, floor) - s_global)
-    info_1 = (_entropy_of(ledgers.marg.a_1, floor)
-              + _entropy_of(ledgers.marg.b_1, floor) - s_global)
+    _one_time(ledgers, "mutual_information_check")
+    marg, floor = ledgers.marg, ledgers.floor
+    s_global = linalg.spectral_entropy(ledgers.pops, floor)
+    info_0 = (linalg.spectral_entropy(marg.a_0, floor)
+              + linalg.spectral_entropy(marg.b_0, floor) - s_global)
+    info_1 = (linalg.spectral_entropy(marg.a_1, floor)
+              + linalg.spectral_entropy(marg.b_1, floor) - s_global)
     return InfoMeans(
         mean_i0=mean_quantity(ledgers, "i0"),
         info_0=info_0,
@@ -531,6 +534,7 @@ def mutual_information_check(ledgers: LedgerSet) -> InfoMeans:
 
 def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
     """<X> for one ledger quantity under its own ensemble."""
+    _one_time(ledgers, "mean_quantity")
     pops, floor = ledgers.pops, ledgers.floor
     kp = ledgers.keep
     label = pops[kp][:, None]

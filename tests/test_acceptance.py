@@ -80,7 +80,7 @@ def test_criterion_4_example_heat_curves():
         params = qubit.ExampleParams(correlated=correlated)
         spec = qubit.build_example_spec(params)
         for t in grid:
-            led = ledgers_at(spec, max(float(t), 1e-12))
+            led = ledgers_at(spec, t)
             for direction in ("forward", "reverse"):
                 num = thermo.heat_distribution(led, direction)
                 ana = qubit.analytic_heat_distribution(params, float(t), direction)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, cli, linalg, qubit, randspec, system, thermo
+from qheatnet import bayesnet, linalg, qubit, randspec, system, thermo
 from conftest import ledgers_at
 
 EA = 0.25        # exp(-beta_a) for occupation 0.2
@@ -17,10 +17,14 @@ class TestTimeGrid:
         assert grid.n_steps == 2
         assert grid.times == (0.5, 1.0)
 
-    @pytest.mark.parametrize("times", [(), (0.0,), (-1.0,), (1.0, 0.5), (1.0, 1.0)])
+    @pytest.mark.parametrize("times", [(), (-1.0,), (1.0, 0.5), (1.0, 1.0)])
     def test_rejects_bad_times(self, times):
         with pytest.raises(ValueError):
             bayesnet.TimeGrid(times)
+
+    @pytest.mark.parametrize("times", [(0.0,), (0.0, 0.5)])
+    def test_accepts_zero(self, times):
+        assert bayesnet.TimeGrid(times).times == times
 
     @pytest.mark.parametrize("times", [(np.inf,), (0.5, np.inf), (np.nan,)])
     def test_rejects_nonfinite_times(self, times):
@@ -81,7 +85,7 @@ def _at_time(block, k):
                      "overlaps", "unitaries")})
 
 
-SWEEP_TIMES = (cli.TINY_TIME, 0.37, 1.0, 1.0, 2.9, 0.2)
+SWEEP_TIMES = (0.0, 0.37, 1.0, 1.0, 2.9, 0.2)
 SWEEP_SPECS = {
     f"example-{'corr' if c else 'prod'}": qubit.build_example_spec(qubit.ExampleParams(correlated=c))
     for c in (True, False)}
@@ -148,7 +152,7 @@ class TestSweepBases:
             _assert_bit_identical(got, system.gibbs_state(h, beta))
         assert thermo.compute_ledgers(basis).gibbs_a is basis.gibbs_a
 
-    @pytest.mark.parametrize("times", [(0.5, 0.0), (np.inf,), (-1.0, 0.5)])
+    @pytest.mark.parametrize("times", [(0.5, -0.25), (np.inf,), (-1.0, 0.5)])
     def test_bad_time_rejected_before_any_basis(self, correlated_spec, times):
         with pytest.raises(ValueError):
             next(bayesnet.sweep_blocks(correlated_spec, times))

@@ -102,6 +102,13 @@ class TestDistribution:
         assert d.n_points == 2
         assert d.prob_at(1.0) == pytest.approx(0.6)
 
+    def test_prob_at_reads_the_bin_of_the_key(self):
+        # within one binning of each other, but keyed 1 and 2: two bins
+        d = DiscreteDistribution.from_samples([1.4e-9, 1.6e-9], [0.3, 0.7])
+        assert d.n_points == 2
+        assert d.prob_at(1.6e-9) == 0.7
+        assert d.prob_at(1.4e-9) == 0.3
+
     def test_prob_at_miss(self):
         d = DiscreteDistribution.from_samples(np.array([1.0]), np.array([1.0]))
         assert d.prob_at(2.0) == 0.0
@@ -342,7 +349,7 @@ class TestCli:
                             (["--sweep", "0:1:4"], np.linspace(0.0, 1.0, 4))):
             counts["binned"] = 0
             assert cli.main(["heat", "--config", example_config, *argv, "--out", out]) == 0
-            blocks = bayesnet.sweep_blocks(spec, [cli._grid_time(t) for t in sweep])
+            blocks = bayesnet.sweep_blocks(spec, sweep)
             assert counts["binned"] <= sum(1 for _ in blocks)
 
     @pytest.mark.parametrize("argv,flags", [
@@ -444,6 +451,28 @@ class TestCli:
     def test_zero_time_still_accepted(self, capsys):
         assert cli.main(["verify", "--dims", "2x2", "--seed", "1", "--time", "0"]) == 0
         capsys.readouterr()
+
+    def test_config_times_may_start_at_zero(self, tmp_path, correlated_spec, capsys):
+        path = tmp_path / "zero.json"
+        config.save_config(correlated_spec, bayesnet.TimeGrid((0.0, 0.5)), path)
+        cfg = ["--config", str(path)]
+        assert cli.main(["verify", *cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert cli.main(["heat", *cfg]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert {row.split(",")[0] for row in rows} == {"0", "0.5"}
+        assert cli.main(["heat", *cfg, "--time", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == \
+            [header] + [row for row in rows if row.startswith("0,")]
+
+    @pytest.mark.parametrize("product", [[], ["--product"]], ids=["correlated", "product"])
+    def test_example_exact_at_zero_time(self, product, tmp_path):
+        # the default sweep starts at t = 0, where U is the identity
+        report = tmp_path / "report.json"
+        assert cli.main(["example", *product, "--out", str(tmp_path / "example.csv"),
+                         "--report", str(report)]) == 0
+        record, = json.loads(report.read_text())["records"]
+        assert record["value"] <= 1e-14
 
     def test_example_against_oracle(self, tmp_path):
         out = tmp_path / "example.csv"

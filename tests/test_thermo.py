@@ -99,7 +99,7 @@ class TestPairIndices:
 
     @staticmethod
     def assert_matches_dense(fmask, rmask):
-        got = thermo._pair_indices(fmask, rmask)
+        got = thermo._pair_indices(fmask[None], rmask[None])[1:]
         want = _dense_pairs(fmask, rmask)
         assert len(got) == 4
         for g, w in zip(got, want):
@@ -141,7 +141,7 @@ class TestPairIndices:
         fmask[:, 0, 0] = True
         rmask[:, 1, 1] = True       # live cells, but never the same outcomes
         for f, r in ((fmask, rmask), (fmask, np.zeros_like(rmask))):
-            got = thermo._pair_indices(f, r)
+            got = thermo._pair_indices(f[None], r[None])[1:]
             assert [g.dtype for g in got] == [np.intp] * 4
             assert [g.size for g in got] == [0] * 4
             self.assert_matches_dense(f, r)
@@ -300,7 +300,7 @@ class TestLedgerBlocks:
     """A block of times against the one-time path at each of its times."""
 
     #: includes a repeated time and a time below the others
-    TIMES = (1e-12, 0.37, 0.9, 0.9, 1.6, 0.2, 2.9)
+    TIMES = (0.0, 0.37, 0.9, 0.9, 1.6, 0.2, 2.9)
     #: ledger tables with the block's time axis, those shared by every
     #: time of a block, and those with one entry per pair
     AT_TIME = ("a1_table", "b0_table", "b1_table", "joint1", "pp1", "e_a1", "e_b1",
@@ -558,6 +558,29 @@ class TestBalances:
         info = thermo.mutual_information_check(ledgers_at(product_spec, 0.44))
         assert abs(info.mean_i0) < 1e-12
         assert abs(info.info_0) < 1e-12
+
+
+class TestOneTimeRelations:
+    """Relations that read the tables of one time refuse block ledgers."""
+
+    ONE_TIME = {
+        "integral_ft": lambda led: thermo.integral_ft(led, "i0", "forward"),
+        "combined_integral_ft": thermo.combined_integral_ft,
+        "mean_heat_balance": thermo.mean_heat_balance,
+        "mutual_information_check": thermo.mutual_information_check,
+        "joint_distribution": thermo.joint_distribution,
+        "mean_quantity[gamma]": lambda led: thermo.mean_quantity(led, "gamma"),
+        "mean_quantity[sigma_a]": lambda led: thermo.mean_quantity(led, "sigma_a"),
+    }
+
+    @pytest.mark.parametrize("times", [(0.5,), (0.0, 0.5, 1.0, 1.5)], ids=len)
+    @pytest.mark.parametrize("call", sorted(ONE_TIME))
+    def test_block_ledgers_rejected(self, correlated_spec, times, call):
+        block, = bayesnet.sweep_blocks(correlated_spec, times)
+        name = call.partition("[")[0]
+        with pytest.raises(ValueError, match=f"^{name} reads the ledgers of one time"):
+            self.ONE_TIME[call](thermo.compute_ledgers(block))
+        self.ONE_TIME[call](ledgers_at(correlated_spec, times[0]))
 
 
 class TestRandomSpecs:
