@@ -6,10 +6,11 @@ agree in every coordinate.  ``np.round`` is odd-symmetric, so negating
 some coordinates of every sample negates the same key coordinates and
 leaves the partition of the samples into bins unchanged.  A distribution
 and its mirror image over the same samples therefore have the same bins,
-one to one.  The relation checks pair bins that way, and ``prob_at``
-looks a point up by the same rule: it reads the bin whose key is the
-point's key, never a neighbour, even one closer than ``binning`` across a
-rounding boundary.
+one to one.  The relation checks pair bins that way, and
+``DiscreteDistribution.masses_at`` looks points up by the same rule: it
+reads the bin whose key is the point's key, never a neighbour, even one
+closer than ``binning`` across a rounding boundary.  ``prob_at``, the
+lookup of one point, reads through it, so the two share the key rule.
 """
 
 from __future__ import annotations
@@ -146,12 +147,6 @@ class DiscreteDistribution:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def split(self, starts) -> list["DiscreteDistribution"]:
-        """The distributions of consecutive runs of points, run j being
-        ``starts[j]:starts[j + 1]`` (the groups of a binning by group)."""
-        return [DiscreteDistribution(self.points[lo:hi], self.probs[lo:hi], self.binning)
-                for lo, hi in zip(starts[:-1], starts[1:])]
-
     @property
     def total(self) -> float:
         return float(self.probs.sum())
@@ -161,15 +156,32 @@ class DiscreteDistribution:
             raise ValueError("distribution support is not one-dimensional")
         return self.points[:, 0]
 
+    def masses_at(self, points, starts=None, default: float = 0.0) -> np.ndarray:
+        """The mass at each of ``points`` in each group, shape
+        (groups, n): entry [g, j] is the mass of the bins of group g whose
+        key ``round(x / binning)`` is that of ``points[j]``, and
+        ``default`` if there is none.  ``points`` has shape (n, k), or (n,)
+        for k = 1.  Group g holds the points ``starts[g]:starts[g + 1]``
+        (the groups of a binning by group, ``Bins.starts``); without
+        ``starts`` all points are one group."""
+        k = self.points.shape[1]
+        q = np.asarray(points, dtype=float)
+        if q.ndim == 1 and k == 1:
+            q = q[:, None]
+        if q.ndim != 2 or q.shape[1] != k:
+            raise ValueError("point dimension mismatch")
+        bounds = np.array([0, self.n_points]) if starts is None else np.asarray(starts)
+        shape = (len(bounds) - 1, len(q))
+        # np.rint: the rounding of np.round to integers, without its wrapper
+        hit = np.all(np.rint(self.points / self.binning)[:, None]
+                     == np.rint(q / self.binning), axis=2)
+        row, col = np.nonzero(hit)
+        cell = np.repeat(np.arange(shape[0]), np.diff(bounds))[row] * shape[1] + col
+        mass = np.bincount(cell, weights=self.probs[row], minlength=shape[0] * shape[1])
+        found = np.bincount(cell, minlength=mass.size) > 0
+        return np.where(found, mass, default).reshape(shape)
+
     def prob_at(self, point, default: float = 0.0) -> float:
         """Mass of the bin whose key ``round(x / binning)`` is that of
         ``point``, by the binning rule; ``default`` if none."""
-        q = np.atleast_1d(np.asarray(point, dtype=float))
-        if q.shape[0] != self.points.shape[1]:
-            raise ValueError("point dimension mismatch")
-        # np.rint: the rounding of np.round to integers, without its wrapper
-        hit = np.all(np.rint(self.points / self.binning) == np.rint(q / self.binning), axis=1)
-        idx = np.flatnonzero(hit)
-        if idx.size == 0:
-            return default
-        return float(self.probs[idx].sum())
+        return float(self.masses_at(np.reshape(point, (1, -1)), default=default)[0, 0])

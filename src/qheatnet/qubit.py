@@ -10,6 +10,7 @@ pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,13 @@ __all__ = [
     "ExampleParams",
     "occupation_to_beta",
     "build_example_spec",
+    "HEAT_VALUES",
+    "analytic_heat_masses",
     "analytic_heat_distribution",
 ]
+
+#: the heat values of qubit A, in the order of ``analytic_heat_masses``
+HEAT_VALUES = (1.0, 0.0, -1.0)
 
 
 def occupation_to_beta(p: float, gap: float = 1.0) -> float:
@@ -57,6 +63,14 @@ def _boltzmann(params: ExampleParams) -> tuple[float, float, float, float]:
     return ea, eb, 1.0 + ea, 1.0 + eb
 
 
+def _square(x) -> np.ndarray:
+    """``x ** 2`` elementwise by libm's ``pow``, the rounding of
+    ``np.float64 ** 2`` on one value, so the closed form has the same bits
+    for one time and for an array of times.  The array square ``x * x``
+    differs from it in the last bit for some values."""
+    return np.asarray(np.frompyfunc(math.pow, 2, 1)(x, 2.0), dtype=float)
+
+
 def build_example_spec(
     params: ExampleParams = ExampleParams(),
     tol: system.Tolerances | None = None,
@@ -85,16 +99,19 @@ def build_example_spec(
         chi=chi, h_int=h_int, **kwargs)
 
 
-def analytic_heat_distribution(
+def analytic_heat_masses(
     params: ExampleParams,
-    t: float,
+    times,
     direction: str = "forward",
-) -> DiscreteDistribution:
-    """Closed-form distribution of the heat absorbed by qubit A.
+) -> np.ndarray:
+    """Closed-form probabilities of the heat absorbed by qubit A at each
+    of ``times``, shape ``np.shape(times) + (3,)``: the masses at
+    ``HEAT_VALUES`` = (+1, 0, -1).
 
     The reversed process is the same experiment run backwards, which
     amounts to flipping the sign of the time argument.
     """
+    t = np.asarray(times, dtype=float)
     if direction == "reverse":
         t = -t
     elif direction != "forward":
@@ -106,11 +123,22 @@ def analytic_heat_distribution(
 
     if params.correlated:
         norm = (ea + eb) * za * zb
-        p_plus = eb * (np.sqrt(ea) * c - np.sqrt(eb) * s) ** 2 / norm
-        p_minus = ea * (np.sqrt(eb) * c + np.sqrt(ea) * s) ** 2 / norm
+        p_plus = eb * _square(np.sqrt(ea) * c - np.sqrt(eb) * s) / norm
+        p_minus = ea * _square(np.sqrt(eb) * c + np.sqrt(ea) * s) / norm
     else:
         p_plus = eb * s * s / (za * zb)
         p_minus = ea * s * s / (za * zb)
     p_zero = 1.0 - p_plus - p_minus
+    return np.stack((p_plus, p_zero, p_minus), axis=-1)
+
+
+def analytic_heat_distribution(
+    params: ExampleParams,
+    t: float,
+    direction: str = "forward",
+) -> DiscreteDistribution:
+    """Closed-form distribution of the heat absorbed by qubit A at one
+    time, the masses of ``analytic_heat_masses`` binned on
+    ``HEAT_VALUES``."""
     return DiscreteDistribution.from_samples(
-        np.array([1.0, 0.0, -1.0]), np.array([p_plus, p_zero, p_minus]))
+        np.array(HEAT_VALUES), analytic_heat_masses(params, t, direction))

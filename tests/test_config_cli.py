@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, cli, config, linalg, qubit, randspec, system
+from qheatnet import bayesnet, cli, config, linalg, qubit, randspec, system, thermo
 from qheatnet.distributions import DiscreteDistribution
+from conftest import ledgers_at
 
 
 @pytest.fixture()
@@ -118,6 +120,54 @@ class TestDistribution:
         d = DiscreteDistribution.from_samples(pts, np.array([0.2, 0.2, 0.6]))
         assert d.n_points == 2
         assert d.prob_at((0.0, 1.0)) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("spec", ["correlated", "product", "random 3x3"])
+    def test_masses_at_equals_prob_at_on_every_group(self, spec, correlated_spec,
+                                                     product_spec):
+        spec = {"correlated": correlated_spec, "product": product_spec,
+                "random 3x3": randspec.random_spec(4, 3, 3)}[spec]
+        block = next(bayesnet.sweep_blocks(spec, np.linspace(0.0, 2.0, 9)))
+        ledgers = thermo.compute_ledgers(block)
+        starts = ledgers.heat_bins.starts
+        assert len(starts) == 10
+        for direction in ("forward", "reverse"):
+            dist = thermo.heat_distribution(ledgers, direction)
+            # every bin of the block, the example's heat values and keys
+            # no bin has (0.5 lies between the example's bins)
+            points = np.concatenate((dist.scalar_points(), qubit.HEAT_VALUES, [0.5, 7.0]))
+            masses = dist.masses_at(points, starts)
+            groups = [DiscreteDistribution(dist.points[lo:hi], dist.probs[lo:hi], dist.binning)
+                      for lo, hi in zip(starts[:-1], starts[1:])]
+            expect = [[group.prob_at(x) for x in points] for group in groups]
+            assert masses.shape == (9, len(points))
+            assert masses.tobytes() == np.array(expect).tobytes()
+            assert np.all(masses[:, -1] == 0.0)
+
+    def test_masses_at_two_coordinates(self):
+        pts = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
+        d = DiscreteDistribution.from_samples(pts, np.array([0.2, 0.2, 0.6]))
+        queries = [(0.0, 1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0 + 1e-12)]
+        masses = d.masses_at(queries)
+        assert masses.tolist() == [[d.prob_at(x) for x in queries]]
+        assert masses[0, 2] == 0.0 and masses[0, 0] == masses[0, 3]
+        with pytest.raises(ValueError, match="dimension"):
+            d.masses_at([0.0, 1.0])
+
+    def test_masses_at_reads_the_bin_of_the_key(self):
+        # the rounding-boundary case of test_prob_at_reads_the_bin_of_the_key
+        d = DiscreteDistribution.from_samples([1.4e-9, 1.6e-9], [0.3, 0.7])
+        points = [1.6e-9, 1.4e-9, 2.6e-9]
+        assert d.masses_at(points).tolist() == [[0.7, 0.3, 0.0]]
+        assert d.masses_at(points).tolist() == [[d.prob_at(x) for x in points]]
+        assert d.masses_at(points, default=-1.0).tolist() == [[0.7, 0.3, -1.0]]
+
+    def test_masses_at_empty_group_reads_default(self):
+        values = np.array([0.0, 1.0, 1.0, -1.0])
+        bins = DiscreteDistribution._binned(values, 1e-9, np.array([0, 0, 2, 2]))
+        d = DiscreteDistribution._collect(bins, [0.1, 0.9, 0.25, 0.75])
+        assert bins.starts.tolist() == [0, 2, 2, 4]
+        assert d.masses_at([1.0, 0.0, -1.0], bins.starts).tolist() == [
+            [0.9, 0.1, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.75]]
 
 
     @pytest.mark.parametrize("values", [[1e10, 2e10, -3e10], [0.0, np.nan, 1.0],
@@ -290,18 +340,24 @@ class TestCli:
                                                    tmp_path):
         counts = {}
 
-        def count(module, name):
-            fn = getattr(module, name)
+        def count(owner, name):
+            fn = getattr(owner, name)
+            wrap = isinstance(inspect.getattr_static(owner, name),
+                              (staticmethod, classmethod))
 
             def counted(*args, **kwargs):
                 counts[name] = counts.get(name, 0) + 1
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, staticmethod(counted) if wrap else counted)
 
-        for module, name in ((system, "validate"), (system, "gibbs_state"),
-                             (linalg, "hermitian_eigendecompose"),
-                             (linalg, "unitary_from_hamiltonian")):
-            count(module, name)
+        for owner, name in ((system, "validate"), (system, "gibbs_state"),
+                            (linalg, "hermitian_eigendecompose"),
+                            (linalg, "unitary_from_hamiltonian"),
+                            (qubit, "analytic_heat_distribution"),
+                            (DiscreteDistribution, "prob_at"),
+                            (DiscreteDistribution, "from_samples"),
+                            (DiscreteDistribution, "_binned")):
+            count(owner, name)
         out = tmp_path / "example.csv"
         assert cli.main(["example", "--sweep", "0:2:101", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 101 * 3
@@ -312,6 +368,14 @@ class TestCli:
         assert counts["gibbs_state"] <= 6
         assert counts["hermitian_eigendecompose"] <= 212
         assert "unitary_from_hamiltonian" not in counts
+        # the oracle reads each block's masses by bin key and its closed
+        # form for all of the block's times at once: one heat binning per
+        # block, no per-time lookup or closed-form distribution
+        for name in ("analytic_heat_distribution", "prob_at", "from_samples"):
+            assert name not in counts
+        spec = qubit.build_example_spec(qubit.ExampleParams())
+        assert counts["_binned"] <= sum(
+            1 for _ in bayesnet.sweep_blocks(spec, np.linspace(0.0, 2.0, 101)))
 
         counts.clear()
         assert cli.main(["verify", "--config", example_config,
@@ -484,3 +548,67 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,Q,P_f,P_f_analytic,P_r,P_r_analytic"
         assert len(lines) == 1 + 9 * 3
+
+    @pytest.mark.parametrize("side", ["closed form", "numeric"])
+    def test_example_nan_deviation_fails(self, side, monkeypatch, tmp_path):
+        # a NaN mass at the sixth of eleven times, after finite deviations
+        if side == "closed form":
+            closed_form = qubit.analytic_heat_masses
+
+            def patched(params, times, direction="forward"):
+                masses = closed_form(params, times, direction).copy()
+                masses[5, 1] = np.nan
+                return masses
+            monkeypatch.setattr(qubit, "analytic_heat_masses", patched)
+        else:
+            heat_distribution = thermo.heat_distribution
+
+            def patched(ledgers, direction="forward"):
+                dist = heat_distribution(ledgers, direction)
+                probs = dist.probs.copy()
+                probs[ledgers.heat_bins.starts[5]] = np.nan
+                return DiscreteDistribution(dist.points, probs, dist.binning)
+            monkeypatch.setattr(thermo, "heat_distribution", patched)
+        out, report = tmp_path / "example.csv", tmp_path / "report.json"
+        assert cli.main(["example", "--sweep", "0:2:11", "--out", str(out),
+                         "--report", str(report)]) == 1
+        rep = json.loads(report.read_text())
+        assert rep["passed"] is False
+        record, = rep["records"]
+        assert np.isnan(record["value"]) and record["passed"] is False
+        rows = out.read_text().splitlines()[1:]
+        assert [i // 3 for i, row in enumerate(rows) if "nan" in row] == [5]
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 4])
+    @pytest.mark.parametrize("product", [[], ["--product"]], ids=["correlated", "product"])
+    def test_example_csv_matches_one_time_route(self, product, n_blocks, monkeypatch,
+                                                tmp_path):
+        """The CSV and report equal, byte for byte, those built time by
+        time from one-time ledgers, ``prob_at`` lookups and the one-time
+        closed form, for sweeps of one, two and four blocks."""
+        params = qubit.ExampleParams(correlated=not product)
+        spec = qubit.build_example_spec(params)
+        sweep = np.linspace(0.0, 2.0, 101)
+        kept = ledgers_at(spec, 1.0).n_anchor
+        monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS",
+                            -(-len(sweep) // n_blocks) * kept * spec.dim ** 2)
+        assert sum(1 for _ in bayesnet.sweep_blocks(spec, sweep)) == n_blocks
+
+        lines, worst = ["t,Q,P_f,P_f_analytic,P_r,P_r_analytic"], 0.0
+        for t in sweep:
+            ledgers = ledgers_at(spec, t)
+            p_f = thermo.heat_distribution(ledgers, "forward")
+            p_r = thermo.heat_distribution(ledgers, "reverse")
+            a_f = qubit.analytic_heat_distribution(params, t, "forward")
+            a_r = qubit.analytic_heat_distribution(params, t, "reverse")
+            for q in (1.0, 0.0, -1.0):
+                row = (p_f.prob_at(q), a_f.prob_at(q), p_r.prob_at(q), a_r.prob_at(q))
+                worst = max(worst, abs(row[0] - row[1]), abs(row[2] - row[3]))
+                lines.append(",".join(f"{v:.17g}" for v in (t, q, *row)))
+
+        out, report = tmp_path / "example.csv", tmp_path / "report.json"
+        assert cli.main(["example", *product, "--out", str(out),
+                         "--report", str(report)]) == 0
+        assert out.read_text() == "\n".join(lines) + "\n"
+        record, = json.loads(report.read_text())["records"]
+        assert record["value"] == worst

@@ -77,6 +77,31 @@ class TestAnalyticForms:
         b = qubit.analytic_heat_distribution(example_params, 0.31 + 2.0)
         assert np.abs(a.probs - b.probs).max() < 1e-12
 
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("correlated", [True, False])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_array_form_equals_one_time_calls(self, tau, correlated, direction):
+        params = qubit.ExampleParams(tau=tau, correlated=correlated)
+        times = np.concatenate(([0.0], np.linspace(0.01, 2.0 * tau, 41), [tau, 3.7 * tau]))
+        masses = qubit.analytic_heat_masses(params, times, direction)
+        one_time = [[qubit.analytic_heat_distribution(params, t, direction).prob_at(q)
+                     for q in qubit.HEAT_VALUES] for t in times]
+        assert masses.shape == (len(times), 3)
+        assert masses.tobytes() == np.array(one_time).tobytes()
+        grid = qubit.analytic_heat_masses(params, times.reshape(4, 11), direction)
+        assert grid.shape == (4, 11, 3) and grid.tobytes() == masses.tobytes()
+
+    def test_square_is_the_one_value_power(self):
+        # the closed form once squared numpy scalars one time at a time;
+        # the array form keeps that rounding, which x * x does not always
+        x = np.linspace(-3.0, 3.0, 20001)
+        assert qubit._square(x).tobytes() == np.array([v ** 2 for v in x]).tobytes()
+        assert qubit._square(x[7]).shape == ()
+
+    def test_unknown_direction(self, example_params):
+        with pytest.raises(ValueError, match="direction"):
+            qubit.analytic_heat_masses(example_params, [0.5], "sideways")
+
     def test_reverse_is_time_mirror(self, example_params):
         a = qubit.analytic_heat_distribution(example_params, 0.77, "reverse")
         b = qubit.analytic_heat_distribution(example_params, -0.77, "forward")
