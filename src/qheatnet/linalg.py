@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "LinalgError",
-    "SupportError",
     "EigenSystem",
     "hermitian_eigendecompose",
     "tensor_product",
@@ -23,8 +22,6 @@ __all__ = [
     "unitary_from_hamiltonian",
     "unitary_from_eigensystem",
     "commutator_norm",
-    "relative_entropy",
-    "von_neumann_entropy",
     "spectral_entropy",
 ]
 
@@ -39,11 +36,6 @@ RESIDUAL_RTOL = 1e-11
 
 class LinalgError(ValueError):
     """Invalid input to a linear-algebra operation."""
-
-
-class SupportError(LinalgError):
-    """First argument of a relative entropy has weight outside the
-    support of the second."""
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -241,55 +233,11 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a @ b - b @ a).max())
 
 
-def von_neumann_entropy(rho: np.ndarray, zero_tol: float = 1e-14) -> float:
-    """-tr[rho ln rho] with 0*ln(0) == 0."""
-    return spectral_entropy(hermitian_eigendecompose(rho).values, zero_tol)
-
-
 def spectral_entropy(values: np.ndarray, zero_tol: float = 1e-14) -> float:
-    """-sum p ln p over the eigenvalues of a state, so that a state already
-    decomposed needs no second decomposition; the value is
-    ``von_neumann_entropy`` of that state bit for bit."""
+    """Von Neumann entropy -sum p ln p of a state from its eigenvalues
+    ``values``, so that a state already decomposed needs no second
+    decomposition.  Negative rounding noise is clipped to zero, and
+    eigenvalues at or below ``zero_tol`` count as zero (0 ln 0 = 0)."""
     p = np.clip(values, 0.0, None)
     mask = p > zero_tol
     return float(-np.sum(p[mask] * np.log(p[mask])))
-
-
-def relative_entropy(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    zero_tol: float = 1e-12,
-) -> float:
-    """Quantum relative entropy tr[rho ln rho] - tr[rho ln sigma].
-
-    Both arguments must be unit-trace positive semidefinite.  Raises
-    :class:`SupportError` if ``rho`` has weight where ``sigma`` vanishes.
-    """
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise LinalgError("relative entropy of states with different dimensions")
-    for name, state in (("rho", rho), ("sigma", sigma)):
-        if abs(np.trace(state).real - 1.0) > 1e-8:
-            raise LinalgError(f"{name} is not unit trace")
-
-    er = hermitian_eigendecompose(rho)
-    es = hermitian_eigendecompose(sigma)
-
-    pr = np.clip(er.values, 0.0, None)
-    mask = pr > zero_tol
-    tr_rho_ln_rho = float(np.sum(pr[mask] * np.log(pr[mask])))
-
-    # weight of rho on each sigma eigenvector
-    weights = np.real(np.einsum("ij,ik,kj->j", es.vectors.conj(), rho, es.vectors))
-    ps = es.values
-    bad = (ps <= zero_tol) & (weights > zero_tol)
-    if np.any(bad):
-        raise SupportError(
-            "rho has weight {:.3e} outside the support of sigma".format(
-                weights[bad].max()
-            )
-        )
-    ok = ps > zero_tol
-    tr_rho_ln_sigma = float(np.sum(weights[ok] * np.log(ps[ok])))
-    return tr_rho_ln_rho - tr_rho_ln_sigma

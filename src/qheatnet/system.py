@@ -104,10 +104,14 @@ class BipartiteSpec:
 
 @dataclass(frozen=True)
 class GibbsState:
-    """Thermal state exp(-beta*H)/Z with its spectral data."""
+    """Thermal state exp(-beta*H)/Z with its spectral data.
+
+    ``z_shifted`` is the partition sum of the energies measured from the
+    ground energy, sum exp(-beta*(E - E_0)), so it stays finite for any
+    constant shift of H; Z itself is z_shifted * exp(-beta*E_0)."""
 
     rho: np.ndarray
-    z: float
+    z_shifted: float
     beta: float
     energies: np.ndarray  # ascending, paired with rho's descending populations
     vectors: np.ndarray
@@ -125,12 +129,11 @@ def gibbs_state(h: np.ndarray, beta: float) -> GibbsState:
     energies = eig.values[::-1].copy()
     vectors = eig.vectors[:, ::-1].copy()
     # subtract the ground energy before exponentiating for stability
-    shifted = energies - energies[0]
-    boltz = np.exp(-beta * shifted)
-    z = float(boltz.sum() * np.exp(-beta * energies[0]))
-    pops = boltz / boltz.sum()
-    rho = (vectors * pops) @ vectors.conj().T
-    return GibbsState(rho=rho, z=z, beta=beta, energies=energies, vectors=vectors)
+    boltz = np.exp(-beta * (energies - energies[0]))
+    z_shifted = float(boltz.sum())
+    rho = (vectors * (boltz / z_shifted)) @ vectors.conj().T
+    return GibbsState(rho=rho, z_shifted=z_shifted, beta=beta, energies=energies,
+                      vectors=vectors)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -402,10 +403,9 @@ class TestCli:
         out = str(tmp_path / "out")
         assert cli.main(["verify", "--config", example_config, "--out", out]) == 0
         # two Gibbs states, the global state, h_int and four reduced states
-        # for the basis; the two global states and the two relative
-        # entropies for the heat balance.  One binning of the heat table
-        # and one per joint direction.
-        assert counts["eig"] <= 14
+        # for the basis; the heat balance reads the spectra these left.
+        # One binning of the heat table and one per joint direction.
+        assert counts["eig"] <= 8
         assert counts["binned"] <= 3
         # heat bins its heat tables once per block of times, not per time
         spec = config.load_config(example_config).spec
@@ -478,6 +478,38 @@ class TestCli:
         # its distinct tiny populations used to share one degenerate cluster
         assert cli.main(["verify", "--dims", "7x7", "--seed", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"]
+
+    def test_cold_gibbs_state_reaches_the_heat_balance(self, tmp_path, product_spec, capsys):
+        # gamma_A has a population of 4e-18 yet full rank: the balance
+        # passes.  j1 fails at this absolute-continuity boundary, exit 1:
+        # one joint outcome at t is below the floor where the product of
+        # the marginals is not.
+        path = tmp_path / "cold.json"
+        spec = dataclasses.replace(product_spec, beta_a=40.0)
+        config.save_config(spec, bayesnet.TimeGrid((0.5,)), path)
+        assert cli.main(["verify", "--config", str(path)]) == 1
+        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+        assert records["mean_heat_balance"]["passed"]
+        assert [n for n, r in records.items() if not r["passed"]] == ["integral_ft[j1]"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spec", [
+        *(qubit.build_example_spec(qubit.ExampleParams(correlated=c)) for c in (True, False)),
+        *(randspec.random_spec(seed, *dims, correlated=c)
+          for dims in ((2, 2), (2, 3), (3, 3)) for seed in (0, 1) for c in (True, False)),
+    ])
+    def test_energy_origin_is_free(self, spec, tmp_path, capsys):
+        # shifting H_A and H_B by constants changes no state and no heat
+        path = tmp_path / "shifted.json"
+        for shift_a, shift_b in ((600, 0), (-600, 0), (0, 600), (0, -600),
+                                 (600, -600), (-600, 250)):
+            shifted = dataclasses.replace(spec, h_a=spec.h_a + shift_a * np.eye(spec.dim_a),
+                                          h_b=spec.h_b + shift_b * np.eye(spec.dim_b))
+            config.save_config(shifted, bayesnet.TimeGrid((1.0,)), path)
+            assert cli.main(["verify", "--config", str(path)]) == 0
+            records = json.loads(capsys.readouterr().out)["records"]
+            balance, = (r for r in records if r["name"] == "mean_heat_balance")
+            assert balance["value"] <= 1e-12
 
     def test_bad_sweep(self, example_config, capsys):
         assert cli.main(["heat", "--config", example_config, "--sweep", "1:2"]) == 2

@@ -309,32 +309,7 @@ def test_commutator_norm():
 
 class TestEntropies:
     def test_pure_state(self):
-        assert linalg.von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+        assert linalg.spectral_entropy(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert linalg.von_neumann_entropy(np.eye(3) / 3) == pytest.approx(np.log(3))
-
-    def test_relative_entropy_self(self):
-        rho = np.diag([0.6, 0.4]).astype(complex)
-        assert linalg.relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_relative_entropy_value(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        assert linalg.relative_entropy(rho, np.eye(2) / 2) == pytest.approx(np.log(2))
-
-    def test_relative_entropy_nonnegative(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            a = random_hermitian(rng.integers(1 << 30), 3)
-            b = random_hermitian(rng.integers(1 << 30), 3)
-            rho = a @ a.conj().T
-            sig = b @ b.conj().T + 1e-3 * np.eye(3)
-            rho /= np.trace(rho).real
-            sig /= np.trace(sig).real
-            assert linalg.relative_entropy(rho, sig) >= -1e-12
-
-    def test_support_violation(self):
-        rho = np.eye(2, dtype=complex) / 2
-        sigma = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(linalg.SupportError):
-            linalg.relative_entropy(rho, sigma)
+        assert linalg.spectral_entropy(np.full(3, 1 / 3)) == pytest.approx(np.log(3))

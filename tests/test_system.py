@@ -10,7 +10,7 @@ class TestGibbs:
     def test_two_level_occupations(self):
         g = system.gibbs_state(H2, np.log(4.0))
         assert np.allclose(np.diag(g.rho).real, [0.8, 0.2])
-        assert g.z == pytest.approx(1.25)
+        assert g.z_shifted == pytest.approx(1.25)
         assert np.allclose(g.energies, [0.0, 1.0])
 
     def test_infinite_temperature(self):
@@ -98,7 +98,7 @@ class TestInitialState:
         for got, h, beta in ((start.gibbs_a, correlated_spec.h_a, correlated_spec.beta_a),
                              (start.gibbs_b, correlated_spec.h_b, correlated_spec.beta_b)):
             want = system.gibbs_state(h, beta)
-            assert np.array_equal(got.rho, want.rho) and got.z == want.z
+            assert np.array_equal(got.rho, want.rho) and got.z_shifted == want.z_shifted
         assert np.array_equal(
             start.rho, linalg.tensor_product(start.gibbs_a.rho, start.gibbs_b.rho)
             + correlated_spec.chi)
