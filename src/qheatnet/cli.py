@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from . import bayesnet, config, qubit, randspec, system, thermo
+from .thermo import FT_TOL  # perfbench reads the tolerances as cli.FT_TOL, cli.ORACLE_TOL
 
 __all__ = ["main"]
 
-#: default numeric tolerance for fluctuation-relation checks
-FT_TOL = 1e-9
 #: tolerance for the analytic-oracle comparison in ``example``
 ORACLE_TOL = 1e-10
 
@@ -113,8 +112,12 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report_text(command: str, records: list[dict]) -> str:
-    """The JSON report of a verb: its records and whether all passed."""
+def _report_text(command: str, checks) -> str:
+    """The JSON report of a verb: a record per check and whether all
+    passed."""
+    records = [{"name": c.name, "value": float(c.value), "expected": float(c.expected),
+                "tolerance": float(c.tolerance), "passed": bool(c.passed)}
+               for c in checks]
     report = {
         "command": command,
         "passed": all(r["passed"] for r in records),
@@ -123,19 +126,9 @@ def _report_text(command: str, records: list[dict]) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _emit_report(args, command: str, records: list[dict]) -> int:
-    _write_out(args, _report_text(command, records))
-    return 0 if all(r["passed"] for r in records) else 1
-
-
-def _record(name: str, value: float, expected: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "value": float(value),
-        "expected": float(expected),
-        "tolerance": float(tolerance),
-        "passed": bool(abs(value - expected) <= tolerance),
-    }
+def _emit_report(args, command: str, checks) -> int:
+    _write_out(args, _report_text(command, checks))
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def cmd_validate(args) -> int:
@@ -145,55 +138,14 @@ def cmd_validate(args) -> int:
         raise CliError(str(exc))
     spec = dataclasses.replace(
         loaded.spec, tol=_parse_tol(args.tol, loaded.spec.tol))
-    report = system.validate(spec)
-    # a residual is never negative, so _record passes exactly the checks
-    # that passed
-    records = [_record(c.name, c.residual, 0.0, c.tolerance) for c in report.checks]
-    return _emit_report(args, "validate", records)
-
-
-def _verify_records(spec: system.BipartiteSpec, t: float) -> list[dict]:
-    basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((t,)))
-    ledgers = thermo.compute_ledgers(basis)
-
-    records = []
-    for name in thermo.FORWARD_QUANTITIES:
-        records.append(_record(
-            f"integral_ft[{name}]",
-            thermo.integral_ft(ledgers, name, "forward"), 1.0, FT_TOL))
-    for name in thermo.REVERSE_QUANTITIES:
-        records.append(_record(
-            f"integral_ft[{name}]",
-            thermo.integral_ft(ledgers, name, "reverse"), 1.0, FT_TOL))
-
-    combined = thermo.combined_integral_ft(ledgers)
-    records.append(_record("combined_ft", combined.value, 1.0, FT_TOL))
-    if combined.all_energy_conserving:
-        records.append(_record(
-            "combined_ft_delta_beta", combined.value_delta_beta, 1.0, FT_TOL))
-    records.append(_record(
-        "detailed_ft_pointwise", ledgers.detailed_residual, 0.0, FT_TOL))
-
-    joint = thermo.joint_distribution(ledgers)
-    records.append(_record(
-        "joint_detailed_ft", joint.max_residual, 0.0, FT_TOL))
-    psi = thermo.psi_factor(ledgers)
-    records.append(_record(
-        "modified_heat_ft", psi.max_residual, 0.0, FT_TOL))
-    balance = thermo.mean_heat_balance(ledgers)
-    records.append(_record("mean_heat_balance", balance.residual, 0.0, FT_TOL))
-
-    table = bayesnet.path_probability_table(basis)
-    choi = bayesnet.choi_path_probability(basis)
-    records.append(_record(
-        "choi_consistency", float(np.abs(table - choi).max()), 0.0, 1e-12))
-    return records
+    return _emit_report(args, "validate", system.validate(spec).checks)
 
 
 def cmd_verify(args) -> int:
     spec, times = _load_spec(args)
     t = _check_time(args.time, "--time") if args.time is not None else times[0]
-    return _emit_report(args, "verify", _verify_records(spec, t))
+    basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((t,)))
+    return _emit_report(args, "verify", thermo.relation_checks(thermo.compute_ledgers(basis)))
 
 
 _HEAT_HEADER = "t,Q,P_f,P_r,ratio,exp_QdBeta,Psi"
@@ -283,12 +235,12 @@ def cmd_example(args) -> int:
             lines.extend(_csv_row(t, q, *masses)
                          for q, *masses in zip(qubit.HEAT_VALUES, *rows))
     _write_out(args, "\n".join(lines) + "\n")
-    record = _record("analytic_oracle_deviation", float(np.max(deviations)), 0.0,
-                     ORACLE_TOL)
+    check = system.CheckResult("analytic_oracle_deviation", float(np.max(deviations)),
+                               ORACLE_TOL)
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(_report_text("example", [record]))
-    return 0 if record["passed"] else 1
+            fh.write(_report_text("example", [check]))
+    return 0 if check.passed else 1
 
 
 def _add_common(p: argparse.ArgumentParser, spec_source: bool = True) -> None:

@@ -238,6 +238,6 @@ def spectral_entropy(values: np.ndarray, zero_tol: float = 1e-14) -> float:
     ``values``, so that a state already decomposed needs no second
     decomposition.  Negative rounding noise is clipped to zero, and
     eigenvalues at or below ``zero_tol`` count as zero (0 ln 0 = 0)."""
-    p = np.clip(values, 0.0, None)
-    mask = p > zero_tol
-    return float(-np.sum(p[mask] * np.log(p[mask])))
+    p = np.maximum(values, 0.0)
+    p = p[p > zero_tol]
+    return float(-np.sum(p * np.log(p)))

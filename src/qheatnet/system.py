@@ -147,9 +147,17 @@ class InitialState:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A computed value against its expected value: the check passes
+    when the residual |value - expected| is within the tolerance."""
+
     name: str
-    residual: float
+    value: float
     tolerance: float
+    expected: float = 0.0
+
+    @property
+    def residual(self) -> float:
+        return abs(self.value - self.expected)
 
     @property
     def passed(self) -> bool:

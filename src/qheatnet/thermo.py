@@ -43,6 +43,9 @@ __all__ = [
     "mean_heat_balance",
     "mutual_information_check",
     "mean_quantity",
+    "FT_TOL",
+    "CHOI_TOL",
+    "relation_checks",
 ]
 
 #: quantities averaged over the forward (augmented) ensemble
@@ -179,7 +182,6 @@ class LedgerSet:
         t, ki, kj, i0, i1 = _pair_indices(per_time(self.fmask), per_time(self.rmask))
         self.t_index, self.ki, self.kj, self.i0, self.i1 = t, ki, kj, i0, i1
         s_lab, t_lab = kp[ki], kp[kj]
-        self.s_lab, self.t_lab = s_lab, t_lab
 
         self.w_f = fwd[t, ki, i0, i1] / self.n_anchor
         self.w_r = rev[t, kj, i0, i1] / self.n_anchor
@@ -187,12 +189,10 @@ class LedgerSet:
         ln_pops = np.log(self.pops[kp])
         ln_j0 = np.log(self.joint0[i0])
         ln_j1 = np.log(per_time(self.joint1)[t, i1])
-        self.col_j0 = ln_j0 - np.log(self.pp0[i0])
-        self.col_c0 = ln_pops[ki] - ln_j0
-        self.col_i0 = self.col_j0 + self.col_c0
-        self.col_j1 = ln_j1 - np.log(per_time(self.pp1)[t, i1])
-        self.col_c1 = ln_pops[kj] - ln_j1
-        self.col_i1 = self.col_j1 + self.col_c1
+        # i = j + c: the classical part ln(joint / product) plus the
+        # coherent part ln(label population / joint)
+        self.col_i0 = (ln_j0 - np.log(self.pp0[i0])) + (ln_pops[ki] - ln_j0)
+        self.col_i1 = (ln_j1 - np.log(per_time(self.pp1)[t, i1])) + (ln_pops[kj] - ln_j1)
         at_a, at_b = t * da + a0idx[i1], t * db + b0idx[i1]   # flat (T, d) positions
         self.col_sigma_a = (np.log(marg.a_1.ravel()[at_a])
                             - np.log(self.pth_a1.ravel()[at_a]))
@@ -205,7 +205,6 @@ class LedgerSet:
         self.col_k = self.col_i1 - self.col_i0 + self.col_sigma_a + self.col_sigma_b
         self.col_q_a = per_time(qa)[t, i0, i1]
         self.col_q_b = per_time(qb)[t, i0, i1]
-        self.col_energy_ok = np.abs(self.col_q_a + self.col_q_b) <= binning
 
         self.exponent = (self.beta_a * self.col_q_a + self.beta_b * self.col_q_b
                          + self.col_i0 - self.col_i1
@@ -564,3 +563,41 @@ def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
     if quantity == "gamma":
         return float(np.sum(ledgers.w_f * ledgers.col_gamma))
     raise ValueError(f"unknown quantity {quantity!r}")
+
+
+#: tolerance of every relation check but the channel-state route
+FT_TOL = 1e-9
+#: tolerance of the channel-state route against the path table
+CHOI_TOL = 1e-12
+
+
+def relation_checks(ledgers: LedgerSet) -> tuple[system.CheckResult, ...]:
+    """Every relation of the hierarchy on the ledgers of one time, in a
+    fixed order: the nine integral FTs (forward quantities, then
+    reverse), the combined FT and, when every live forward cell conserves
+    energy, its heat-bias form, then the pointwise, joint and psi-modified
+    detailed FTs, the heat balance, the channel-state route and the
+    stochastic information averages."""
+    _one_time(ledgers, "relation_checks")
+    check = system.CheckResult
+    checks = [check(f"integral_ft[{name}]", integral_ft(ledgers, name, measure), FT_TOL, 1.0)
+              for names, measure in ((FORWARD_QUANTITIES, "forward"),
+                                     (REVERSE_QUANTITIES, "reverse"))
+              for name in names]
+    combined = combined_integral_ft(ledgers)
+    checks.append(check("combined_ft", combined.value, FT_TOL, 1.0))
+    if combined.all_energy_conserving:
+        checks.append(check("combined_ft_delta_beta", combined.value_delta_beta, FT_TOL, 1.0))
+    checks += [
+        check("detailed_ft_pointwise", ledgers.detailed_residual, FT_TOL),
+        check("joint_detailed_ft", joint_distribution(ledgers).max_residual, FT_TOL),
+        check("modified_heat_ft", psi_factor(ledgers).max_residual, FT_TOL),
+        check("mean_heat_balance", mean_heat_balance(ledgers).residual, FT_TOL),
+    ]
+    basis = ledgers.basis
+    choi = np.abs(bayesnet.path_probability_table(basis)
+                  - bayesnet.choi_path_probability(basis)).max()
+    checks.append(check("choi_consistency", float(choi), CHOI_TOL))
+    checks.append(check("mutual_information",
+                        mutual_information_check(ledgers).max_residual, FT_TOL))
+    return tuple(checks)

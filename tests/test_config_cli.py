@@ -203,6 +203,47 @@ class TestCli:
         assert {"combined_ft", "detailed_ft_pointwise", "choi_consistency"} <= names
         assert sum(n.startswith("integral_ft[") for n in names) == 9
 
+    #: the verify records in order, with their expected values
+    VERIFY_RECORDS = (
+        *((f"integral_ft[{name}]", 1.0)
+          for name in thermo.FORWARD_QUANTITIES + thermo.REVERSE_QUANTITIES),
+        ("combined_ft", 1.0), ("combined_ft_delta_beta", 1.0),
+        ("detailed_ft_pointwise", 0.0), ("joint_detailed_ft", 0.0),
+        ("modified_heat_ft", 0.0), ("mean_heat_balance", 0.0),
+        ("choi_consistency", 0.0), ("mutual_information", 0.0),
+    )
+
+    def test_verify_reports_the_relation_checks(self, example_config, capsys):
+        sources = [(["--config", example_config], config.load_config(example_config).spec, 1.0),
+                   (["--dims", "3x3", "--seed", "31", "--time", "0.37"],
+                    randspec.random_spec(31, 3, 3), 0.37)]
+        for argv, spec, t in sources:
+            assert cli.main(["verify", *argv]) == 0
+            records = json.loads(capsys.readouterr().out)["records"]
+            assert [(r["name"], r["expected"]) for r in records] == list(self.VERIFY_RECORDS)
+            assert [r["tolerance"] for r in records] == [
+                1e-12 if r["name"] == "choi_consistency" else 1e-9 for r in records]
+            checks = thermo.relation_checks(ledgers_at(spec, t))
+            assert records == [{"name": c.name, "value": c.value, "expected": c.expected,
+                                "tolerance": c.tolerance, "passed": c.passed} for c in checks]
+
+        # chi with coherences across the energy shells: the spec is valid,
+        # but live forward cells move energy out of the pair, so the
+        # heat-bias form of the combined FT is not reported
+        rng = np.random.default_rng(5)
+        spec = randspec.random_spec(rng, 2, 2)
+        chi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        chi = randspec._remove_marginals((chi + chi.conj().T) / 2.0, 2, 2)
+        product = np.kron(system.gibbs_state(spec.h_a, spec.beta_a).rho,
+                          system.gibbs_state(spec.h_b, spec.beta_b).rho)
+        chi *= 0.8 * np.linalg.eigvalsh(product).min() / np.abs(np.linalg.eigvalsh(chi)).max()
+        spec = dataclasses.replace(spec, chi=chi)
+        assert system.validate(spec).passed
+        led = ledgers_at(spec, 0.7)
+        assert not led.all_energy_conserving
+        names = [c.name for c in thermo.relation_checks(led)]
+        assert names == [n for n, _ in self.VERIFY_RECORDS if n != "combined_ft_delta_beta"]
+
     def test_verify_random_instance(self, capsys):
         assert cli.main(["verify", "--dims", "2x3", "--seed", "11", "--time", "0.8"]) == 0
         capsys.readouterr()
