@@ -74,7 +74,9 @@ def _beta_from(data: dict, side: str, h: np.ndarray) -> float:
 
 
 def load_config(source) -> LoadedConfig:
-    """Build a spec and time grid from a JSON file path or a dict."""
+    """Build a spec and time grid from a JSON file path or a dict.  Any
+    unusable value raises ConfigError."""
+    data = source
     if isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text())
@@ -82,11 +84,19 @@ def load_config(source) -> LoadedConfig:
             raise ConfigError(f"cannot read config: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
-    elif isinstance(source, dict):
-        data = source
-    else:
-        raise ConfigError(f"unsupported config source {type(source).__name__}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
+    try:
+        return _build(data)
+    except ConfigError:
+        raise
+    except TypeError as exc:     # a value of the wrong type, e.g. "beta_a": null
+        raise ConfigError(f"malformed config value: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
+
+def _build(data: dict) -> LoadedConfig:
     for key in ("h_a", "h_b", "chi", "h_int", "times"):
         if key not in data:
             raise ConfigError(f"missing config key {key!r}")
@@ -110,10 +120,7 @@ def load_config(source) -> LoadedConfig:
     unknown = set(tol_kwargs) - known
     if unknown:
         raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
-    try:
-        tol = system.Tolerances(**{k: float(v) for k, v in tol_kwargs.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    tol = system.Tolerances(**{k: float(v) for k, v in tol_kwargs.items()})
 
     spec = system.BipartiteSpec(
         h_a=h_a, h_b=h_b,
@@ -124,11 +131,7 @@ def load_config(source) -> LoadedConfig:
     times = data["times"]
     if not isinstance(times, (list, tuple)) or not times:
         raise ConfigError("times must be a non-empty list")
-    try:
-        grid = TimeGrid(tuple(float(t) for t in times))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return LoadedConfig(spec=spec, grid=grid)
+    return LoadedConfig(spec=spec, grid=TimeGrid(tuple(float(t) for t in times)))
 
 
 def config_dict(spec: system.BipartiteSpec, grid: TimeGrid) -> dict:

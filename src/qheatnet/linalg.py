@@ -33,6 +33,9 @@ DEGENERACY_RTOL = 1e-9
 #: ||V L V^dag - M||_max <= RESIDUAL_RTOL * ||M||_max.
 RESIDUAL_RTOL = 1e-11
 
+#: Largest |M - M^dag| entry accepted as Hermitian, times max(||M||_max, 1).
+HERMITICITY_TOL = 1e-10
+
 
 class LinalgError(ValueError):
     """Invalid input to a linear-algebra operation."""
@@ -110,7 +113,6 @@ def _rotate_clusters(w: np.ndarray, v: np.ndarray, half_budget: float,
 def hermitian_eigendecompose(
     m: np.ndarray,
     tiebreak: np.ndarray | None = None,
-    hermiticity_tol: float = 1e-10,
 ) -> EigenSystem:
     """Eigendecompose a Hermitian matrix deterministically.
 
@@ -140,7 +142,7 @@ def hermitian_eigendecompose(
     # Hermiticity of every member, then of the tiebreak, in one pass
     size = np.abs(checked).max(axis=(1, 2))
     dev = np.abs(checked - checked.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = dev > hermiticity_tol * np.maximum(size, 1.0)
+    bad = dev > HERMITICITY_TOL * np.maximum(size, 1.0)
     if np.count_nonzero(bad):
         i = bad.argmax()
         name = "tiebreak" if i == len(flat) else _member("matrix", lead, i)

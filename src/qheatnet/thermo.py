@@ -226,8 +226,6 @@ class LedgerSet:
         The forward and reverse heat distributions and the psi patch all
         collect their masses on it."""
         values = self.q_a_tab.ravel()
-        if self.n_times == 1:               # one time is one group
-            return DiscreteDistribution._binned(values, self.binning)
         time = np.arange(self.n_times).repeat(values.size // self.n_times)
         return DiscreteDistribution._binned(values, self.binning, time)
 

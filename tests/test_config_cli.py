@@ -23,6 +23,29 @@ def example_config(tmp_path, correlated_spec):
     return str(path)
 
 
+#: values of the wrong type or shape, each set on a valid config; a key
+#: of None replaces the whole config
+MALFORMED = {
+    "beta_a-null": ("beta_a", None),
+    "beta_a-list": ("beta_a", [1]),
+    "times-nested": ("times", [[1]]),
+    "times-null": ("times", [None]),
+    "dims-int": ("dims", 3),
+    "tolerances-list": ("tolerances", [1, 2]),
+    "top-level-number": (None, 5),
+    "top-level-null": (None, None),
+}
+
+
+def _malformed(spec, case: str):
+    key, value = MALFORMED[case]
+    if key is None:
+        return value
+    d = config.config_dict(spec, bayesnet.TimeGrid((1.0,)))
+    d[key] = value
+    return d
+
+
 class TestMatrixCodec:
     def test_round_trip(self):
         m = np.array([[1.0, 2 - 3j], [2 + 3j, -0.5]])
@@ -70,6 +93,11 @@ class TestConfigIO:
         del d[key]
         with pytest.raises(config.ConfigError, match=key):
             config.load_config(d)
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_value_is_config_error(self, correlated_spec, case):
+        with pytest.raises(config.ConfigError, match="malformed config value|JSON object"):
+            config.load_config(_malformed(correlated_spec, case))
 
     def test_unknown_tolerance(self, correlated_spec):
         d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
@@ -263,6 +291,32 @@ class TestCli:
     def test_verify_needs_source(self, capsys):
         assert cli.main(["verify"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_validate_needs_config(self, capsys):
+        assert cli.main(["validate"]) == 2
+        assert capsys.readouterr().err == "error: give --config\n"
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_config_is_input_error(self, tmp_path, correlated_spec, case, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(_malformed(correlated_spec, case)))
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--dims", "2x2", "--out", "{missing}/x.json"],
+        ["heat", "--dims", "2x2", "--out", "{missing}/h.csv"],
+        ["example", "--sweep", "0:2:3", "--out", "{dir}/ex.csv", "--report", "{missing}/r.json"],
+        ["verify", "--dims", "2x2", "--out", "{dir}"],
+    ], ids=["verify-out", "heat-out", "example-report", "out-is-directory"])
+    def test_unwritable_output_is_input_error(self, argv, tmp_path, capsys):
+        argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_bad_tol_flag(self, example_config, capsys):
         assert cli.main(["verify", "--config", example_config, "--tol", "nope=1"]) == 2

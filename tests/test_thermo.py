@@ -278,9 +278,9 @@ class TestSharedHeatBins:
         calls = []
         binned = DiscreteDistribution._binned
 
-        def counted(values, binning):
+        def counted(values, binning, group):
             calls.append(np.shape(values))
-            return binned(values, binning)
+            return binned(values, binning, group)
         monkeypatch.setattr(DiscreteDistribution, "_binned", staticmethod(counted))
         led = ledgers_at(correlated_spec, 0.61)
         for direction in ("forward", "reverse", "forward"):
