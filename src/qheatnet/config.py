@@ -56,12 +56,20 @@ class LoadedConfig:
     grid: TimeGrid
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float.  A JSON boolean is not a number here, though
+    ``float(True)`` is 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
 def _beta_from(data: dict, side: str, h: np.ndarray) -> float:
     beta_key, occ_key = f"beta_{side}", f"occupation_{side}"
     if beta_key in data and occ_key in data:
         raise ConfigError(f"give either {beta_key} or {occ_key}, not both")
     if beta_key in data:
-        return float(data[beta_key])
+        return _number(data[beta_key], beta_key)
     if occ_key in data:
         if h.shape[0] != 2:
             raise ConfigError(f"{occ_key} shorthand needs a two-level system")
@@ -69,7 +77,7 @@ def _beta_from(data: dict, side: str, h: np.ndarray) -> float:
         gap = float(evals[1] - evals[0])
         if gap <= 0:
             raise ConfigError(f"{occ_key} shorthand needs a nonzero level splitting")
-        return qubit.occupation_to_beta(float(data[occ_key]), gap=gap)
+        return qubit.occupation_to_beta(_number(data[occ_key], occ_key), gap=gap)
     raise ConfigError(f"missing {beta_key} (or {occ_key})")
 
 
@@ -120,7 +128,7 @@ def _build(data: dict) -> LoadedConfig:
     unknown = set(tol_kwargs) - known
     if unknown:
         raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
-    tol = system.Tolerances(**{k: float(v) for k, v in tol_kwargs.items()})
+    tol = system.Tolerances(**{k: _number(v, k) for k, v in tol_kwargs.items()})
 
     spec = system.BipartiteSpec(
         h_a=h_a, h_b=h_b,
@@ -131,7 +139,8 @@ def _build(data: dict) -> LoadedConfig:
     times = data["times"]
     if not isinstance(times, (list, tuple)) or not times:
         raise ConfigError("times must be a non-empty list")
-    return LoadedConfig(spec=spec, grid=TimeGrid(tuple(float(t) for t in times)))
+    return LoadedConfig(spec=spec, grid=TimeGrid(tuple(_number(t, "times entry")
+                                                         for t in times)))
 
 
 def config_dict(spec: system.BipartiteSpec, grid: TimeGrid) -> dict:

@@ -53,14 +53,42 @@ class Bins:
         sample is negated.  Negating every key coordinate reverses the
         lexicographic order of the keys within each group and keeps the
         input order within a bin."""
-        lo, hi = self.starts[:-1], self.starts[1:]
-        return (lo + hi - 1).repeat(hi - lo) - np.arange(len(self.first))
+        return self._mirror_map(self.values.shape[1])
 
-    def mirrored(self) -> "Bins":
-        """The bins of the negated samples, without binning them again:
-        bin j becomes bin ``mirror[j]``, with the same first sample."""
-        return Bins(values=-self.values, bin_id=self.mirror[self.bin_id],
-                    first=self.first[self.mirror], binning=self.binning, starts=self.starts)
+    def _mirror_map(self, n: int) -> np.ndarray:
+        """The bin holding the samples of each bin once the leading ``n``
+        coordinates of every sample are negated.  Within each group, the
+        runs of bins sharing those ``n`` key coordinates come in reverse
+        order and the bins of a run keep their order.  With every
+        coordinate negated each run is one bin, and no key is read."""
+        lo, hi = self.starts[:-1], self.starts[1:]
+        ends = (lo + hi).repeat(hi - lo)
+        j = np.arange(len(self.first))
+        if n == self.values.shape[1]:
+            return ends - 1 - j
+        # the leading key coordinates of each bin, read off its first sample
+        lead = np.rint(self.values[self.first, :n] / self.binning)
+        head = np.ones(len(j), dtype=bool)
+        head[1:] = np.any(lead[1:] != lead[:-1], axis=1)
+        head[lo[lo < len(j)]] = True
+        run = np.cumsum(head) - 1
+        run_start = np.flatnonzero(head)
+        run_end = np.append(run_start[1:], len(j))
+        return ends - run_end[run] + (j - run_start[run])
+
+    def mirrored(self, n: int | None = None) -> "Bins":
+        """The bins of the samples with their leading ``n`` coordinates
+        negated (all of them by default), without binning them again: by
+        the binning rule the partition is unchanged, and the bins are
+        renumbered by ``_mirror_map``, each with the same first sample."""
+        k = self.values.shape[1]
+        n = k if n is None else n
+        mirror = self.mirror if n == k else self._mirror_map(n)
+        first = np.empty_like(self.first)
+        first[mirror] = self.first
+        sign = np.where(np.arange(k) < n, -1.0, 1.0)
+        return Bins(values=self.values * sign, bin_id=mirror[self.bin_id],
+                    first=first, binning=self.binning, starts=self.starts)
 
 
 @dataclass(frozen=True)

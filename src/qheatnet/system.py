@@ -120,10 +120,11 @@ class GibbsState:
 def gibbs_state(h: np.ndarray, beta: float) -> GibbsState:
     """Thermal state of Hamiltonian ``h`` at inverse temperature ``beta``.
 
-    ``beta == 0`` gives the maximally mixed state.
+    ``beta == 0`` gives the maximally mixed state.  A ``beta`` that is
+    negative or not finite (NaN, infinity) raises SpecError.
     """
-    if beta < 0:
-        raise SpecError("beta must be nonnegative")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise SpecError(f"beta must be finite and nonnegative, got {beta}")
     eig = linalg.hermitian_eigendecompose(h)
     # eig.values descend; order by ascending energy so populations descend
     energies = eig.values[::-1].copy()

@@ -257,7 +257,11 @@ def integral_ft(ledgers: LedgerSet, quantity: str, measure: str) -> float:
     gamma; the information terms at the final time (i1, j1, c1) average
     over the reversed ensemble.  A mismatched measure raises ValueError.
     Sums that cancel the label population run over all labels, including
-    zero-population ones.
+    zero-population ones.  Each is contracted one index at a time: the
+    row sums and the table-vector products of the two D x m outcome
+    tables, then one dot product over the D labels, O(D m) for
+    m = d_A d_B outcome pairs.  The row sums are computed, not assumed
+    to be 1.
     """
     _one_time(ledgers, "integral_ft")
     if measure not in ("forward", "reverse"):
@@ -274,32 +278,36 @@ def integral_ft(ledgers: LedgerSet, quantity: str, measure: str) -> float:
     a0, a1 = ledgers.a0_table, ledgers.a1_table
     pops, floor = ledgers.pops, ledgers.floor
 
+    # each average is sum_k w_k (t_k . v) (sum_j u_kj) over the labels k:
+    # t is the table of the outcome that X reads, u the other table, and
+    # w_k the label population, or 1 where X cancels it.  Contracting each
+    # outcome index before the label index takes O(D m).
     if quantity == "i0":
-        return float(np.einsum("ki,kj,i->", a0, a1, ledgers.pp0))
+        return float(np.dot(a0 @ ledgers.pp0, a1.sum(axis=1)))
     if quantity == "c0":
-        return float(np.einsum("ki,kj,i->", a0, a1, ledgers.joint0))
+        return float(np.dot(a0 @ ledgers.joint0, a1.sum(axis=1)))
     if quantity == "j0":
         r = _guarded_ratio(ledgers.pp0, ledgers.joint0, floor)
-        return float(np.einsum("k,ki,kj,i->", pops, a0, a1, r))
+        return float(np.dot(pops * (a0 @ r), a1.sum(axis=1)))
     if quantity == "sigma_a":
         r1 = _guarded_ratio(ledgers.pth_a1[ledgers.flat_a],
                             ledgers.marg.a_1[ledgers.flat_a], floor)
-        return float(np.einsum("k,ki,kj,j->", pops, a0, a1, r1))
+        return float(np.dot(pops * a0.sum(axis=1), a1 @ r1))
     if quantity == "sigma_b":
         r1 = _guarded_ratio(ledgers.pth_b1[ledgers.flat_b],
                             ledgers.marg.b_1[ledgers.flat_b], floor)
-        return float(np.einsum("k,ki,kj,j->", pops, a0, a1, r1))
+        return float(np.dot(pops * a0.sum(axis=1), a1 @ r1))
     if quantity == "gamma":
         kp = ledgers.keep
         return float(pops.sum() * np.dot(ledgers.b0_table[kp].sum(axis=1),
                                          ledgers.b1_table[kp].sum(axis=1))) / ledgers.n_anchor
     if quantity == "i1":
-        return float(np.einsum("kj,ki,j->", a1, a0, ledgers.pp1))
+        return float(np.dot(a1 @ ledgers.pp1, a0.sum(axis=1)))
     if quantity == "c1":
-        return float(np.einsum("kj,ki,j->", a1, a0, ledgers.joint1))
+        return float(np.dot(a1 @ ledgers.joint1, a0.sum(axis=1)))
     # j1
     r = _guarded_ratio(ledgers.pp1, ledgers.joint1, floor)
-    return float(np.einsum("k,kj,ki,j->", pops, a1, a0, r))
+    return float(np.dot(pops * (a1 @ r), a0.sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -373,17 +381,19 @@ class JointFT:
 
 def joint_distribution(ledgers: LedgerSet) -> JointFT:
     """Bin both ensembles and check each forward bin against the reverse
-    bin holding the same pairs (the binning rule makes that one to one)."""
+    bin holding the same pairs (the binning rule makes that one to one).
+    The pair samples are binned once; the reverse bins are that binning
+    with (Q, K) negated and gamma not (``Bins.mirrored``)."""
     _one_time(ledgers, "joint_distribution")
     binning, floor = ledgers.binning, ledgers.floor
     samples = np.stack([ledgers.col_q_a, ledgers.col_k, ledgers.col_gamma], axis=1)
-    mirrored = samples * np.array([-1.0, -1.0, 1.0])
     fwd_bins = DiscreteDistribution._binned(samples, binning)
-    rev_bins = DiscreteDistribution._binned(mirrored, binning)
+    # the reverse samples are (-Q, -K, gamma): the same partition, read off
+    # the forward bins rather than sorted again
+    rev_bins = fwd_bins.mirrored(2)
     fwd = DiscreteDistribution._collect(fwd_bins, ledgers.w_f)
     rev = DiscreteDistribution._collect(rev_bins, ledgers.w_r)
-    partner = np.empty(fwd.n_points, dtype=np.intp)
-    partner[fwd_bins.bin_id] = rev_bins.bin_id
+    partner = rev_bins.bin_id[fwd_bins.first]
 
     pf, pr = fwd.probs, rev.probs[partner]
     live = pf > floor

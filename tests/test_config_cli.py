@@ -36,9 +36,18 @@ MALFORMED = {
     "top-level-null": (None, None),
 }
 
+#: numbers that are no temperature or time: NaN and infinity are not
+#: finite, and a JSON boolean is no number although float(true) is 1.0
+BAD_NUMBERS = {
+    "beta_a-nan": ("beta_a", float("nan")),
+    "beta_a-inf": ("beta_a", float("inf")),
+    "beta_a-true": ("beta_a", True),
+    "times-true": ("times", [True]),
+}
+
 
 def _malformed(spec, case: str):
-    key, value = MALFORMED[case]
+    key, value = {**MALFORMED, **BAD_NUMBERS}[case]
     if key is None:
         return value
     d = config.config_dict(spec, bayesnet.TimeGrid((1.0,)))
@@ -98,6 +107,18 @@ class TestConfigIO:
     def test_malformed_value_is_config_error(self, correlated_spec, case):
         with pytest.raises(config.ConfigError, match="malformed config value|JSON object"):
             config.load_config(_malformed(correlated_spec, case))
+
+    @pytest.mark.parametrize("key,value", [
+        ("beta_a", True), ("beta_b", False), ("occupation_a", True), ("occupation_b", True),
+        ("times", [0.5, True]), ("tolerances", {"binning": True}),
+    ])
+    def test_boolean_is_not_a_number(self, product_spec, key, value):
+        d = config.config_dict(product_spec, bayesnet.TimeGrid((1.0,)))
+        if key.startswith("occupation"):
+            del d["beta" + key[len("occupation"):]]
+        d[key] = value
+        with pytest.raises(config.ConfigError, match="must be a number, not"):
+            config.load_config(d)
 
     def test_unknown_tolerance(self, correlated_spec):
         d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
@@ -296,14 +317,19 @@ class TestCli:
         assert cli.main(["validate"]) == 2
         assert capsys.readouterr().err == "error: give --config\n"
 
-    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize("case", [*MALFORMED, *BAD_NUMBERS])
     def test_malformed_config_is_input_error(self, tmp_path, correlated_spec, case, capsys):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(_malformed(correlated_spec, case)))
-        assert cli.main(["verify", "--config", str(path)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["verify", "--config", str(path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if case in BAD_NUMBERS:   # named as the bad number, not as a later failure
+            assert BAD_NUMBERS[case][0].split("_")[0] in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--dims", "2x2", "--out", "{missing}/x.json"],
@@ -499,9 +525,10 @@ class TestCli:
         assert cli.main(["verify", "--config", example_config, "--out", out]) == 0
         # two Gibbs states, the global state, h_int and four reduced states
         # for the basis; the heat balance reads the spectra these left.
-        # One binning of the heat table and one per joint direction.
+        # One binning of the heat table and one of the joint samples, whose
+        # reverse bins are read off it.
         assert counts["eig"] <= 8
-        assert counts["binned"] <= 3
+        assert counts["binned"] <= 2
         # heat bins its heat tables once per block of times, not per time
         spec = config.load_config(example_config).spec
         for argv, sweep in ((["--time", "0.7"], [0.7]),

@@ -26,6 +26,12 @@ class TestGibbs:
         with pytest.raises(system.SpecError):
             system.gibbs_state(H2, -0.1)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # NaN passes a bare beta < 0 test and would reach the eigensolver
+        with pytest.raises(system.SpecError, match="finite and nonnegative"):
+            system.gibbs_state(H2, beta)
+
 
 class TestValidate:
     def test_example_passes(self, correlated_spec):

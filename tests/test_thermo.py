@@ -192,6 +192,36 @@ class TestIntegralFTs:
                                led.b1_table[kp])) / led.n_anchor
         assert thermo.integral_ft(led, "gamma", "forward") == pytest.approx(full, abs=1e-14)
 
+    @pytest.mark.parametrize("case", ["2x2", "3x2", "3x3-prod", "4x4", "cold"])
+    def test_contraction_matches_full_einsum(self, case, product_spec):
+        # reference: each average as one four-operand sum over (k, i, j),
+        # O(D m^2); "cold" is the example's product branch at beta_a = 40,
+        # t = 0.5, where j1 sits on its absolute-continuity boundary
+        if case == "cold":
+            led = ledgers_at(dataclasses.replace(product_spec, beta_a=40.0), 0.5)
+        else:
+            da, db = int(case[0]), int(case[2])
+            led = ledgers_at(randspec.random_spec(17, da, db, correlated="prod" not in case),
+                             0.61)
+        a0, a1, pops, floor = led.a0_table, led.a1_table, led.pops, led.floor
+
+        def ratio(num, den):
+            return np.where(den > floor, num / np.where(den > floor, den, 1.0), 0.0)
+        full = {
+            "i0": np.einsum("ki,kj,i->", a0, a1, led.pp0),
+            "c0": np.einsum("ki,kj,i->", a0, a1, led.joint0),
+            "j0": np.einsum("k,ki,kj,i->", pops, a0, a1, ratio(led.pp0, led.joint0)),
+            "sigma_a": np.einsum("k,ki,kj,j->", pops, a0, a1,
+                                 ratio(led.pth_a1[led.flat_a], led.marg.a_1[led.flat_a])),
+            "sigma_b": np.einsum("k,ki,kj,j->", pops, a0, a1,
+                                 ratio(led.pth_b1[led.flat_b], led.marg.b_1[led.flat_b])),
+            "i1": np.einsum("kj,ki,j->", a1, a0, led.pp1),
+            "c1": np.einsum("kj,ki,j->", a1, a0, led.joint1),
+            "j1": np.einsum("k,kj,ki,j->", pops, a1, a0, ratio(led.pp1, led.joint1)),
+        }
+        for name, want in full.items():
+            assert abs(thermo.integral_ft(led, name, _measure(name)) - want) <= 1e-14, name
+
     def test_jensen_bounds(self, correlated_spec):
         led = ledgers_at(correlated_spec, 0.83)
         for name in ALL_QUANTITIES:
@@ -273,6 +303,34 @@ class TestSharedHeatBins:
         mirrored = bins.mirrored()
         for name in ("values", "bin_id", "first"):
             assert getattr(mirrored, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 3), grouped=st.booleans(),
+           binning=st.sampled_from([0.25, 1e-9]))
+    def test_mirror_of_leading_coordinates_equals_fresh_binning(self, data, k, grouped,
+                                                                binning):
+        # few integer keys, so bins share leading coordinates, and offsets
+        # on and next to the rounding boundary at half a binning
+        size = data.draw(st.integers(1, 40))
+        keys = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                                  min_size=size, max_size=size))
+        offsets = data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, 0.2, -0.3, 0.5, -0.5, 0.4999999, -0.5000001]),
+                     min_size=k, max_size=k), min_size=size, max_size=size))
+        values = (np.array(keys) + np.array(offsets)) * binning
+        group = (np.array(data.draw(st.lists(st.integers(0, 3), min_size=size,
+                                             max_size=size)))
+                 if grouped else None)
+        bins = DiscreteDistribution._binned(values, binning, group)
+        for n in range(k + 1):
+            sign = np.where(np.arange(k) < n, -1.0, 1.0)
+            fresh = DiscreteDistribution._binned(values * sign, binning, group)
+            mirrored = bins.mirrored(n)
+            for name in ("values", "bin_id", "first", "starts"):
+                assert getattr(mirrored, name).tobytes() == getattr(fresh, name).tobytes(), (
+                    n, name)
+            assert mirrored.binning == fresh.binning
+        assert np.array_equal(bins.mirrored().bin_id, bins.mirror[bins.bin_id])
 
     def test_binned_once_per_ledger_set(self, correlated_spec, monkeypatch):
         calls = []
@@ -436,6 +494,40 @@ class TestJointAndPsi:
         assert gap.min() <= led.binning
         assert joint.n_checked > 0
         assert joint.max_residual < 1e-15
+
+    @pytest.mark.parametrize("case", [
+        # two bins of 3x3 seed 31 are split by a gamma rounding boundary
+        ("3x3-seed31", lambda: ledgers_at(randspec.random_spec(31, 3, 3), 0.37)),
+        ("2x3-seed4", lambda: ledgers_at(randspec.random_spec(4, 2, 3), 1.9)),
+        ("4x4-prod", lambda: ledgers_at(randspec.random_spec(5, 4, 4, correlated=False), 0.37)),
+        ("shell-6x6", lambda: ledgers_at(_shell_ladder_spec(6, 3), 0.83)),
+    ], ids=lambda case: case[0])
+    def test_joint_equals_two_independent_binnings(self, case):
+        # the reference bins the forward samples and their mirror image
+        # (-Q, -K, gamma) separately and pairs the bins through the samples
+        led = case[1]()
+        samples = np.stack([led.col_q_a, led.col_k, led.col_gamma], axis=1)
+        fwd_bins = DiscreteDistribution._binned(samples, led.binning)
+        rev_bins = DiscreteDistribution._binned(samples * [-1.0, -1.0, 1.0], led.binning)
+        fwd = DiscreteDistribution._collect(fwd_bins, led.w_f)
+        rev = DiscreteDistribution._collect(rev_bins, led.w_r)
+        partner = np.empty(fwd.n_points, dtype=np.intp)
+        partner[fwd_bins.bin_id] = rev_bins.bin_id
+        pf, pr = fwd.probs, rev.probs[partner]
+        live = pf > led.floor
+        checked = live & (pr > led.floor)
+        q, kk, gg = fwd.points[checked].T
+        resid = np.abs(pf[checked] - np.exp(q * led.delta_beta - kk + gg) * pr[checked])
+
+        joint = thermo.joint_distribution(led)
+        assert joint.n_checked > 0
+        for got, want in ((joint.forward, fwd), (joint.reverse, rev)):
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.binning == want.binning
+        assert joint.max_residual == float(resid.max(initial=0.0))
+        assert joint.n_checked == int(checked.sum())
+        assert joint.n_unverified == int((live & ~checked).sum())
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
