@@ -129,7 +129,7 @@ def gibbs_state(h: np.ndarray, beta: float) -> GibbsState:
     # eig.values descend; order by ascending energy so populations descend
     energies = eig.values[::-1].copy()
     vectors = eig.vectors[:, ::-1].copy()
-    # subtract the ground energy before exponentiating for stability
+    # subtract the ground energy before taking exp, for stability
     boltz = np.exp(-beta * (energies - energies[0]))
     z_shifted = float(boltz.sum())
     rho = (vectors * (boltz / z_shifted)) @ vectors.conj().T

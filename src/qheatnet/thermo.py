@@ -3,10 +3,13 @@
 Each forward trajectory is augmented with an anchor label for the
 reversed process, drawn uniformly over the retained global labels; the
 reversed process itself runs the interaction backwards from the same
-initial eigenvectors.  Per-pair ledgers collect heat, information
-(classical and coherent parts), athermality and the two-anchor mismatch
-term, and every exchange-type relation in the hierarchy is evaluated as
-an exact finite sum.
+initial eigenvectors.  Ledgers collect heat, information (classical and
+coherent parts), athermality and the two-anchor mismatch term, and every
+exchange-type relation in the hierarchy is evaluated as an exact finite
+sum over (label, cell) tables, a cell being the outcomes (i0, i1): a
+pair's summand is a forward-label x anchor-label x cell factor, but for
+the joint FT's (Q, K, gamma), so only ``joint_distribution`` enumerates
+the augmented pairs, for one time.
 
 Averages whose summand cancels the anchor population (the information
 terms) are computed in the cancelled form over *all* labels, so states
@@ -55,37 +58,33 @@ REVERSE_QUANTITIES = ("i1", "j1", "c1")
 
 
 def _pair_indices(fmask: np.ndarray, rmask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Index arrays (t, ki, kj, i0, i1) of the retained augmented pairs
-    of masks (T, K, m, m) over T times.
+    """Index arrays (ki, kj, i0, i1) of the retained augmented pairs of
+    masks (K, m, m) of one time.
 
-    A pair joins a live forward cell ``fmask[t, ki, i0, i1]`` with a live
-    reverse cell ``rmask[t, kj, i0, i1]`` on the same time and outcomes.
-    The arrays come in the lexicographic (t, ki, kj, i0, i1) order of
-    ``np.nonzero`` on the T x K x K x m x m product mask, so the pairs of
-    each time are one contiguous run and every sum over pairs keeps its
-    bits, but the work is O(T K m^2 + P) for P pairs: each forward entry
-    is expanded over the reverse labels of its own cell, then the unique
-    integer keys of the pairs are sorted.
+    A pair joins a live forward cell ``fmask[ki, i0, i1]`` with a live
+    reverse cell ``rmask[kj, i0, i1]`` on the same outcomes, in the
+    lexicographic order of ``np.nonzero`` on the K x K x m x m product
+    mask, so every sum over pairs keeps its bits, but in O(K m^2 + P) for
+    P pairs: each forward entry is expanded over the reverse labels of its
+    own cell, then the unique integer keys of the pairs are sorted.
     """
-    n_t, k, m, _ = fmask.shape
+    k, m, _ = fmask.shape
     cells = m * m
-    # forward entries as (time * K + ki, cell); reverse entries grouped by
-    # cell over all times, kj ascending inside a cell
+    # forward entries as (ki, cell); reverse entries grouped by cell, kj
+    # ascending inside a cell
     fk, fc = np.divmod(fmask.ravel().nonzero()[0], cells)
-    rc, rk = np.divmod(rmask.reshape(n_t, k, cells).transpose(0, 2, 1).ravel().nonzero()[0], k)
-    fcell = fk // k * cells + fc
-    per_cell = np.bincount(rc, minlength=n_t * cells)
+    rc, rk = np.divmod(rmask.reshape(k, cells).T.ravel().nonzero()[0], k)
+    per_cell = np.bincount(rc, minlength=cells)
     cell_start = per_cell.cumsum() - per_cell
-    fan = per_cell[fcell]                   # reverse labels per forward entry
+    fan = per_cell[fc]                      # reverse labels per forward entry
     run_start = fan.cumsum() - fan
-    kj = rk[(cell_start[fcell] - run_start).repeat(fan) + np.arange(fan.sum())]
+    kj = rk[(cell_start[fc] - run_start).repeat(fan) + np.arange(fan.sum())]
     key = (fk.repeat(fan) * k + kj) * cells + fc.repeat(fan)
     key.sort()
-    t_ki_kj, cell = np.divmod(key, cells)
-    t_ki, kj = np.divmod(t_ki_kj, k)
-    t, ki = np.divmod(t_ki, k)
+    ki_kj, cell = np.divmod(key, cells)
+    ki, kj = np.divmod(ki_kj, k)
     i0, i1 = np.divmod(cell, m)
-    return t, ki, kj, i0, i1
+    return ki, kj, i0, i1
 
 
 class LedgerSet:
@@ -95,9 +94,12 @@ class LedgerSet:
     Tables of the time-t half carry the basis's leading time shape, none
     for one time and (T,) for a block; the per-label tables of the t = 0
     half (``a0_table``, ``joint0``, ``pp0``, ``e_a0``, ``e_b0``) have
-    none.  Pair arrays list the retained augmented pairs of all times,
-    time-major, ``t_index`` holding each pair's time (0 for one time);
-    the pairs of one time keep its one-time order.
+    none.  ``fwd`` and ``rev`` hold the (K, m, m) forward and reverse
+    weights of the K retained labels over the cells, ``fmask`` and
+    ``rmask`` their live entries.  Per cell, ``pair_mass`` is the reverse
+    weight of the augmented pairs, live forward labels x retained reverse
+    mass / K, and ``cell_factor`` is c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).
+    No per-pair array is kept.
     ``all_energy_conserving`` and ``detailed_residual`` have the time
     shape, and ``marg`` is ``bayesnet.local_marginals`` of the basis.
     The closed-form averages and relation checks below read the tables of
@@ -113,10 +115,9 @@ class LedgerSet:
         floor = spec.tol.probability_floor
         binning = spec.tol.binning
         lead = basis.overlaps[1].shape[:-3]
-        n_t = int(np.prod(lead))
 
         self.basis = basis
-        self.n_times = n_t
+        self.n_times = int(np.prod(lead))
         self.floor = floor
         self.binning = binning
         self.beta_a = spec.beta_a
@@ -148,9 +149,11 @@ class LedgerSet:
         self.e_a0, self.e_a1 = basis.energies_a
         self.e_b0, self.e_b1 = basis.energies_b
         ga, gb = basis.gibbs_a, basis.gibbs_b
+
         # thermal weights with energies from the ground energy, as in z_shifted
-        self.pth_a1 = np.exp(-spec.beta_a * (self.e_a1 - ga.energies[0])) / ga.z_shifted
-        self.pth_b1 = np.exp(-spec.beta_b * (self.e_b1 - gb.energies[0])) / gb.z_shifted
+        def thermal(gibbs, energies):
+            return np.exp(-gibbs.beta * (energies - gibbs.energies[0])) / gibbs.z_shifted
+        self.pth_a1, self.pth_b1 = thermal(ga, self.e_a1), thermal(gb, self.e_b1)
         self.gibbs_a, self.gibbs_b = ga, gb
 
         # heat tables over flattened outcome pairs (i0, i1)
@@ -173,66 +176,39 @@ class LedgerSet:
         leak = np.where(self.fmask.any(axis=-3), np.abs(qa + qb), 0.0)
         self.all_energy_conserving = (leak.max(axis=(-2, -1)) <= binning)[()]
 
-        # retained augmented pairs: forward label x anchor label, per time,
-        # gathered from (T, ...) views of the tables, one time being T = 1
-        def per_time(table):
-            return table.reshape((n_t,) + table.shape[len(lead):])
-        fwd, rev, a1, b0, b1 = map(per_time, (self.fwd, self.rev, self.a1_table,
-                                               self.b0_table, self.b1_table))
-        t, ki, kj, i0, i1 = _pair_indices(per_time(self.fmask), per_time(self.rmask))
-        self.t_index, self.ki, self.kj, self.i0, self.i1 = t, ki, kj, i0, i1
-        s_lab, t_lab = kp[ki], kp[kj]
-
-        self.w_f = fwd[t, ki, i0, i1] / self.n_anchor
-        self.w_r = rev[t, kj, i0, i1] / self.n_anchor
-
-        ln_pops = np.log(self.pops[kp])
-        ln_j0 = np.log(self.joint0[i0])
-        ln_j1 = np.log(per_time(self.joint1)[t, i1])
-        # i = j + c: the classical part ln(joint / product) plus the
-        # coherent part ln(label population / joint)
-        self.col_i0 = (ln_j0 - np.log(self.pp0[i0])) + (ln_pops[ki] - ln_j0)
-        self.col_i1 = (ln_j1 - np.log(per_time(self.pp1)[t, i1])) + (ln_pops[kj] - ln_j1)
-        at_a, at_b = t * da + a0idx[i1], t * db + b0idx[i1]   # flat (T, d) positions
-        self.col_sigma_a = (np.log(marg.a_1.ravel()[at_a])
-                            - np.log(self.pth_a1.ravel()[at_a]))
-        self.col_sigma_b = (np.log(marg.b_1.ravel()[at_b])
-                            - np.log(self.pth_b1.ravel()[at_b]))
-        self.col_gamma = (
-            np.log(self.a0_table[s_lab, i0]) + np.log(a1[t, s_lab, i1])
-            - np.log(b0[t, t_lab, i0]) - np.log(b1[t, t_lab, i1])
-        )
-        self.col_k = self.col_i1 - self.col_i0 + self.col_sigma_a + self.col_sigma_b
-        self.col_q_a = per_time(qa)[t, i0, i1]
-        self.col_q_b = per_time(qb)[t, i0, i1]
-
-        self.exponent = (self.beta_a * self.col_q_a + self.beta_b * self.col_q_b
-                         + self.col_i0 - self.col_i1
-                         - self.col_sigma_a - self.col_sigma_b + self.col_gamma)
-        resid = np.log(self.w_f) - np.log(self.w_r) - self.exponent
-        detailed = np.zeros(n_t)
-        np.maximum.at(detailed, t, np.abs(resid))
-        self.detailed_residual = detailed.reshape(lead)[()]
+        # a pair's forward weight times exp(-X) is its reverse weight times
+        # c(i0): the label terms of X cancel, and the heat and athermality
+        # terms leave the t = 0 marginals over their thermal weights.  So
+        # the pointwise residual of every pair of a live cell is |ln c|, 0
+        # when those marginals are thermal; c is computed, not assumed
+        pth0 = np.outer(thermal(ga, self.e_a0), thermal(gb, self.e_b0)).ravel()
+        self.cell_factor = _guarded_ratio(self.pp0, pth0, 0.0)[:, None]
+        n_fwd = self.fmask.sum(axis=-3)
+        rev_ret = np.where(self.rmask, self.rev, 0.0).sum(axis=-3)
+        self.pair_mass = n_fwd * rev_ret / self.n_anchor
+        ln_c = np.log(np.where((n_fwd > 0) & (rev_ret > 0), self.cell_factor, 1.0))
+        self.detailed_residual = np.abs(ln_c).max(axis=(-2, -1))[()]
 
     @property
     def n_pairs(self) -> int:
-        return len(self.w_f)
+        """Retained augmented pairs over all times, counted per cell."""
+        return int(np.sum(self.fmask.sum(axis=-3) * self.rmask.sum(axis=-3)))
 
     @cached_property
     def heat_bins(self) -> Bins:
         """The heat table ``q_a_tab`` binned once, on first use, with the
         time of a block as a leading key: the bins of time k are
         ``starts[k]:starts[k + 1]``, those of binning that time alone.
-        The forward and reverse heat distributions and the psi patch all
-        collect their masses on it."""
+        The forward and reverse heat distributions and the psi numerator
+        all collect their masses on it."""
         values = self.q_a_tab.ravel()
         time = np.arange(self.n_times).repeat(values.size // self.n_times)
         return DiscreteDistribution._binned(values, self.binning, time)
 
 
 def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
-    """Build the augmented-pair ledgers for a two-time basis, of one
-    time or of every time of a block at once."""
+    """Build the ledgers for a two-time basis, of one time or of every
+    time of a block at once."""
     return LedgerSet(basis)
 
 
@@ -313,31 +289,30 @@ def integral_ft(ledgers: LedgerSet, quantity: str, measure: str) -> float:
 @dataclass(frozen=True)
 class CombinedFT:
     """<exp(-X)> over the augmented forward ensemble, with X the full
-    exchange exponent; ``value_delta_beta`` replaces the two bath terms
-    by Q_A * (beta_A - beta_B)."""
+    exchange term; ``value_delta_beta`` replaces the two bath terms by
+    Q_A * (beta_A - beta_B)."""
 
     value: float
     value_delta_beta: float
     all_energy_conserving: bool
 
 
+def _exchange_cells(ledgers: LedgerSet, factor=1.0) -> np.ndarray:
+    """Per cell, <exp(-X) * factor> over the augmented pairs: the reverse
+    weight times c(i0) * factor, and for pairs dropped by the floor the
+    reverse weight alone, the cancelled form that keeps
+    boundary-of-simplex cases exact."""
+    return ledgers.rev.sum(axis=-3) + ledgers.pair_mass * (ledgers.cell_factor * factor - 1.0)
+
+
 def combined_integral_ft(ledgers: LedgerSet) -> CombinedFT:
     _one_time(ledgers, "combined_integral_ft")
-    ret = float(np.sum(ledgers.w_f * np.exp(-ledgers.exponent)))
-    # pairs dropped by the probability floor contribute their reverse
-    # weight exactly (w_f * exp(-X) == w_r pointwise), so patch with the
-    # cancelled form to keep boundary-of-simplex cases exact
-    patch = float(ledgers.rev.sum() - np.sum(ledgers.w_r))
-    exponent_db = (ledgers.delta_beta * ledgers.col_q_a
-                   + ledgers.col_i0 - ledgers.col_i1
-                   - ledgers.col_sigma_a - ledgers.col_sigma_b
-                   + ledgers.col_gamma)
-    ret_db = float(np.sum(ledgers.w_f * np.exp(-exponent_db)))
-    return CombinedFT(
-        value=ret + patch,
-        value_delta_beta=ret_db + patch,
-        all_energy_conserving=bool(ledgers.all_energy_conserving),
-    )
+    # Q_A dbeta for the bath terms multiplies exp(-X) by
+    # exp(beta_A Q_A + beta_B Q_B - dbeta Q_A) = exp(beta_B (Q_A + Q_B))
+    bath = np.exp(ledgers.beta_b * (ledgers.q_a_tab + ledgers.q_b_tab))
+    return CombinedFT(value=float(_exchange_cells(ledgers).sum()),
+                      value_delta_beta=float(_exchange_cells(ledgers, bath).sum()),
+                      all_energy_conserving=bool(ledgers.all_energy_conserving))
 
 
 def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> DiscreteDistribution:
@@ -379,20 +354,47 @@ class JointFT:
     n_unverified: int
 
 
+def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
+    """The augmented pairs of the ledgers of one time as (ki, kj, samples,
+    w_f, w_r): forward and anchor labels (positions in ``keep``), the
+    (P, 3) samples (Q, K, gamma) and the pair weights over the anchors."""
+    ki, kj, i0, i1 = _pair_indices(ledgers.fmask, ledgers.rmask)
+    kp, marg = ledgers.keep, ledgers.marg
+    s_lab, t_lab = kp[ki], kp[kj]
+    w_f = ledgers.fwd[ki, i0, i1] / ledgers.n_anchor
+    w_r = ledgers.rev[kj, i0, i1] / ledgers.n_anchor
+    ln_pops = np.log(ledgers.pops[kp])
+    ln_j0 = np.log(ledgers.joint0[i0])
+    ln_j1 = np.log(ledgers.joint1[i1])
+    # i = j + c: the classical part ln(joint / product) plus the coherent
+    # part ln(label population / joint)
+    col_i0 = (ln_j0 - np.log(ledgers.pp0[i0])) + (ln_pops[ki] - ln_j0)
+    col_i1 = (ln_j1 - np.log(ledgers.pp1[i1])) + (ln_pops[kj] - ln_j1)
+    at_a, at_b = ledgers.flat_a[i1], ledgers.flat_b[i1]
+    col_sigma_a = np.log(marg.a_1[at_a]) - np.log(ledgers.pth_a1[at_a])
+    col_sigma_b = np.log(marg.b_1[at_b]) - np.log(ledgers.pth_b1[at_b])
+    col_gamma = (np.log(ledgers.a0_table[s_lab, i0]) + np.log(ledgers.a1_table[s_lab, i1])
+                 - np.log(ledgers.b0_table[t_lab, i0]) - np.log(ledgers.b1_table[t_lab, i1]))
+    col_k = col_i1 - col_i0 + col_sigma_a + col_sigma_b
+    samples = np.stack([ledgers.q_a_tab[i0, i1], col_k, col_gamma], axis=1)
+    return ki, kj, samples, w_f, w_r
+
+
 def joint_distribution(ledgers: LedgerSet) -> JointFT:
     """Bin both ensembles and check each forward bin against the reverse
     bin holding the same pairs (the binning rule makes that one to one).
-    The pair samples are binned once; the reverse bins are that binning
-    with (Q, K) negated and gamma not (``Bins.mirrored``)."""
+    The only relation that enumerates the augmented pairs: their
+    (Q, K, gamma) samples are binned once, and the reverse bins are that
+    binning with (Q, K) negated and gamma not (``Bins.mirrored``)."""
     _one_time(ledgers, "joint_distribution")
     binning, floor = ledgers.binning, ledgers.floor
-    samples = np.stack([ledgers.col_q_a, ledgers.col_k, ledgers.col_gamma], axis=1)
+    _, _, samples, w_f, w_r = _pairs(ledgers)
     fwd_bins = DiscreteDistribution._binned(samples, binning)
     # the reverse samples are (-Q, -K, gamma): the same partition, read off
     # the forward bins rather than sorted again
     rev_bins = fwd_bins.mirrored(2)
-    fwd = DiscreteDistribution._collect(fwd_bins, ledgers.w_f)
-    rev = DiscreteDistribution._collect(rev_bins, ledgers.w_r)
+    fwd = DiscreteDistribution._collect(fwd_bins, w_f)
+    rev = DiscreteDistribution._collect(rev_bins, w_r)
     partner = rev_bins.bin_id[fwd_bins.first]
 
     pf, pr = fwd.probs, rev.probs[partner]
@@ -433,26 +435,14 @@ def psi_factor(ledgers: LedgerSet) -> PsiReport:
     p_f = heat_distribution(ledgers, "forward")
     p_r = heat_distribution(ledgers, "reverse")
 
-    # numerator of psi per heat bin: retained pairs through the ledger
-    # columns, floor-dropped pairs through the cancelled product form.
-    # The patch is collected on p_f's bins of the heat table, and each
-    # pair's heat is a table entry, so pairs are binned through it.
-    nf = ledgers.fmask.sum(axis=-3)                    # retained forward labels
-    r_ret = np.where(ledgers.rmask, ledgers.rev, 0.0)
-    cnt_all = ledgers.n_anchor * ledgers.rev.sum(axis=-3)
-    cnt_ret = nf[..., None, :, :] * r_ret
-    patch_tab = (np.exp(ledgers.beta_a * ledgers.q_a_tab
-                        + ledgers.beta_b * ledgers.q_b_tab)
-                 * (cnt_all - cnt_ret.sum(axis=-3)) / ledgers.n_anchor)
-    patch = DiscreteDistribution._collect(bins, patch_tab)
-    m = ledgers.q_a_tab.shape[-1]
-    cell = (ledgers.t_index * m + ledgers.i0) * m + ledgers.i1
-    num = np.bincount(bins.bin_id[cell], minlength=p_f.n_points,
-                      weights=ledgers.w_f * np.exp(ledgers.col_k - ledgers.col_gamma))
+    # numerator of psi per heat bin: exp(K - gamma) = exp(-X) times the
+    # bath terms, summed per cell and collected on p_f's bins
+    bath = np.exp(ledgers.beta_a * ledgers.q_a_tab + ledgers.beta_b * ledgers.q_b_tab)
+    num = DiscreteDistribution._collect(bins, _exchange_cells(ledgers) * bath)
 
     live = p_f.probs > ledgers.floor
     q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r.probs[bins.mirror][live]
-    psi = (num + patch.probs)[live] / pf
+    psi = num.probs[live] / pf
     resids = np.abs(pf * psi - np.exp(q * ledgers.delta_beta) * pr)
     return PsiReport(
         q_values=q, psi=psi, p_f=pf, p_r_mirror=pr,
@@ -543,33 +533,39 @@ def mutual_information_check(ledgers: LedgerSet) -> InfoMeans:
     )
 
 
+#: information terms: outcome table, numerator and denominator of the
+#: log, each an attribute of the ledgers, None for the label population
+_INFORMATION = {"i0": ("a0_table", None, "pp0"), "j0": ("a0_table", "joint0", "pp0"),
+                "c0": ("a0_table", None, "joint0"), "i1": ("a1_table", None, "pp1"),
+                "j1": ("a1_table", "joint1", "pp1"), "c1": ("a1_table", None, "joint1")}
+
+
 def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
     """<X> for one ledger quantity under its own ensemble."""
     _one_time(ledgers, "mean_quantity")
-    pops, floor = ledgers.pops, ledgers.floor
-    kp = ledgers.keep
-    label = pops[kp][:, None]
-    # information terms: (outcome table, numerator, denominator) of the log
-    info = {"i0": (ledgers.a0_table, label, ledgers.pp0),
-            "j0": (ledgers.a0_table, ledgers.joint0, ledgers.pp0),
-            "c0": (ledgers.a0_table, label, ledgers.joint0),
-            "i1": (ledgers.a1_table, label, ledgers.pp1),
-            "j1": (ledgers.a1_table, ledgers.joint1, ledgers.pp1),
-            "c1": (ledgers.a1_table, label, ledgers.joint1)}
-    athermal = {"sigma_a": (ledgers.marg.a_1, ledgers.pth_a1),
-                "sigma_b": (ledgers.marg.b_1, ledgers.pth_b1)}
-    if quantity in info:
-        table, num, den = info[quantity]
-        w = pops[kp, None] * table[kp]
-        num, den = np.broadcast_to(num, w.shape), np.broadcast_to(den, w.shape)
+    kp, floor = ledgers.keep, ledgers.floor
+    if quantity in _INFORMATION:
+        table, num, den = _INFORMATION[quantity]
+        w = ledgers.pops[kp, None] * getattr(ledgers, table)[kp]
+        num = ledgers.pops[kp][:, None] if num is None else getattr(ledgers, num)
+        num, den = np.broadcast_to(num, w.shape), np.broadcast_to(getattr(ledgers, den), w.shape)
         ok = (w > floor) & (num > floor) & (den > floor)
         return float(np.sum(w[ok] * (np.log(num[ok]) - np.log(den[ok]))))
-    if quantity in athermal:
-        p, q = athermal[quantity]
+    if quantity in ("sigma_a", "sigma_b"):
+        p, q = ((ledgers.marg.a_1, ledgers.pth_a1) if quantity == "sigma_a"
+                else (ledgers.marg.b_1, ledgers.pth_b1))
         ok = p > floor
         return float(np.sum(p[ok] * (np.log(p[ok]) - np.log(q[ok]))))
     if quantity == "gamma":
-        return float(np.sum(ledgers.w_f * ledgers.col_gamma))
+        # gamma of a pair (s, t) is g_f(s) - g_r(t), g = ln(weight / label
+        # population): per cell, each forward term meets every live anchor
+        # and each anchor term the retained forward mass
+        fmask, rmask, pops = ledgers.fmask, ledgers.rmask, ledgers.pops[kp, None, None]
+        f = np.where(fmask, ledgers.fwd, 0.0)
+        g_f = np.log(np.where(fmask, ledgers.fwd / pops, 1.0))
+        g_r = np.log(np.where(rmask, ledgers.rev / pops, 1.0))
+        return float(np.sum(rmask.sum(axis=0) * (f * g_f).sum(axis=0)
+                            - f.sum(axis=0) * g_r.sum(axis=0))) / ledgers.n_anchor
     raise ValueError(f"unknown quantity {quantity!r}")
 
 

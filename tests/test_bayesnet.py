@@ -187,7 +187,8 @@ class TestEnumerate:
     def test_zero_population_branch_absent(self, correlated_spec):
         led = ledgers_at(correlated_spec, 0.6)
         assert 3 not in led.keep  # the exactly-zero eigenvalue
-        assert 3 not in led.keep[led.ki] and 3 not in led.keep[led.kj]
+        ki, kj, *_ = thermo._pairs(led)
+        assert 3 not in led.keep[ki] and 3 not in led.keep[kj]
 
     def test_weights_match_tables(self, correlated_spec):
         led = ledgers_at(correlated_spec, 0.6)

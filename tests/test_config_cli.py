@@ -538,6 +538,20 @@ class TestCli:
             blocks = bayesnet.sweep_blocks(spec, sweep)
             assert counts["binned"] <= sum(1 for _ in blocks)
 
+    def test_heat_and_example_build_no_pairs(self, monkeypatch, tmp_path):
+        # only the joint FT enumerates augmented pairs; the heat
+        # distributions and psi read the (label, cell) tables
+        def no_pairs(*args):
+            raise AssertionError("augmented pairs enumerated")
+        monkeypatch.setattr(thermo, "_pair_indices", no_pairs)
+        out = str(tmp_path / "out.csv")
+        for argv in (["heat", "--dims", "3x3", "--seed", "0", "--sweep", "0:3:11"],
+                     ["heat", "--dims", "2x2", "--product", "--sweep", "0:3:11"],
+                     ["example", "--sweep", "0:2:21"]):
+            assert cli.main([*argv, "--out", out]) == 0, argv
+        with pytest.raises(AssertionError, match="augmented pairs"):
+            cli.main(["verify", "--dims", "2x2", "--out", out])
+
     @pytest.mark.parametrize("argv,flags", [
         (["heat", "--dims", "2x2", "--sweep", "0:1:3", "--time", "5"], ("--sweep", "--time")),
         (["heat", "CONFIG", "--sweep", "0:1:3", "--time", "0.5"], ("--sweep", "--time")),
