@@ -189,16 +189,18 @@ def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator
     """Yield the two-time bases of ``times`` in blocks of consecutive
     times, in order, each block one basis with a (T_b,) time axis.
 
-    Before the first block, every time is checked (ValueError for one
-    that is not a valid grid time) and the time-independent half is
-    built once.  A block holds as many times as keep its ledger tables
-    within ``BLOCK_ELEMENTS`` entries, and at least one.  Stacked
+    Before the first block, the whole list is checked as one
+    ``TimeGrid`` (ValueError unless the times are finite, >= 0 and
+    strictly increasing, so no time is swept twice) and the
+    time-independent half is built once.  A block holds as many times as
+    keep its ledger tables within ``BLOCK_ELEMENTS`` entries, and at
+    least one.  Stacked
     operations give each member the bits of the one-time operation, so
     the time-t arrays of a block, read at its k-th time, equal those of
     ``build_bases`` at that time bit for bit.  The blocks share the
     t = 0 arrays, so treat them as read-only.
     """
-    times = [TimeGrid((t,)).times[0] for t in times]
+    times = TimeGrid(tuple(times)).times
     populations, basis_at = _time_independent_half(spec)
     # no label above the floor fails in the ledgers; size such blocks as one
     kept = max(1, np.count_nonzero(populations > spec.tol.probability_floor))
@@ -280,29 +282,31 @@ def path_probability_table(basis: BasisSet) -> np.ndarray:
 
 
 def choi_path_probability(basis: BasisSet) -> np.ndarray:
-    """Same table via the channel-state (Choi) route.
+    """Same table via the channel-state (Choi) route, as a product per
+    label.
 
     A two-copy state correlates each global eigenvector with itself,
     Omega = sum_s P_s |w_s><w_s| with w_s = v_s (x) v_s, the second copy
     is pushed through the evolution channel (I (x) U), and the table is
     read off as diagonal expectations in the product of local bases at
-    t = 0 (first copy) and t (second copy).  Omega has rank D, so it is
-    kept as its purification: the (D, D, D) tensor w[i, j, s], with U
-    and the two local-basis bras contracted one copy index at a time,
-    giving amplitudes amp[k0, k1, s] and the table sum_s P_s |amp|^2.
-    That costs O(D^4) time and O(D^3) memory; no D^2 x D^2 operator is
-    formed.  Positivity and normalization are inherited from the
-    construction.
+    t = 0 (first copy) and t (second copy).  Each copy meets its own
+    operators, so the amplitude of label s factors as A[k0, s] * B[k1, s]
+    with A = prod0^dag v_0 and B = prod1^dag U v_0, and the table is
+    (|A|^2 P) @ |B|^2^T: O(D^3) time and O(D^2) memory.
+
+    The factors are built from ``linalg.tensor_product`` of the local
+    eigenvectors and from ``unitaries[1]`` applied to the t = 0 global
+    vectors, never from the overlap tables or ``global_vectors[1]``, so
+    the route checks how the overlap tables are assembled.  It reads the
+    same eigensystems as the path table and does not check the
+    eigendecomposition.
     """
-    d = basis.dim
     v0 = basis.global_vectors[0]
-    w = v0[:, None, :] * v0[None, :, :]                 # w[i, j, s]
-    w = basis.unitaries[1] @ w                          # U on the second copy j
     prod0 = linalg.tensor_product(basis.local_a[0].vectors, basis.local_b[0].vectors)
     prod1 = linalg.tensor_product(basis.local_a[1].vectors, basis.local_b[1].vectors)
-    w = prod1.conj().T @ w                              # [i, k1, s]
-    amp = (prod0.conj().T @ w.reshape(d, d * d)).reshape(d, d, d)   # [k0, k1, s]
-    table = (np.abs(amp) ** 2) @ basis.populations
+    a2 = np.abs(prod0.conj().T @ v0) ** 2                          # |A|^2 [k0, s]
+    b2 = np.abs(prod1.conj().T @ (basis.unitaries[1] @ v0)) ** 2   # |B|^2 [k1, s]
+    table = (a2 * basis.populations) @ b2.T
     da, db = basis.spec.dim_a, basis.spec.dim_b
     return table.reshape(da, db, da, db)
 

@@ -152,10 +152,8 @@ _HEAT_HEADER = "t,Q,P_f,P_r,ratio,exp_QdBeta,Psi"
 def _heat_rows(ledgers: thermo.LedgerSet) -> list[str]:
     """The CSV rows of every time of the ledgers of a block, each time's
     bins in descending heat order."""
-    p_f = thermo.heat_distribution(ledgers, "forward")
-    p_r = thermo.heat_distribution(ledgers, "reverse")
     psi = thermo.psi_factor(ledgers)
-    bins = ledgers.heat_bins
+    p_f, p_r, bins = psi.forward, psi.reverse, ledgers.heat_bins
 
     # psi has a row for each forward bin above the floor, in bin order
     psi_by_bin = np.full(p_f.n_points, np.nan)

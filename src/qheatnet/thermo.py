@@ -159,6 +159,9 @@ class LedgerSet:
         # heat tables over flattened outcome pairs (i0, i1)
         a0idx, b0idx = np.divmod(np.arange(m), db)
         self.flat_a, self.flat_b = a0idx, b0idx
+        # the athermality terms' marginals and thermal weights per cell at t
+        self.pa1_cell, self.pth_a1_cell = marg.a_1[..., a0idx], self.pth_a1[..., a0idx]
+        self.pb1_cell, self.pth_b1_cell = marg.b_1[..., b0idx], self.pth_b1[..., b0idx]
         qa = self.e_a1[..., None, a0idx] - self.e_a0[a0idx][:, None]
         qb = self.e_b1[..., None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
@@ -226,6 +229,29 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, floor: float) -> np.ndarray
     return out
 
 
+#: every log-ratio ledger term X = ln num - ln den, defined once: the time
+#: (0 or t) whose outcome cell it reads, its numerator and its denominator,
+#: per-cell tables of the ledgers, a numerator None being the label
+#: population P_s.  The integral FTs, the information means and K read it.
+_TERMS = {"i0": (0, None, "pp0"), "j0": (0, "joint0", "pp0"), "c0": (0, None, "joint0"),
+          "i1": (1, None, "pp1"), "j1": (1, "joint1", "pp1"), "c1": (1, None, "joint1"),
+          "sigma_a": (1, "pa1_cell", "pth_a1_cell"), "sigma_b": (1, "pb1_cell", "pth_b1_cell")}
+
+
+def _term_values(ledgers: LedgerSet, name: str, labels, cells) -> tuple[np.ndarray, ...]:
+    """Numerator and denominator of term ``name`` at global labels
+    ``labels`` and outcome cells ``cells`` of the term's time."""
+    _, num, den = _TERMS[name]
+    top = ledgers.pops[labels] if num is None else getattr(ledgers, num)[cells]
+    return top, getattr(ledgers, den)[cells]
+
+
+def _log_ratio(ledgers: LedgerSet, name: str, labels, cells) -> np.ndarray:
+    """Term ``name``, ln num - ln den, at ``labels`` and ``cells``."""
+    top, bottom = _term_values(ledgers, name, labels, cells)
+    return np.log(top) - np.log(bottom)
+
+
 def integral_ft(ledgers: LedgerSet, quantity: str, measure: str) -> float:
     """<exp(-X)> for one ledger quantity under its own ensemble.
 
@@ -251,39 +277,18 @@ def integral_ft(ledgers: LedgerSet, quantity: str, measure: str) -> float:
             f"quantity {quantity!r} averages over the {expected} ensemble, "
             f"not {measure!r}")
 
-    a0, a1 = ledgers.a0_table, ledgers.a1_table
-    pops, floor = ledgers.pops, ledgers.floor
-
-    # each average is sum_k w_k (t_k . v) (sum_j u_kj) over the labels k:
-    # t is the table of the outcome that X reads, u the other table, and
-    # w_k the label population, or 1 where X cancels it.  Contracting each
-    # outcome index before the label index takes O(D m).
-    if quantity == "i0":
-        return float(np.dot(a0 @ ledgers.pp0, a1.sum(axis=1)))
-    if quantity == "c0":
-        return float(np.dot(a0 @ ledgers.joint0, a1.sum(axis=1)))
-    if quantity == "j0":
-        r = _guarded_ratio(ledgers.pp0, ledgers.joint0, floor)
-        return float(np.dot(pops * (a0 @ r), a1.sum(axis=1)))
-    if quantity == "sigma_a":
-        r1 = _guarded_ratio(ledgers.pth_a1[ledgers.flat_a],
-                            ledgers.marg.a_1[ledgers.flat_a], floor)
-        return float(np.dot(pops * a0.sum(axis=1), a1 @ r1))
-    if quantity == "sigma_b":
-        r1 = _guarded_ratio(ledgers.pth_b1[ledgers.flat_b],
-                            ledgers.marg.b_1[ledgers.flat_b], floor)
-        return float(np.dot(pops * a0.sum(axis=1), a1 @ r1))
     if quantity == "gamma":
         kp = ledgers.keep
-        return float(pops.sum() * np.dot(ledgers.b0_table[kp].sum(axis=1),
-                                         ledgers.b1_table[kp].sum(axis=1))) / ledgers.n_anchor
-    if quantity == "i1":
-        return float(np.dot(a1 @ ledgers.pp1, a0.sum(axis=1)))
-    if quantity == "c1":
-        return float(np.dot(a1 @ ledgers.joint1, a0.sum(axis=1)))
-    # j1
-    r = _guarded_ratio(ledgers.pp1, ledgers.joint1, floor)
-    return float(np.dot(pops * (a1 @ r), a0.sum(axis=1)))
+        overlap = np.dot(ledgers.b0_table[kp].sum(axis=1), ledgers.b1_table[kp].sum(axis=1))
+        return float(ledgers.pops.sum() * overlap) / ledgers.n_anchor
+    # sum_k w_k (t_k . v) (sum_j u_kj) over the labels k, O(D m): t is the
+    # table of the outcome X reads, u the other, v = exp(-X) = den / num per
+    # cell and w_k = P_k, or 1 where the numerator P_k cancels it
+    time, num, den = _TERMS[quantity]
+    tables, v = (ledgers.a0_table, ledgers.a1_table), getattr(ledgers, den)
+    w, v = (1.0, v) if num is None else (
+        ledgers.pops, _guarded_ratio(v, getattr(ledgers, num), ledgers.floor))
+    return float(np.dot(w * (tables[time] @ v), tables[1 - time].sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -359,23 +364,20 @@ def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
     w_f, w_r): forward and anchor labels (positions in ``keep``), the
     (P, 3) samples (Q, K, gamma) and the pair weights over the anchors."""
     ki, kj, i0, i1 = _pair_indices(ledgers.fmask, ledgers.rmask)
-    kp, marg = ledgers.keep, ledgers.marg
-    s_lab, t_lab = kp[ki], kp[kj]
+    s_lab, t_lab = ledgers.keep[ki], ledgers.keep[kj]
     w_f = ledgers.fwd[ki, i0, i1] / ledgers.n_anchor
     w_r = ledgers.rev[kj, i0, i1] / ledgers.n_anchor
-    ln_pops = np.log(ledgers.pops[kp])
-    ln_j0 = np.log(ledgers.joint0[i0])
-    ln_j1 = np.log(ledgers.joint1[i1])
-    # i = j + c: the classical part ln(joint / product) plus the coherent
-    # part ln(label population / joint)
-    col_i0 = (ln_j0 - np.log(ledgers.pp0[i0])) + (ln_pops[ki] - ln_j0)
-    col_i1 = (ln_j1 - np.log(ledgers.pp1[i1])) + (ln_pops[kj] - ln_j1)
-    at_a, at_b = ledgers.flat_a[i1], ledgers.flat_b[i1]
-    col_sigma_a = np.log(marg.a_1[at_a]) - np.log(ledgers.pth_a1[at_a])
-    col_sigma_b = np.log(marg.b_1[at_b]) - np.log(ledgers.pth_b1[at_b])
+
+    def term(name):
+        # a term at time 0 reads the forward label, one at t the anchor
+        time = _TERMS[name][0]
+        return _log_ratio(ledgers, name, (s_lab, t_lab)[time], (i0, i1)[time])
+    # i = j + c: the classical part plus the coherent part
+    col_i0 = term("j0") + term("c0")
+    col_i1 = term("j1") + term("c1")
     col_gamma = (np.log(ledgers.a0_table[s_lab, i0]) + np.log(ledgers.a1_table[s_lab, i1])
                  - np.log(ledgers.b0_table[t_lab, i0]) - np.log(ledgers.b1_table[t_lab, i1]))
-    col_k = col_i1 - col_i0 + col_sigma_a + col_sigma_b
+    col_k = col_i1 - col_i0 + term("sigma_a") + term("sigma_b")
     samples = np.stack([ledgers.q_a_tab[i0, i1], col_k, col_gamma], axis=1)
     return ki, kj, samples, w_f, w_r
 
@@ -411,11 +413,14 @@ def joint_distribution(ledgers: LedgerSet) -> JointFT:
 class PsiReport:
     """Heat-conditioned correction factor and the modified detailed check.
 
-    For each forward heat bin, ``psi`` is the conditional average of
+    ``forward`` and ``reverse`` are the heat distributions it reads.  For
+    each forward heat bin, ``psi`` is the conditional average of
     exp(K - gamma); ``residuals`` compares P_f(Q) * psi(Q) against
     exp(Q * delta_beta) * P_r(-Q).  Bins skipped for lack of forward or
     reverse mass are counted, not asserted."""
 
+    forward: DiscreteDistribution
+    reverse: DiscreteDistribution
     q_values: np.ndarray
     psi: np.ndarray
     p_f: np.ndarray
@@ -444,12 +449,9 @@ def psi_factor(ledgers: LedgerSet) -> PsiReport:
     q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r.probs[bins.mirror][live]
     psi = num.probs[live] / pf
     resids = np.abs(pf * psi - np.exp(q * ledgers.delta_beta) * pr)
-    return PsiReport(
-        q_values=q, psi=psi, p_f=pf, p_r_mirror=pr,
-        residuals=resids,
-        max_residual=float(resids.max(initial=0.0)),
-        n_skipped=int(np.count_nonzero(~live)),
-    )
+    return PsiReport(forward=p_f, reverse=p_r, q_values=q, psi=psi, p_f=pf, p_r_mirror=pr,
+                     residuals=resids, max_residual=float(resids.max(initial=0.0)),
+                     n_skipped=int(np.count_nonzero(~live)))
 
 
 @dataclass(frozen=True)
@@ -533,29 +535,25 @@ def mutual_information_check(ledgers: LedgerSet) -> InfoMeans:
     )
 
 
-#: information terms: outcome table, numerator and denominator of the
-#: log, each an attribute of the ledgers, None for the label population
-_INFORMATION = {"i0": ("a0_table", None, "pp0"), "j0": ("a0_table", "joint0", "pp0"),
-                "c0": ("a0_table", None, "joint0"), "i1": ("a1_table", None, "pp1"),
-                "j1": ("a1_table", "joint1", "pp1"), "c1": ("a1_table", None, "joint1")}
-
-
 def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
     """<X> for one ledger quantity under its own ensemble."""
     _one_time(ledgers, "mean_quantity")
     kp, floor = ledgers.keep, ledgers.floor
-    if quantity in _INFORMATION:
-        table, num, den = _INFORMATION[quantity]
-        w = ledgers.pops[kp, None] * getattr(ledgers, table)[kp]
-        num = ledgers.pops[kp][:, None] if num is None else getattr(ledgers, num)
-        num, den = np.broadcast_to(num, w.shape), np.broadcast_to(getattr(ledgers, den), w.shape)
-        ok = (w > floor) & (num > floor) & (den > floor)
-        return float(np.sum(w[ok] * (np.log(num[ok]) - np.log(den[ok]))))
     if quantity in ("sigma_a", "sigma_b"):
+        # the closed form over the marginal, D(p || p^th): the cell table
+        # would drop the cells whose thermal weight is at the floor
         p, q = ((ledgers.marg.a_1, ledgers.pth_a1) if quantity == "sigma_a"
                 else (ledgers.marg.b_1, ledgers.pth_b1))
         ok = p > floor
         return float(np.sum(p[ok] * (np.log(p[ok]) - np.log(q[ok]))))
+    if quantity in _TERMS:
+        time = _TERMS[quantity][0]
+        w = ledgers.pops[kp, None] * (ledgers.a0_table, ledgers.a1_table)[time][kp]
+        live = w > floor
+        labels, cells = np.nonzero(live)
+        top, bottom = _term_values(ledgers, quantity, kp[labels], cells)
+        ok = (top > floor) & (bottom > floor)
+        return float(np.sum(w[live][ok] * (np.log(top[ok]) - np.log(bottom[ok]))))
     if quantity == "gamma":
         # gamma of a pair (s, t) is g_f(s) - g_r(t), g = ln(weight / label
         # population): per cell, each forward term meets every live anchor

@@ -85,7 +85,7 @@ def _at_time(block, k):
                      "overlaps", "unitaries")})
 
 
-SWEEP_TIMES = (0.0, 0.37, 1.0, 1.0, 2.9, 0.2)
+SWEEP_TIMES = (0.0, 0.2, 0.37, 1.0, 1.9, 2.9)
 SWEEP_SPECS = {
     f"example-{'corr' if c else 'prod'}": qubit.build_example_spec(qubit.ExampleParams(correlated=c))
     for c in (True, False)}
@@ -155,6 +155,12 @@ class TestSweepBases:
     @pytest.mark.parametrize("times", [(0.5, -0.25), (np.inf,), (-1.0, 0.5)])
     def test_bad_time_rejected_before_any_basis(self, correlated_spec, times):
         with pytest.raises(ValueError):
+            next(bayesnet.sweep_blocks(correlated_spec, times))
+
+    @pytest.mark.parametrize("times", [(1.0, 1.0, 1.0), (0.5, 0.5), (0.2, 0.9, 0.4)])
+    def test_repeated_or_decreasing_times_rejected(self, correlated_spec, times):
+        # a sweep is one time grid: no time is swept twice or out of order
+        with pytest.raises(ValueError, match="strictly increasing"):
             next(bayesnet.sweep_blocks(correlated_spec, times))
 
     def test_invalid_spec_raises_with_name(self, correlated_spec):
@@ -291,7 +297,43 @@ def _ladder_spec(levels: int, seed: int) -> system.BipartiteSpec:
                                 chi=chi, h_int=h_int)
 
 
+def _choi_by_purification(basis: bayesnet.BasisSet) -> np.ndarray:
+    """The channel-state table through the purification w[i, j, s] =
+    v_s[i] v_s[j] of the two-copy state, U and the two local-basis bras
+    contracted one copy index at a time: O(D^4) time, O(D^3) memory."""
+    d = basis.dim
+    v0 = basis.global_vectors[0]
+    w = basis.unitaries[1] @ (v0[:, None, :] * v0[None, :, :])   # U on the second copy
+    prod0 = linalg.tensor_product(basis.local_a[0].vectors, basis.local_b[0].vectors)
+    prod1 = linalg.tensor_product(basis.local_a[1].vectors, basis.local_b[1].vectors)
+    w = prod1.conj().T @ w                                          # [i, k1, s]
+    amp = (prod0.conj().T @ w.reshape(d, d * d)).reshape(d, d, d)   # [k0, k1, s]
+    table = (np.abs(amp) ** 2) @ basis.populations
+    return table.reshape(basis.spec.dim_a, basis.spec.dim_b,
+                         basis.spec.dim_a, basis.spec.dim_b)
+
+
 class TestPathTables:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_choi_product_matches_purification(self, dims):
+        for seed in range(10):
+            basis = bayesnet.build_bases(randspec.random_spec(seed, *dims),
+                                         bayesnet.TimeGrid((0.7,)))
+            assert np.abs(bayesnet.choi_path_probability(basis)
+                          - _choi_by_purification(basis)).max() <= 1e-15
+
+    def test_choi_route_reads_no_overlap_table(self, correlated_spec, monkeypatch):
+        # a separate assembly: no overlap table, evolved vectors or overlaps
+        basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.7,)))
+        want = bayesnet.choi_path_probability(basis)
+
+        def forbidden(*args):
+            raise AssertionError("overlap table assembled")
+        monkeypatch.setattr(bayesnet, "_overlap_table", forbidden)
+        bare = dataclasses.replace(basis, overlaps=None,
+                                   global_vectors=(basis.global_vectors[0], None))
+        assert bayesnet.choi_path_probability(bare).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("t", [0.3, 1.0, 1.9])
     def test_choi_route_agrees(self, correlated_spec, t):
         basis = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((t,)))

@@ -538,6 +538,22 @@ class TestCli:
             blocks = bayesnet.sweep_blocks(spec, sweep)
             assert counts["binned"] <= sum(1 for _ in blocks)
 
+    def test_heat_collects_each_distribution_once(self, example_config, monkeypatch,
+                                                   tmp_path):
+        # psi_factor returns the forward and reverse heat distributions it
+        # reads, so a block collects those two and the psi numerator only
+        calls = []
+        collect = DiscreteDistribution._collect.__func__
+
+        def counted(cls, bins, weights):
+            calls.append(bins)
+            return collect(cls, bins, weights)
+        monkeypatch.setattr(DiscreteDistribution, "_collect", classmethod(counted))
+        out = str(tmp_path / "heat.csv")
+        assert cli.main(["heat", "--config", example_config, "--time", "0.7",
+                         "--out", out]) == 0
+        assert len(calls) == 3
+
     def test_heat_and_example_build_no_pairs(self, monkeypatch, tmp_path):
         # only the joint FT enumerates augmented pairs; the heat
         # distributions and psi read the (label, cell) tables
@@ -669,6 +685,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["heat", "--dims", "2x2", "--sweep", "1:1:3"],
+        ["example", "--sweep", "0.5:0.5:2"],
+    ])
+    def test_repeated_sweep_time_rejected(self, argv, capsys):
+        # a sweep is one time grid, as a config's times are: a time swept
+        # twice once wrote its rows twice
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "strictly increasing" in captured.err
+
+    def test_one_point_sweep_accepted(self, capsys):
+        assert cli.main(["heat", "--dims", "2x2", "--sweep", "1:1:1"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert rows and {row.split(",")[0] for row in rows} == {"1"}
 
     @pytest.mark.parametrize("tau", ["0", "-1", "-0.0", "nan", "inf", "1e-320", "1e308"])
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "0:1:3"]])

@@ -229,10 +229,15 @@ class TestIntegralFTs:
         for name, want in full.items():
             assert abs(thermo.integral_ft(led, name, _measure(name)) - want) <= 1e-14, name
 
-    def test_jensen_bounds(self, correlated_spec):
-        led = ledgers_at(correlated_spec, 0.83)
-        for name in ALL_QUANTITIES:
-            assert thermo.mean_quantity(led, name) >= -1e-10
+    def test_jensen_bounds(self, correlated_spec, product_spec):
+        # the cold product case (beta_a = 40, t = 0.5) has cells whose
+        # thermal weight is below the floor: sigma's mean must keep them,
+        # as the closed form over the marginal does
+        cold = dataclasses.replace(product_spec, beta_a=40.0)
+        for spec, t in ((correlated_spec, 0.83), (cold, 0.5)):
+            led = ledgers_at(spec, t)
+            for name in ALL_QUANTITIES:
+                assert thermo.mean_quantity(led, name) >= -1e-10, name
 
     def test_combined_ft(self, correlated_spec):
         comb = thermo.combined_integral_ft(ledgers_at(correlated_spec, 0.61))
@@ -367,13 +372,13 @@ def _block_cases():
 class TestLedgerBlocks:
     """A block of times against the one-time path at each of its times."""
 
-    #: includes a repeated time and a time below the others
-    TIMES = (0.0, 0.37, 0.9, 0.9, 1.6, 0.2, 2.9)
+    #: a sweep is strictly increasing; t = 0 is an ordinary time
+    TIMES = (0.0, 0.2, 0.37, 0.9, 1.3, 1.6, 2.9)
     #: ledger tables with the block's time axis, and those shared by every
     #: time of a block
     AT_TIME = ("a1_table", "b0_table", "b1_table", "joint1", "pp1", "e_a1", "e_b1",
                "pth_a1", "pth_b1", "q_a_tab", "q_b_tab", "fwd", "rev", "fmask", "rmask",
-               "pair_mass")
+               "pair_mass", "pa1_cell", "pth_a1_cell", "pb1_cell", "pth_b1_cell")
     SHARED = ("floor", "binning", "beta_a", "beta_b", "delta_beta", "dim_a", "dim_b",
               "pops", "keep", "n_anchor", "a0_table", "joint0", "pp0", "e_a0", "e_b0",
               "gibbs_a", "gibbs_b", "flat_a", "flat_b", "cell_factor")
@@ -647,6 +652,53 @@ class TestCellForms:
         assert np.isfinite(led.cell_factor).all()
         assert led.detailed_residual < 1e-12
         assert thermo.combined_integral_ft(led).value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTermTable:
+    """Each log-ratio ledger term is one entry of ``thermo._TERMS``."""
+
+    @pytest.mark.parametrize("name", ["j0", "j1", "sigma_a"])
+    def test_one_entry_moves_every_reader(self, name, monkeypatch):
+        # swapping an entry's numerator and denominator turns X into -X:
+        # the integral FT, the mean (i, j and c only: sigma's mean is the
+        # closed form over the marginal) and the joint FT's K all follow
+        led = ledgers_at(randspec.random_spec(3, 3, 3), 0.7)
+        before = (thermo.integral_ft(led, name, _measure(name)),
+                  thermo.mean_quantity(led, name), thermo._pairs(led)[2][:, 1])
+        time, num, den = thermo._TERMS[name]
+        assert num is not None
+        monkeypatch.setitem(thermo._TERMS, name, (time, den, num))
+        after = (thermo.integral_ft(led, name, _measure(name)),
+                 thermo.mean_quantity(led, name), thermo._pairs(led)[2][:, 1])
+        assert abs(before[0] - 1.0) < 1e-12 and abs(after[0] - 1.0) > 1e-6
+        if name.startswith("sigma"):
+            assert after[1] == before[1]
+        else:
+            assert abs(before[1]) > 1e-6
+            assert after[1] == pytest.approx(-before[1], abs=1e-12)
+        assert np.abs(after[2] - before[2]).max() > 1e-6
+
+    @pytest.mark.parametrize("case", list(_cell_form_cases()), ids=lambda c: c[0])
+    def test_pair_samples_match_explicit_columns(self, case):
+        # K and gamma spelt out column by column, i = j + c in this order
+        _, spec, t = case
+        led = ledgers_at(spec, t)
+        ki, kj, samples, _, _ = thermo._pairs(led)
+        _, _, i0, i1 = thermo._pair_indices(led.fmask, led.rmask)
+        kp, marg = led.keep, led.marg
+        s_lab, t_lab = kp[ki], kp[kj]
+        ln_pops = np.log(led.pops[kp])
+        ln_j0, ln_j1 = np.log(led.joint0[i0]), np.log(led.joint1[i1])
+        col_i0 = (ln_j0 - np.log(led.pp0[i0])) + (ln_pops[ki] - ln_j0)
+        col_i1 = (ln_j1 - np.log(led.pp1[i1])) + (ln_pops[kj] - ln_j1)
+        at_a, at_b = led.flat_a[i1], led.flat_b[i1]
+        col_sigma_a = np.log(marg.a_1[at_a]) - np.log(led.pth_a1[at_a])
+        col_sigma_b = np.log(marg.b_1[at_b]) - np.log(led.pth_b1[at_b])
+        col_gamma = (np.log(led.a0_table[s_lab, i0]) + np.log(led.a1_table[s_lab, i1])
+                     - np.log(led.b0_table[t_lab, i0]) - np.log(led.b1_table[t_lab, i1]))
+        col_k = col_i1 - col_i0 + col_sigma_a + col_sigma_b
+        want = np.stack([led.q_a_tab[i0, i1], col_k, col_gamma], axis=1)
+        assert samples.tobytes() == want.tobytes()
 
 
 class TestBalances:
