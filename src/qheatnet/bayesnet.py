@@ -40,8 +40,11 @@ __all__ = [
 #: Element budget of one block of a sweep: a block holds as many times
 #: T_b as keep the ledger tables built on it, (T_b, K, m, m) for K
 #: retained labels and m = d_A * d_B outcome pairs, within this many
-#: entries, and at least one time.  A larger budget means fewer numpy
-#: passes per sweep but a higher peak memory.
+#: entries, and at least one time.  The ledgers form their float weight
+#: tables in chunks of labels within the same budget, at least one label,
+#: so a block is one chunk and a single time past the budget (D >= 36
+#: at the default) is several.  A larger budget means fewer numpy passes
+#: per sweep but a higher peak memory.
 BLOCK_ELEMENTS = 2 ** 15
 
 

@@ -94,9 +94,12 @@ class LedgerSet:
     Tables of the time-t half carry the basis's leading time shape, none
     for one time and (T,) for a block; the per-label tables of the t = 0
     half (``a0_table``, ``joint0``, ``pp0``, ``e_a0``, ``e_b0``) have
-    none.  ``fwd`` and ``rev`` hold the (K, m, m) forward and reverse
-    weights of the K retained labels over the cells, ``fmask`` and
-    ``rmask`` their live entries.  Per cell, ``pair_mass`` is the reverse
+    none.  The forward and reverse weights of the K retained labels over
+    the cells, (P_k a0) a1 and (P_k b0) b1, are formed one chunk of labels
+    at a time (``_weight_chunks``) and never kept whole: ``fmask`` and
+    ``rmask`` are their (K, m, m) live entries, ``fwd_cells`` and
+    ``rev_cells`` their (m, m) sums over the labels, bit for bit those of
+    the whole tables.  Per cell, ``pair_mass`` is the reverse
     weight of the augmented pairs, live forward labels x retained reverse
     mass / K, and ``cell_factor`` is c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).
     No per-pair array is kept.
@@ -166,17 +169,19 @@ class LedgerSet:
         qb = self.e_b1[..., None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
 
-        kp = self.keep
-        self.fwd = ((self.pops[kp, None, None] * self.a0_table[kp][:, :, None])
-                    * self.a1_table[..., kp, None, :])
-        self.rev = (self.pops[kp, None, None]
-                    * self.b0_table[..., kp, :, None]
-                    * self.b1_table[..., kp, None, :])
-        self.fmask = self.fwd > floor
-        self.rmask = self.rev > floor
+        # the weight tables are never whole: each chunk of labels leaves its
+        # masks and its share of the per-cell sums over the labels
+        shape = lead + (self.n_anchor, m, m)
+        self.fmask, self.rmask = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        sums = (None,) * 4
+        for labels, fwd, rev in self._weight_chunks():
+            fmask = np.greater(fwd, floor, out=self.fmask[..., labels, :, :])
+            rmask = np.greater(rev, floor, out=self.rmask[..., labels, :, :])
+            sums = tuple(map(_fold, sums, (fwd, rev, np.where(rmask, rev, 0.0), fmask)))
+        self.fwd_cells, self.rev_cells, rev_ret, n_fwd = sums
 
         # per time: no live forward cell moves energy out of the pair
-        leak = np.where(self.fmask.any(axis=-3), np.abs(qa + qb), 0.0)
+        leak = np.where(n_fwd > 0, np.abs(qa + qb), 0.0)
         self.all_energy_conserving = (leak.max(axis=(-2, -1)) <= binning)[()]
 
         # a pair's forward weight times exp(-X) is its reverse weight times
@@ -186,11 +191,25 @@ class LedgerSet:
         # when those marginals are thermal; c is computed, not assumed
         pth0 = np.outer(thermal(ga, self.e_a0), thermal(gb, self.e_b0)).ravel()
         self.cell_factor = _guarded_ratio(self.pp0, pth0, 0.0)[:, None]
-        n_fwd = self.fmask.sum(axis=-3)
-        rev_ret = np.where(self.rmask, self.rev, 0.0).sum(axis=-3)
         self.pair_mass = n_fwd * rev_ret / self.n_anchor
         ln_c = np.log(np.where((n_fwd > 0) & (rev_ret > 0), self.cell_factor, 1.0))
         self.detailed_residual = np.abs(ln_c).max(axis=(-2, -1))[()]
+
+    def _weight_chunks(self):
+        """The forward and reverse weights of the retained labels, one
+        chunk of consecutive labels at a time, as (labels, fwd, rev):
+        ``labels`` a slice of positions in ``keep``, ``fwd`` = (P_k a0) a1
+        and ``rev`` = (P_k b0) b1 of shape lead + (c, m, m).  A chunk holds
+        as many labels as keep it within ``bayesnet.BLOCK_ELEMENTS``
+        entries, and at least one, so a block of a sweep is one chunk."""
+        step = max(1, bayesnet.BLOCK_ELEMENTS // (self.n_times * self.pp0.size ** 2))
+        for lo in range(0, self.n_anchor, step):
+            labels = slice(lo, lo + step)
+            kp = self.keep[labels]
+            pops = self.pops[kp, None, None]
+            yield (labels,
+                   (pops * self.a0_table[kp][:, :, None]) * self.a1_table[..., kp, None, :],
+                   pops * self.b0_table[..., kp, :, None] * self.b1_table[..., kp, None, :])
 
     @property
     def n_pairs(self) -> int:
@@ -207,6 +226,20 @@ class LedgerSet:
         values = self.q_a_tab.ravel()
         time = np.arange(self.n_times).repeat(values.size // self.n_times)
         return DiscreteDistribution._binned(values, self.binning, time)
+
+
+def _fold(total, chunk: np.ndarray) -> np.ndarray:
+    """``total`` plus the sum of ``chunk`` over its label axis (-3), None
+    for no total: per-cell sums over a table taken one chunk of labels at
+    a time.  A float total enters the chunk's reduction as its first row,
+    and numpy reduces an outer axis as a left fold, so the result is the
+    sum of the whole table bit for bit; boolean chunks are counted, which
+    is exact in any order."""
+    if total is None:
+        return chunk.sum(axis=-3)
+    if chunk.dtype == bool:
+        return total + chunk.sum(axis=-3)
+    return np.concatenate((total[..., None, :, :], chunk), axis=-3).sum(axis=-3)
 
 
 def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
@@ -306,8 +339,9 @@ def _exchange_cells(ledgers: LedgerSet, factor=1.0) -> np.ndarray:
     """Per cell, <exp(-X) * factor> over the augmented pairs: the reverse
     weight times c(i0) * factor, and for pairs dropped by the floor the
     reverse weight alone, the cancelled form that keeps
-    boundary-of-simplex cases exact."""
-    return ledgers.rev.sum(axis=-3) + ledgers.pair_mass * (ledgers.cell_factor * factor - 1.0)
+    boundary-of-simplex cases exact.  It reads only per-cell tables,
+    ``rev_cells`` and ``pair_mass``, never a weight per label."""
+    return ledgers.rev_cells + ledgers.pair_mass * (ledgers.cell_factor * factor - 1.0)
 
 
 def combined_integral_ft(ledgers: LedgerSet) -> CombinedFT:
@@ -329,7 +363,8 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
     values, mirrored, so by the binning rule the reverse bins are the
     forward bins in reverse order: ``reverse.probs[::-1]`` is P_r(-Q) on
     the forward bins.  Both therefore collect on the ledgers' one binning
-    of the table, ``heat_bins``.
+    of the table, ``heat_bins``, the per-cell weights ``fwd_cells`` and
+    ``rev_cells`` that the ledgers summed over the labels chunk by chunk.
 
     For the ledgers of a block the result holds the distributions of all
     its times, one after another: time k has the bins
@@ -338,10 +373,9 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
     (``probs[heat_bins.mirror]`` is P_r(-Q) on the forward bins).
     """
     if direction == "forward":
-        return DiscreteDistribution._collect(ledgers.heat_bins, ledgers.fwd.sum(axis=-3))
+        return DiscreteDistribution._collect(ledgers.heat_bins, ledgers.fwd_cells)
     if direction == "reverse":
-        return DiscreteDistribution._collect(ledgers.heat_bins.mirrored(),
-                                             ledgers.rev.sum(axis=-3))
+        return DiscreteDistribution._collect(ledgers.heat_bins.mirrored(), ledgers.rev_cells)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -365,8 +399,11 @@ def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
     (P, 3) samples (Q, K, gamma) and the pair weights over the anchors."""
     ki, kj, i0, i1 = _pair_indices(ledgers.fmask, ledgers.rmask)
     s_lab, t_lab = ledgers.keep[ki], ledgers.keep[kj]
-    w_f = ledgers.fwd[ki, i0, i1] / ledgers.n_anchor
-    w_r = ledgers.rev[kj, i0, i1] / ledgers.n_anchor
+    a0, a1 = ledgers.a0_table[s_lab, i0], ledgers.a1_table[s_lab, i1]
+    b0, b1 = ledgers.b0_table[t_lab, i0], ledgers.b1_table[t_lab, i1]
+    # the weights in the products of the ledgers' chunks, (P a0) a1 and (P b0) b1
+    w_f = ledgers.pops[s_lab] * a0 * a1 / ledgers.n_anchor
+    w_r = ledgers.pops[t_lab] * b0 * b1 / ledgers.n_anchor
 
     def term(name):
         # a term at time 0 reads the forward label, one at t the anchor
@@ -375,8 +412,7 @@ def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
     # i = j + c: the classical part plus the coherent part
     col_i0 = term("j0") + term("c0")
     col_i1 = term("j1") + term("c1")
-    col_gamma = (np.log(ledgers.a0_table[s_lab, i0]) + np.log(ledgers.a1_table[s_lab, i1])
-                 - np.log(ledgers.b0_table[t_lab, i0]) - np.log(ledgers.b1_table[t_lab, i1]))
+    col_gamma = np.log(a0) + np.log(a1) - np.log(b0) - np.log(b1)
     col_k = col_i1 - col_i0 + term("sigma_a") + term("sigma_b")
     samples = np.stack([ledgers.q_a_tab[i0, i1], col_k, col_gamma], axis=1)
     return ki, kj, samples, w_f, w_r
@@ -486,7 +522,7 @@ def _athermality(local: linalg.EigenSystem, energies: np.ndarray,
 
 def mean_heat_balance(ledgers: LedgerSet) -> HeatBalance:
     _one_time(ledgers, "mean_heat_balance")
-    mean_q_a = float(np.sum(ledgers.fwd.sum(axis=0) * ledgers.q_a_tab))
+    mean_q_a = float(np.sum(ledgers.fwd_cells * ledgers.q_a_tab))
     lhs = mean_q_a * ledgers.delta_beta
 
     basis = ledgers.basis
@@ -557,13 +593,18 @@ def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
     if quantity == "gamma":
         # gamma of a pair (s, t) is g_f(s) - g_r(t), g = ln(weight / label
         # population): per cell, each forward term meets every live anchor
-        # and each anchor term the retained forward mass
-        fmask, rmask, pops = ledgers.fmask, ledgers.rmask, ledgers.pops[kp, None, None]
-        f = np.where(fmask, ledgers.fwd, 0.0)
-        g_f = np.log(np.where(fmask, ledgers.fwd / pops, 1.0))
-        g_r = np.log(np.where(rmask, ledgers.rev / pops, 1.0))
-        return float(np.sum(rmask.sum(axis=0) * (f * g_f).sum(axis=0)
-                            - f.sum(axis=0) * g_r.sum(axis=0))) / ledgers.n_anchor
+        # and each anchor term the retained forward mass, summed over the
+        # labels one chunk at a time
+        sums = (None,) * 4
+        for labels, fwd, rev in ledgers._weight_chunks():
+            fmask, rmask = ledgers.fmask[labels], ledgers.rmask[labels]
+            pops = ledgers.pops[kp[labels], None, None]
+            f = np.where(fmask, fwd, 0.0)
+            g_f = np.log(np.where(fmask, fwd / pops, 1.0))
+            g_r = np.log(np.where(rmask, rev / pops, 1.0))
+            sums = tuple(map(_fold, sums, (rmask, f * g_f, f, g_r)))
+        n_live, f_g_f, f_sum, g_r_sum = sums
+        return float(np.sum(n_live * f_g_f - f_sum * g_r_sum)) / ledgers.n_anchor
     raise ValueError(f"unknown quantity {quantity!r}")
 
 

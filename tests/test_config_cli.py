@@ -443,20 +443,48 @@ class TestCli:
                 expect.extend(rows)
             assert swept == "\n".join(expect) + "\n"
 
+    @staticmethod
+    def traced_peak(call) -> int:
+        """tracemalloc's peak of a second ``call``, after a first one has
+        filled the caches."""
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_sweep_memory_bounded_by_block_budget(self, tmp_path):
         # a block's stacked tables are a few dozen float arrays of at most
         # BLOCK_ELEMENTS entries; holding all 101 times of a 4x4 sweep at
         # once (about 4e5 entries per table) does not fit this bound
         argv = ["heat", "--dims", "4x4", "--seed", "0", "--sweep", "0:3:101",
                 "--out", str(tmp_path / "heat.csv")]
-        assert cli.main(argv) == 0
-        tracemalloc.start()
-        try:
+
+        def run():
             assert cli.main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 8 * bayesnet.BLOCK_ELEMENTS
+        assert self.traced_peak(run) < 32 * 8 * bayesnet.BLOCK_ELEMENTS
+
+    def test_soft_cap_ledgers_memory_bounded_by_block_budget(self):
+        # at D = 64 the forward and reverse weight tables of one time are
+        # 8 budgets each; formed a chunk of labels at a time, the ledgers
+        # and the gamma mean stay below 16 budgets of float64
+        led = ledgers_at(randspec.random_spec(0, 8, 8), 1.0)
+        assert led.n_anchor * led.pp0.size ** 2 >= 8 * bayesnet.BLOCK_ELEMENTS
+        for call in (lambda: thermo.compute_ledgers(led.basis),
+                     lambda: thermo.mean_quantity(led, "gamma")):
+            assert self.traced_peak(call) < 16 * 8 * bayesnet.BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("argv", [["verify", "--dims", "8x8", "--seed", "0"],
+                                      ["heat", "--dims", "8x8", "--seed", "0",
+                                       "--sweep", "0:1:5"]], ids=["verify", "heat"])
+    def test_soft_cap_cli_memory_bounded_by_block_budget(self, argv, tmp_path):
+        argv = argv + ["--out", str(tmp_path / "out")]
+
+        def run():
+            assert cli.main(argv) == 0
+        assert self.traced_peak(run) < 16 * 8 * bayesnet.BLOCK_ELEMENTS
 
     def test_sweep_validates_and_diagonalizes_once(self, example_config, monkeypatch,
                                                    tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qheatnet import bayesnet, linalg, qubit, randspec, system, thermo
 from qheatnet.distributions import DiscreteDistribution
-from conftest import ledgers_at
+from conftest import dense_weights, ledgers_at
 
 ALL_QUANTITIES = thermo.FORWARD_QUANTITIES + thermo.REVERSE_QUANTITIES
 
@@ -301,8 +301,9 @@ class TestSharedHeatBins:
 
     def test_heat_distributions_match_fresh_binning(self, oracle_ledgers):
         led = oracle_ledgers
-        for direction, values, weights in (("forward", led.q_a_tab, led.fwd),
-                                           ("reverse", -led.q_a_tab, led.rev)):
+        fwd, rev = dense_weights(led)
+        for direction, values, weights in (("forward", led.q_a_tab, fwd),
+                                           ("reverse", -led.q_a_tab, rev)):
             expect = DiscreteDistribution.from_samples(
                 values.ravel(), weights.sum(axis=0).ravel(), binning=led.binning)
             got = thermo.heat_distribution(led, direction)
@@ -377,8 +378,9 @@ class TestLedgerBlocks:
     #: ledger tables with the block's time axis, and those shared by every
     #: time of a block
     AT_TIME = ("a1_table", "b0_table", "b1_table", "joint1", "pp1", "e_a1", "e_b1",
-               "pth_a1", "pth_b1", "q_a_tab", "q_b_tab", "fwd", "rev", "fmask", "rmask",
-               "pair_mass", "pa1_cell", "pth_a1_cell", "pb1_cell", "pth_b1_cell")
+               "pth_a1", "pth_b1", "q_a_tab", "q_b_tab", "fwd_cells", "rev_cells",
+               "fmask", "rmask", "pair_mass", "pa1_cell", "pth_a1_cell", "pb1_cell",
+               "pth_b1_cell")
     SHARED = ("floor", "binning", "beta_a", "beta_b", "delta_beta", "dim_a", "dim_b",
               "pops", "keep", "n_anchor", "a0_table", "joint0", "pp0", "e_a0", "e_b0",
               "gibbs_a", "gibbs_b", "flat_a", "flat_b", "cell_factor")
@@ -470,6 +472,101 @@ class TestLedgerBlocks:
                                       one.first)
                 assert np.array_equal(bins.mirror[bins.starts[k]:bins.starts[k + 1]]
                                       - bins.starts[k], one.mirror)
+
+
+def _flat_bytes(record) -> bytes:
+    """The bytes of every field of a relation's result dataclass."""
+    parts = []
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, DiscreteDistribution):
+            parts += [value.points.tobytes(), value.probs.tobytes()]
+        else:
+            parts.append(np.asarray(value).tobytes())
+    return b"".join(parts)
+
+
+class TestLabelChunks:
+    """Ledgers whose weights are formed in three or more chunks of labels,
+    the last one short, against the default chunks and against a dense
+    reference: the whole (K, m, m) weight tables, summed over the labels
+    with ``sum(axis=-3)``.  Equal bytes pin numpy's left fold over an
+    outer axis, which the running sums rely on."""
+
+    TABLES = ("fwd_cells", "rev_cells", "fmask", "rmask", "pair_mass",
+              "detailed_residual", "all_energy_conserving")
+
+    @staticmethod
+    def ledgers(case):
+        spec = (_shell_ladder_spec(6, 3) if case == "shell-6x6"
+                else randspec.random_spec(5, 3, 3))
+        if case == "3x3-block":
+            block, = bayesnet.sweep_blocks(spec, (0.2, 0.83, 1.6))
+            assert len(block.times) == 3
+            return thermo.compute_ledgers(block)
+        return ledgers_at(spec, 0.83)
+
+    @classmethod
+    def outputs(cls, led):
+        out = {name: np.asarray(getattr(led, name)).tobytes() for name in cls.TABLES}
+        out["psi_factor"] = _flat_bytes(thermo.psi_factor(led))
+        if not isinstance(led.basis.times, tuple):      # one time
+            out["joint_distribution"] = _flat_bytes(thermo.joint_distribution(led))
+            *_, w_f, w_r = thermo._pairs(led)
+            out["pair_weights"] = w_f.tobytes() + w_r.tobytes()
+            for name in ALL_QUANTITIES:
+                out[f"mean_{name}"] = np.float64(thermo.mean_quantity(led, name)).tobytes()
+        return out
+
+    @staticmethod
+    def dense(led):
+        """The tables, pair weights and gamma mean from the whole weight
+        tables, each sum over the labels one ``sum(axis=-3)``."""
+        fwd, rev = dense_weights(led)
+        fmask, rmask = fwd > led.floor, rev > led.floor
+        n_fwd = fmask.sum(axis=-3)
+        rev_ret = np.where(rmask, rev, 0.0).sum(axis=-3)
+        leak = np.where(fmask.any(axis=-3), np.abs(led.q_a_tab + led.q_b_tab), 0.0)
+        ln_c = np.log(np.where((n_fwd > 0) & (rev_ret > 0), led.cell_factor, 1.0))
+        out = {"fwd_cells": fwd.sum(axis=-3), "rev_cells": rev.sum(axis=-3),
+               "fmask": fmask, "rmask": rmask, "pair_mass": n_fwd * rev_ret / led.n_anchor,
+               "detailed_residual": np.abs(ln_c).max(axis=(-2, -1))[()],
+               "all_energy_conserving": (leak.max(axis=(-2, -1)) <= led.binning)[()]}
+        out = {name: np.asarray(value).tobytes() for name, value in out.items()}
+        if not isinstance(led.basis.times, tuple):      # one time
+            ki, kj, i0, i1 = thermo._pair_indices(fmask, rmask)
+            n = led.n_anchor
+            out["pair_weights"] = ((fwd[ki, i0, i1] / n).tobytes()
+                                   + (rev[kj, i0, i1] / n).tobytes())
+            pops = led.pops[led.keep, None, None]
+            f = np.where(fmask, fwd, 0.0)
+            g_f = np.log(np.where(fmask, fwd / pops, 1.0))
+            g_r = np.log(np.where(rmask, rev / pops, 1.0))
+            gamma = float(np.sum(rmask.sum(axis=0) * (f * g_f).sum(axis=0)
+                                 - f.sum(axis=0) * g_r.sum(axis=0))) / n
+            out["mean_gamma"] = np.float64(gamma).tobytes()
+        return out
+
+    @pytest.mark.parametrize("case", ["3x3", "3x3-block", "shell-6x6"])
+    def test_short_last_chunk_matches_default_chunks_and_dense_tables(self, case,
+                                                                      monkeypatch):
+        led = self.ledgers(case)
+        assert led.n_pairs > 0
+        want, dense = self.outputs(led), self.dense(led)
+        # the largest chunk that leaves three or more chunks, the last short
+        k = led.n_anchor
+        size = max(c for c in range(1, k) if -(-k // c) >= 3 and k % c)
+        monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", size * led.n_times * led.pp0.size ** 2)
+        chunked = thermo.compute_ledgers(led.basis)
+        sizes = [len(range(k)[labels]) for labels, _, _ in chunked._weight_chunks()]
+        assert len(sizes) >= 3 and sizes[:-1] == [size] * (len(sizes) - 1)
+        assert 0 < sizes[-1] < size
+        got = self.outputs(chunked)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name] == want[name], name
+        for name in dense:
+            assert got[name] == dense[name], name
 
 
 class TestJointAndPsi:
@@ -613,7 +710,8 @@ class TestCellForms:
         assert led.n_pairs == ki.size > 0
         kp, n, m = led.keep, led.n_anchor, led.pp0.size
         s, r = kp[ki], kp[kj]
-        w_f, w_r = led.fwd[ki, i0, i1] / n, led.rev[kj, i0, i1] / n
+        fwd, rev = dense_weights(led)
+        w_f, w_r = fwd[ki, i0, i1] / n, rev[kj, i0, i1] / n
         q_a, q_b = led.q_a_tab[i0, i1], led.q_b_tab[i0, i1]
         a, b = led.flat_a[i1], led.flat_b[i1]
         gamma = (np.log(led.a0_table[s, i0]) + np.log(led.a1_table[s, i1])
@@ -625,7 +723,7 @@ class TestCellForms:
         x = led.beta_a * q_a + led.beta_b * q_b + rest
         # pairs dropped by the floor enter through their reverse weight
         cell = i0 * m + i1
-        dropped = led.rev.sum(axis=0).ravel() - np.bincount(cell, w_r, minlength=m * m)
+        dropped = rev.sum(axis=0).ravel() - np.bincount(cell, w_r, minlength=m * m)
 
         comb = thermo.combined_integral_ft(led)
         assert abs(comb.value - (np.sum(w_f * np.exp(-x)) + dropped.sum())) <= 1e-13
