@@ -153,12 +153,12 @@ def _heat_rows(ledgers: thermo.LedgerSet) -> list[str]:
     """The CSV rows of every time of the ledgers of a block, each time's
     bins in descending heat order."""
     psi = thermo.psi_factor(ledgers)
-    p_f, p_r, bins = psi.forward, psi.reverse, ledgers.heat_bins
+    p_f, bins = psi.forward, ledgers.heat_bins
 
     # psi has a row for each forward bin above the floor, in bin order
     psi_by_bin = np.full(p_f.n_points, np.nan)
     psi_by_bin[p_f.probs > ledgers.floor] = psi.psi
-    columns = (p_f.scalar_points(), p_f.probs, p_r.probs[bins.mirror], psi_by_bin)
+    columns = (p_f.scalar_points(), p_f.probs, psi.p_r, psi_by_bin)
 
     rows = []
     for t, lo, hi in zip(ledgers.basis.times, bins.starts[:-1], bins.starts[1:]):

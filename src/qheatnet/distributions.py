@@ -4,9 +4,10 @@ Binning rule: a sample x lands in the bin keyed by the integer vector
 ``round(x / binning)``, and samples share a bin exactly when their keys
 agree in every coordinate.  ``np.round`` is odd-symmetric, so negating
 some coordinates of every sample negates the same key coordinates and
-leaves the partition of the samples into bins unchanged.  A distribution
-and its mirror image over the same samples therefore have the same bins,
-one to one.  The relation checks pair bins that way, and
+leaves the partition of the samples into bins unchanged: the mirror
+image of a bin is one bin of the mirrored samples.  The relation checks
+therefore read the reverse mass at the mirror of each forward bin on the
+forward binning itself (``Bins.masses``).
 ``DiscreteDistribution.masses_at`` looks points up by the same rule: it
 reads the bin whose key is the point's key, never a neighbour, even one
 closer than ``binning`` across a rounding boundary.  ``prob_at``, the
@@ -16,7 +17,6 @@ lookup of one point, reads through it, so the two share the key rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,48 +47,21 @@ class Bins:
     binning: float
     starts: np.ndarray
 
-    @cached_property
-    def mirror(self) -> np.ndarray:
-        """``mirror[j]``: the bin holding the samples of bin j once every
-        sample is negated.  Negating every key coordinate reverses the
-        lexicographic order of the keys within each group and keeps the
-        input order within a bin."""
-        return self._mirror_map(self.values.shape[1])
+    def masses(self, weights) -> np.ndarray:
+        """``weights`` (one per sample, any shape) summed per bin in input
+        order, as ``_collect`` sums them, so the reverse mass of a bin
+        read here has the bits of a collect over the mirrored bins."""
+        return np.bincount(self.bin_id, weights=np.ravel(weights), minlength=len(self.first))
 
-    def _mirror_map(self, n: int) -> np.ndarray:
-        """The bin holding the samples of each bin once the leading ``n``
-        coordinates of every sample are negated.  Within each group, the
-        runs of bins sharing those ``n`` key coordinates come in reverse
-        order and the bins of a run keep their order.  With every
-        coordinate negated each run is one bin, and no key is read."""
+    def mirrored(self) -> "Bins":
+        """The bins of the samples with every coordinate negated, without
+        binning them again: negating every key reverses the bins of each
+        group and keeps the input order within a bin, an O(bins)
+        reversal that reads no key."""
         lo, hi = self.starts[:-1], self.starts[1:]
-        ends = (lo + hi).repeat(hi - lo)
-        j = np.arange(len(self.first))
-        if n == self.values.shape[1]:
-            return ends - 1 - j
-        # the leading key coordinates of each bin, read off its first sample
-        lead = np.rint(self.values[self.first, :n] / self.binning)
-        head = np.ones(len(j), dtype=bool)
-        head[1:] = np.any(lead[1:] != lead[:-1], axis=1)
-        head[lo[lo < len(j)]] = True
-        run = np.cumsum(head) - 1
-        run_start = np.flatnonzero(head)
-        run_end = np.append(run_start[1:], len(j))
-        return ends - run_end[run] + (j - run_start[run])
-
-    def mirrored(self, n: int | None = None) -> "Bins":
-        """The bins of the samples with their leading ``n`` coordinates
-        negated (all of them by default), without binning them again: by
-        the binning rule the partition is unchanged, and the bins are
-        renumbered by ``_mirror_map``, each with the same first sample."""
-        k = self.values.shape[1]
-        n = k if n is None else n
-        mirror = self.mirror if n == k else self._mirror_map(n)
-        first = np.empty_like(self.first)
-        first[mirror] = self.first
-        sign = np.where(np.arange(k) < n, -1.0, 1.0)
-        return Bins(values=self.values * sign, bin_id=mirror[self.bin_id],
-                    first=first, binning=self.binning, starts=self.starts)
+        mirror = (lo + hi - 1).repeat(hi - lo) - np.arange(len(self.first))
+        return Bins(values=-self.values, bin_id=mirror[self.bin_id],
+                    first=self.first[mirror], binning=self.binning, starts=self.starts)
 
 
 @dataclass(frozen=True)
@@ -161,7 +134,7 @@ class DiscreteDistribution:
         if vals.shape[0] != w.shape[0]:
             raise ValueError("values and weights length mismatch")
         nbins = len(first)
-        probs = np.bincount(bin_id, weights=w, minlength=nbins)
+        probs = bins.masses(w)
         # weighted mean location within each bin (spread < binning)
         pts = np.empty((nbins, vals.shape[1]))
         for j in range(vals.shape[1]):

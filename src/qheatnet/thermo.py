@@ -361,16 +361,16 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
     time-reversed process, whose heat values are sign-flipped relative to
     the forward energy differences.  Both bin the same table of heat
     values, mirrored, so by the binning rule the reverse bins are the
-    forward bins in reverse order: ``reverse.probs[::-1]`` is P_r(-Q) on
-    the forward bins.  Both therefore collect on the ledgers' one binning
-    of the table, ``heat_bins``, the per-cell weights ``fwd_cells`` and
-    ``rev_cells`` that the ledgers summed over the labels chunk by chunk.
+    forward bins in reverse order, read off the ledgers' one binning of
+    the table, ``heat_bins``, by ``Bins.mirrored``.  They collect the
+    per-cell weights ``fwd_cells`` and ``rev_cells`` that the ledgers
+    summed over the labels chunk by chunk.  The relations read P_r(-Q) on
+    the forward bins instead (``PsiReport.p_r``).
 
     For the ledgers of a block the result holds the distributions of all
     its times, one after another: time k has the bins
     ``heat_bins.starts[k]:starts[k + 1]``, each equal to its one-time
-    distribution bit for bit, and the mirror is taken within each time
-    (``probs[heat_bins.mirror]`` is P_r(-Q) on the forward bins).
+    distribution bit for bit, the mirror taken within each time.
     """
     if direction == "forward":
         return DiscreteDistribution._collect(ledgers.heat_bins, ledgers.fwd_cells)
@@ -383,11 +383,12 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
 class JointFT:
     """Joint (Q, K, gamma) statistics and the bin-by-bin detailed check.
 
-    The reverse table holds the image of each reverse pair under the
-    pairing bijection, i.e. coordinates (-Q, -K, gamma)."""
+    ``p_r[j]`` is the reverse weight of the pairs of forward bin j: their
+    reverse samples (-Q, -K, gamma) make up one reverse bin, so it is P_r
+    at the mirror of bin j."""
 
     forward: DiscreteDistribution
-    reverse: DiscreteDistribution
+    p_r: np.ndarray
     max_residual: float
     n_checked: int
     n_unverified: int
@@ -419,28 +420,23 @@ def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
 
 
 def joint_distribution(ledgers: LedgerSet) -> JointFT:
-    """Bin both ensembles and check each forward bin against the reverse
-    bin holding the same pairs (the binning rule makes that one to one).
-    The only relation that enumerates the augmented pairs: their
-    (Q, K, gamma) samples are binned once, and the reverse bins are that
-    binning with (Q, K) negated and gamma not (``Bins.mirrored``)."""
+    """Check each forward (Q, K, gamma) bin against the reverse bin of
+    the same pairs.  The only relation that enumerates the augmented
+    pairs: their samples are binned once, and by the binning rule the
+    reverse samples (-Q, -K, gamma) of a forward bin make up one reverse
+    bin, so both weights are collected on the forward bins."""
     _one_time(ledgers, "joint_distribution")
-    binning, floor = ledgers.binning, ledgers.floor
+    floor = ledgers.floor
     _, _, samples, w_f, w_r = _pairs(ledgers)
-    fwd_bins = DiscreteDistribution._binned(samples, binning)
-    # the reverse samples are (-Q, -K, gamma): the same partition, read off
-    # the forward bins rather than sorted again
-    rev_bins = fwd_bins.mirrored(2)
-    fwd = DiscreteDistribution._collect(fwd_bins, w_f)
-    rev = DiscreteDistribution._collect(rev_bins, w_r)
-    partner = rev_bins.bin_id[fwd_bins.first]
+    bins = DiscreteDistribution._binned(samples, ledgers.binning)
+    fwd = DiscreteDistribution._collect(bins, w_f)
 
-    pf, pr = fwd.probs, rev.probs[partner]
+    pf, pr = fwd.probs, bins.masses(w_r)
     live = pf > floor
     checked = live & (pr > floor)
     q, kk, gg = fwd.points[checked].T
     resid = np.abs(pf[checked] - np.exp(q * ledgers.delta_beta - kk + gg) * pr[checked])
-    return JointFT(forward=fwd, reverse=rev, max_residual=float(resid.max(initial=0.0)),
+    return JointFT(forward=fwd, p_r=pr, max_residual=float(resid.max(initial=0.0)),
                    n_checked=int(checked.sum()),
                    n_unverified=int((live & ~checked).sum()))
 
@@ -449,14 +445,16 @@ def joint_distribution(ledgers: LedgerSet) -> JointFT:
 class PsiReport:
     """Heat-conditioned correction factor and the modified detailed check.
 
-    ``forward`` and ``reverse`` are the heat distributions it reads.  For
-    each forward heat bin, ``psi`` is the conditional average of
+    ``forward`` is the forward heat distribution and ``p_r[j]`` the
+    reverse weight of the cells of its bin j, P_r(-Q).  For each forward
+    bin above the floor, ``psi`` is the conditional average of
     exp(K - gamma); ``residuals`` compares P_f(Q) * psi(Q) against
-    exp(Q * delta_beta) * P_r(-Q).  Bins skipped for lack of forward or
-    reverse mass are counted, not asserted."""
+    exp(Q * delta_beta) * P_r(-Q) where P_r(-Q) is above the floor too.
+    Bins skipped for lack of forward or reverse mass are counted, not
+    asserted."""
 
     forward: DiscreteDistribution
-    reverse: DiscreteDistribution
+    p_r: np.ndarray
     q_values: np.ndarray
     psi: np.ndarray
     p_f: np.ndarray
@@ -472,22 +470,27 @@ def psi_factor(ledgers: LedgerSet) -> PsiReport:
     block the report runs over the bins of all its times, time by time,
     as ``heat_distribution`` does; ``max_residual`` and ``n_skipped``
     cover the whole block."""
-    bins = ledgers.heat_bins
+    bins, floor = ledgers.heat_bins, ledgers.floor
     p_f = heat_distribution(ledgers, "forward")
-    p_r = heat_distribution(ledgers, "reverse")
+    p_r = bins.masses(ledgers.rev_cells)
 
     # numerator of psi per heat bin: exp(K - gamma) = exp(-X) times the
-    # bath terms, summed per cell and collected on p_f's bins
-    bath = np.exp(ledgers.beta_a * ledgers.q_a_tab + ledgers.beta_b * ledgers.q_b_tab)
-    num = DiscreteDistribution._collect(bins, _exchange_cells(ledgers) * bath)
+    # bath terms, summed per cell on p_f's bins.  A cold bath may overflow
+    # to inf, so it multiplies only cells with exchange weight, never 0
+    exchange = _exchange_cells(ledgers)
+    with np.errstate(over="ignore"):
+        bath = np.exp(ledgers.beta_a * ledgers.q_a_tab + ledgers.beta_b * ledgers.q_b_tab)
+    num = bins.masses(np.multiply(exchange, bath, out=np.zeros_like(exchange),
+                                  where=exchange != 0))
 
-    live = p_f.probs > ledgers.floor
-    q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r.probs[bins.mirror][live]
-    psi = num.probs[live] / pf
-    resids = np.abs(pf * psi - np.exp(q * ledgers.delta_beta) * pr)
-    return PsiReport(forward=p_f, reverse=p_r, q_values=q, psi=psi, p_f=pf, p_r_mirror=pr,
+    live = p_f.probs > floor
+    q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r[live]
+    psi = num[live] / pf
+    ok = pr > floor
+    resids = np.abs(pf[ok] * psi[ok] - np.exp(q[ok] * ledgers.delta_beta) * pr[ok])
+    return PsiReport(forward=p_f, p_r=p_r, q_values=q, psi=psi, p_f=pf, p_r_mirror=pr,
                      residuals=resids, max_residual=float(resids.max(initial=0.0)),
-                     n_skipped=int(np.count_nonzero(~live)))
+                     n_skipped=int(p_r.size - np.count_nonzero(ok)))
 
 
 @dataclass(frozen=True)

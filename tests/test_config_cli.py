@@ -568,8 +568,9 @@ class TestCli:
 
     def test_heat_collects_each_distribution_once(self, example_config, monkeypatch,
                                                    tmp_path):
-        # psi_factor returns the forward and reverse heat distributions it
-        # reads, so a block collects those two and the psi numerator only
+        # psi_factor returns the forward heat distribution it reads and sums
+        # the reverse weights and the psi numerator on its bins, so a block
+        # collects that one distribution only
         calls = []
         collect = DiscreteDistribution._collect.__func__
 
@@ -580,7 +581,7 @@ class TestCli:
         out = str(tmp_path / "heat.csv")
         assert cli.main(["heat", "--config", example_config, "--time", "0.7",
                          "--out", out]) == 0
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_heat_and_example_build_no_pairs(self, monkeypatch, tmp_path):
         # only the joint FT enumerates augmented pairs; the heat
@@ -671,6 +672,22 @@ class TestCli:
         records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
         assert records["mean_heat_balance"]["passed"]
         assert [n for n, r in records.items() if not r["passed"]] == ["integral_ft[j1]"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta_a", [745.0, 800.0])
+    def test_psi_on_cold_subsystem_reports_strict_json(self, tmp_path, product_spec,
+                                                       beta_a):
+        # exp(beta_A Q_A) overflows on a bin whose mirror has no reverse
+        # mass: psi skips that bin, so the report has no NaN and no warning
+        path, out = tmp_path / "cold.json", tmp_path / "report.json"
+        spec = dataclasses.replace(product_spec, beta_a=beta_a)
+        config.save_config(spec, bayesnet.TimeGrid((0.5,)), path)
+        assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+        records = json.loads(out.read_text(), parse_constant=reject)["records"]
+        assert [r["name"] for r in records if not r["passed"]] == ["integral_ft[j1]"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qheatnet import bayesnet, linalg, qubit, randspec, system, thermo
-from qheatnet.distributions import DiscreteDistribution
+from qheatnet.distributions import Bins, DiscreteDistribution
 from conftest import dense_weights, ledgers_at
 
 ALL_QUANTITIES = thermo.FORWARD_QUANTITIES + thermo.REVERSE_QUANTITIES
@@ -335,15 +335,11 @@ class TestSharedHeatBins:
                                              max_size=size)))
                  if grouped else None)
         bins = DiscreteDistribution._binned(values, binning, group)
-        for n in range(k + 1):
-            sign = np.where(np.arange(k) < n, -1.0, 1.0)
-            fresh = DiscreteDistribution._binned(values * sign, binning, group)
-            mirrored = bins.mirrored(n)
-            for name in ("values", "bin_id", "first", "starts"):
-                assert getattr(mirrored, name).tobytes() == getattr(fresh, name).tobytes(), (
-                    n, name)
-            assert mirrored.binning == fresh.binning
-        assert np.array_equal(bins.mirrored().bin_id, bins.mirror[bins.bin_id])
+        fresh = DiscreteDistribution._binned(-values, binning, group)
+        mirrored = bins.mirrored()
+        for name in ("values", "bin_id", "first", "starts"):
+            assert getattr(mirrored, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert mirrored.binning == fresh.binning
 
     def test_binned_once_per_ledger_set(self, correlated_spec, monkeypatch):
         calls = []
@@ -470,8 +466,8 @@ class TestLedgerBlocks:
                 assert np.array_equal(bins.bin_id[cells] - bins.starts[k], one.bin_id)
                 assert np.array_equal(bins.first[bins.starts[k]:bins.starts[k + 1]] - k * m2,
                                       one.first)
-                assert np.array_equal(bins.mirror[bins.starts[k]:bins.starts[k + 1]]
-                                      - bins.starts[k], one.mirror)
+                assert np.array_equal(bins.mirrored().bin_id[cells] - bins.starts[k],
+                                      one.mirrored().bin_id)
 
 
 def _flat_bytes(record) -> bytes:
@@ -613,10 +609,10 @@ class TestJointAndPsi:
 
         joint = thermo.joint_distribution(led)
         assert joint.n_checked > 0
-        for got, want in ((joint.forward, fwd), (joint.reverse, rev)):
-            assert got.points.tobytes() == want.points.tobytes()
-            assert got.probs.tobytes() == want.probs.tobytes()
-            assert got.binning == want.binning
+        assert joint.forward.points.tobytes() == fwd.points.tobytes()
+        assert joint.forward.probs.tobytes() == fwd.probs.tobytes()
+        assert joint.forward.binning == fwd.binning
+        assert joint.p_r.tobytes() == pr.tobytes()
         assert joint.max_residual == float(resid.max(initial=0.0))
         assert joint.n_checked == int(checked.sum())
         assert joint.n_unverified == int((live & ~checked).sum())
@@ -628,12 +624,13 @@ class TestJointAndPsi:
     def test_joint_bin_pairing_properties(self, seed, dims, correlated, t):
         led = ledgers_at(randspec.random_spec(seed, *dims, correlated=correlated), t)
         joint = thermo.joint_distribution(led)
-        fwd, rev, b, floor = joint.forward, joint.reverse, led.binning, led.floor
+        _, _, samples, _, w_r = thermo._pairs(led)
+        rev = DiscreteDistribution.from_samples(samples * [-1.0, -1.0, 1.0], w_r, led.binning)
+        fwd, b, floor = joint.forward, led.binning, led.floor
         assert fwd.n_points == rev.n_points
 
         # each sample's forward bin key and mirrored reverse bin key pair up
         # one to one: a bijection between the bins
-        samples = thermo._pairs(led)[2]
         key_f = np.round(samples / b).astype(np.int64)
         key_r = np.round(samples * [-1.0, -1.0, 1.0] / b).astype(np.int64)
         n_f = len(np.unique(key_f, axis=0))
@@ -665,6 +662,44 @@ class TestJointAndPsi:
         psi = thermo.psi_factor(led)
         p_r = thermo.heat_distribution(led, "reverse")
         assert np.array_equal(psi.p_r_mirror, [p_r.prob_at(-q) for q in psi.q_values])
+        assert np.array_equal(psi.p_r, [p_r.prob_at(-q) for q in psi.forward.scalar_points()])
+
+    def test_joint_bins_once_and_never_mirrors(self, monkeypatch):
+        # both weights are collected on the one forward binning of the pairs
+        led = ledgers_at(randspec.random_spec(31, 3, 3), 0.37)
+        calls = []
+        binned = DiscreteDistribution._binned
+
+        def counted(values, binning, group=None):
+            calls.append(np.shape(values))
+            return binned(values, binning, group)
+
+        def no_mirror(self):
+            raise AssertionError("bins mirrored")
+        monkeypatch.setattr(DiscreteDistribution, "_binned", staticmethod(counted))
+        monkeypatch.setattr(Bins, "mirrored", no_mirror)
+        joint = thermo.joint_distribution(led)
+        assert joint.n_checked > 0
+        assert calls == [(len(thermo._pairs(led)[2]), 3)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta_a", [745.0, 800.0])
+    def test_psi_on_cold_subsystem(self, product_spec, beta_a):
+        # at this beta_A the bin Q_A = +1 keeps forward mass but its mirror
+        # none above the floor, and exp(beta_A Q_A) overflows: the bin is
+        # skipped, not checked as 0 * inf
+        led = ledgers_at(dataclasses.replace(product_spec, beta_a=beta_a), 0.5)
+        psi = thermo.psi_factor(led)
+        live = psi.forward.probs > led.floor
+        checked = live & (psi.p_r > led.floor)
+        assert np.any(live & ~checked)
+        assert psi.n_skipped == np.count_nonzero(~checked)
+        assert len(psi.psi) == len(psi.q_values) == np.count_nonzero(live)
+        assert len(psi.residuals) == np.count_nonzero(checked)
+        assert psi.max_residual < thermo.FT_TOL
+        checks = thermo.relation_checks(led)
+        assert all(np.isfinite(c.value) for c in checks)
+        assert [c.name for c in checks if not c.passed] == ["integral_ft[j1]"]
 
     def test_psi_unity_without_correlations(self, product_spec):
         psi = thermo.psi_factor(ledgers_at(product_spec, 0.93))
