@@ -161,12 +161,14 @@ def _heat_rows(ledgers: thermo.LedgerSet) -> list[str]:
     columns = (p_f.scalar_points(), p_f.probs, psi.p_r, psi_by_bin)
 
     rows = []
-    for t, lo, hi in zip(ledgers.basis.times, bins.starts[:-1], bins.starts[1:]):
-        for q, pf, pr_mirror, psi_q in sorted(
-                zip(*(c[lo:hi].tolist() for c in columns)), reverse=True):
-            ratio = pf / pr_mirror if pr_mirror > ledgers.floor else float("nan")
-            rows.append(_csv_row(t, q, pf, pr_mirror, ratio,
-                                 np.exp(q * ledgers.delta_beta), psi_q))
+    # a time's bins run in ascending heat order, so each is read backwards;
+    # exp(Q * delta_beta) of a cold subsystem may read inf
+    with np.errstate(over="ignore"):
+        for t, lo, hi in zip(ledgers.basis.times, bins.starts[:-1], bins.starts[1:]):
+            for q, pf, pr_mirror, psi_q in zip(*(c[lo:hi][::-1].tolist() for c in columns)):
+                ratio = pf / pr_mirror if pr_mirror > ledgers.floor else float("nan")
+                rows.append(_csv_row(t, q, pf, pr_mirror, ratio,
+                                     np.exp(q * ledgers.delta_beta), psi_q))
     return rows
 
 

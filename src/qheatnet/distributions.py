@@ -7,7 +7,9 @@ some coordinates of every sample negates the same key coordinates and
 leaves the partition of the samples into bins unchanged: the mirror
 image of a bin is one bin of the mirrored samples.  The relation checks
 therefore read the reverse mass at the mirror of each forward bin on the
-forward binning itself (``Bins.masses``).
+forward binning itself (``Bins.masses``); negating every coordinate
+reverses the key order, so the bins of the mirrored samples are the
+forward bins of each group read backwards.
 ``DiscreteDistribution.masses_at`` looks points up by the same rule: it
 reads the bin whose key is the point's key, never a neighbour, even one
 closer than ``binning`` across a rounding boundary.  ``prob_at``, the
@@ -52,16 +54,6 @@ class Bins:
         order, as ``_collect`` sums them, so the reverse mass of a bin
         read here has the bits of a collect over the mirrored bins."""
         return np.bincount(self.bin_id, weights=np.ravel(weights), minlength=len(self.first))
-
-    def mirrored(self) -> "Bins":
-        """The bins of the samples with every coordinate negated, without
-        binning them again: negating every key reverses the bins of each
-        group and keeps the input order within a bin, an O(bins)
-        reversal that reads no key."""
-        lo, hi = self.starts[:-1], self.starts[1:]
-        mirror = (lo + hi - 1).repeat(hi - lo) - np.arange(len(self.first))
-        return Bins(values=-self.values, bin_id=mirror[self.bin_id],
-                    first=self.first[mirror], binning=self.binning, starts=self.starts)
 
 
 @dataclass(frozen=True)

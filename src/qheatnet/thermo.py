@@ -20,7 +20,7 @@ silently lose the 0 * inf contributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -156,15 +156,14 @@ class LedgerSet:
         # thermal weights with energies from the ground energy, as in z_shifted
         def thermal(gibbs, energies):
             return np.exp(-gibbs.beta * (energies - gibbs.energies[0])) / gibbs.z_shifted
-        self.pth_a1, self.pth_b1 = thermal(ga, self.e_a1), thermal(gb, self.e_b1)
         self.gibbs_a, self.gibbs_b = ga, gb
 
         # heat tables over flattened outcome pairs (i0, i1)
         a0idx, b0idx = np.divmod(np.arange(m), db)
         self.flat_a, self.flat_b = a0idx, b0idx
         # the athermality terms' marginals and thermal weights per cell at t
-        self.pa1_cell, self.pth_a1_cell = marg.a_1[..., a0idx], self.pth_a1[..., a0idx]
-        self.pb1_cell, self.pth_b1_cell = marg.b_1[..., b0idx], self.pth_b1[..., b0idx]
+        self.pa1_cell, self.pth_a1_cell = marg.a_1[..., a0idx], thermal(ga, self.e_a1)[..., a0idx]
+        self.pb1_cell, self.pth_b1_cell = marg.b_1[..., b0idx], thermal(gb, self.e_b1)[..., b0idx]
         qa = self.e_a1[..., None, a0idx] - self.e_a0[a0idx][:, None]
         qb = self.e_b1[..., None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
@@ -359,24 +358,29 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
 
     ``forward`` bins the forward path weights; ``reverse`` bins the
     time-reversed process, whose heat values are sign-flipped relative to
-    the forward energy differences.  Both bin the same table of heat
-    values, mirrored, so by the binning rule the reverse bins are the
-    forward bins in reverse order, read off the ledgers' one binning of
-    the table, ``heat_bins``, by ``Bins.mirrored``.  They collect the
-    per-cell weights ``fwd_cells`` and ``rev_cells`` that the ledgers
-    summed over the labels chunk by chunk.  The relations read P_r(-Q) on
-    the forward bins instead (``PsiReport.p_r``).
+    the forward energy differences.  Both collect on the ledgers' one
+    binning of the heat table, ``heat_bins``, the per-cell weights
+    ``fwd_cells`` and ``rev_cells`` that the ledgers summed over the
+    labels chunk by chunk.  By the binning rule the reverse bins are the
+    forward bins in reverse order: the reverse weights are collected on
+    the negated heat values and read backwards.  The relations read
+    P_r(-Q) on the forward bins instead (``PsiReport.p_r``).
 
     For the ledgers of a block the result holds the distributions of all
     its times, one after another: time k has the bins
     ``heat_bins.starts[k]:starts[k + 1]``, each equal to its one-time
-    distribution bit for bit, the mirror taken within each time.
+    distribution bit for bit, the order reversed within each time.
     """
+    bins = ledgers.heat_bins
     if direction == "forward":
-        return DiscreteDistribution._collect(ledgers.heat_bins, ledgers.fwd_cells)
-    if direction == "reverse":
-        return DiscreteDistribution._collect(ledgers.heat_bins.mirrored(), ledgers.rev_cells)
-    raise ValueError(f"unknown direction {direction!r}")
+        return DiscreteDistribution._collect(bins, ledgers.fwd_cells)
+    if direction != "reverse":
+        raise ValueError(f"unknown direction {direction!r}")
+    # negated before the collect, so a bin at Q = 0 keeps +0.0
+    rev = DiscreteDistribution._collect(replace(bins, values=-bins.values), ledgers.rev_cells)
+    lo, hi = bins.starts[:-1], bins.starts[1:]
+    order = (lo + hi - 1).repeat(hi - lo) - np.arange(len(bins.first))
+    return DiscreteDistribution(rev.points[order], rev.probs[order], rev.binning)
 
 
 @dataclass(frozen=True)
@@ -475,13 +479,16 @@ def psi_factor(ledgers: LedgerSet) -> PsiReport:
     p_r = bins.masses(ledgers.rev_cells)
 
     # numerator of psi per heat bin: exp(K - gamma) = exp(-X) times the
-    # bath terms, summed per cell on p_f's bins.  A cold bath may overflow
-    # to inf, so it multiplies only cells with exchange weight, never 0
+    # bath terms, summed per cell on p_f's bins; only cells with exchange
+    # weight take the bath (no 0 * inf), in log space where it overflows
     exchange = _exchange_cells(ledgers)
+    exponent = ledgers.beta_a * ledgers.q_a_tab + ledgers.beta_b * ledgers.q_b_tab
+    cold = (exponent > np.log(np.finfo(float).max)) & (exchange > 0)
     with np.errstate(over="ignore"):
-        bath = np.exp(ledgers.beta_a * ledgers.q_a_tab + ledgers.beta_b * ledgers.q_b_tab)
-    num = bins.masses(np.multiply(exchange, bath, out=np.zeros_like(exchange),
-                                  where=exchange != 0))
+        terms = np.multiply(exchange, np.exp(exponent), out=np.zeros_like(exchange),
+                            where=exchange != 0)
+        terms[cold] = np.exp(np.log(exchange[cold]) + exponent[cold])
+    num = bins.masses(terms)
 
     live = p_f.probs > floor
     q, pf, pr = p_f.scalar_points()[live], p_f.probs[live], p_r[live]
@@ -514,13 +521,13 @@ class HeatBalance:
     heat_reversed: bool
 
 
-def _athermality(local: linalg.EigenSystem, energies: np.ndarray,
-                 gibbs: system.GibbsState) -> float:
-    """D(rho || gamma) of a reduced state with eigensystem ``local`` and
-    energies <a|H|a> against its Gibbs state, read from the spectra."""
+def _athermality(pops: np.ndarray, energies: np.ndarray, gibbs: system.GibbsState) -> float:
+    """D(rho || gamma) of a reduced state with populations ``pops`` in its
+    eigenbasis and energies <a|H|a> there against its Gibbs state, read
+    from the spectra: no thermal weight enters, so none can underflow."""
     e0 = gibbs.energies[0]
-    return float(gibbs.beta * np.dot(local.values, energies - e0)
-                 + np.log(gibbs.z_shifted) - linalg.spectral_entropy(local.values))
+    return float(gibbs.beta * np.dot(pops, energies - e0)
+                 + np.log(gibbs.z_shifted) - linalg.spectral_entropy(pops))
 
 
 def mean_heat_balance(ledgers: LedgerSet) -> HeatBalance:
@@ -536,8 +543,8 @@ def mean_heat_balance(ledgers: LedgerSet) -> HeatBalance:
 
     # the mutual-information change: S(rho(t)) = S(rho_0) cancels
     rhs = (local_entropies(1) - local_entropies(0)
-           + _athermality(basis.local_a[1], basis.energies_a[1], ledgers.gibbs_a)
-           + _athermality(basis.local_b[1], basis.energies_b[1], ledgers.gibbs_b))
+           + _athermality(basis.local_a[1].values, basis.energies_a[1], ledgers.gibbs_a)
+           + _athermality(basis.local_b[1].values, basis.energies_b[1], ledgers.gibbs_b))
     return HeatBalance(
         mean_q_a=mean_q_a, lhs=lhs, rhs=rhs,
         residual=abs(lhs - rhs), heat_reversed=lhs < 0,
@@ -575,16 +582,13 @@ def mutual_information_check(ledgers: LedgerSet) -> InfoMeans:
 
 
 def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
-    """<X> for one ledger quantity under its own ensemble."""
+    """<X> for one ledger quantity under its own ensemble, sigma's as in the heat balance."""
     _one_time(ledgers, "mean_quantity")
     kp, floor = ledgers.keep, ledgers.floor
-    if quantity in ("sigma_a", "sigma_b"):
-        # the closed form over the marginal, D(p || p^th): the cell table
-        # would drop the cells whose thermal weight is at the floor
-        p, q = ((ledgers.marg.a_1, ledgers.pth_a1) if quantity == "sigma_a"
-                else (ledgers.marg.b_1, ledgers.pth_b1))
-        ok = p > floor
-        return float(np.sum(p[ok] * (np.log(p[ok]) - np.log(q[ok]))))
+    if quantity == "sigma_a":
+        return _athermality(ledgers.marg.a_1, ledgers.e_a1, ledgers.gibbs_a)
+    if quantity == "sigma_b":
+        return _athermality(ledgers.marg.b_1, ledgers.e_b1, ledgers.gibbs_b)
     if quantity in _TERMS:
         time = _TERMS[quantity][0]
         w = ledgers.pops[kp, None] * (ledgers.a0_table, ledgers.a1_table)[time][kp]

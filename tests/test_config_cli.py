@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -227,6 +228,16 @@ class TestDistribution:
             DiscreteDistribution.from_samples(np.array(values), np.array([0.2, 0.3, 0.5]))
 
 
+def _fresh_cli(argv, *flags) -> subprocess.CompletedProcess:
+    """``python FLAGS -m qheatnet.cli ARGV`` in a fresh interpreter that
+    imports the qheatnet these tests import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, *flags, "-m", "qheatnet.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestCli:
     def test_validate_ok(self, example_config, capsys):
         assert cli.main(["validate", "--config", example_config]) == 0
@@ -404,6 +415,20 @@ class TestCli:
         # full precision round trip
         val = lines[1].split(",")[2]
         assert float(f"{float(val):.17g}") == float(val)
+
+    @pytest.mark.parametrize("argv", [["--dims", "3x3", "--seed", "0"],
+                                      ["--dims", "4x4", "--seed", "1", "--product"],
+                                      ["--dims", "2x3", "--seed", "2"]])
+    def test_heat_rows_descend_in_q(self, argv, capsys):
+        # each time's rows run in strictly descending heat, every time once
+        assert cli.main(["heat", *argv, "--sweep", "0:3:21"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        times = list(dict.fromkeys(row[0] for row in rows))
+        assert len(times) == 21
+        for t in times:
+            q = [float(row[1]) for row in rows if row[0] == t]
+            assert len(q) > 1 and all(a > b for a, b in zip(q, q[1:])), t
+        assert [row[0] for row in rows] == sorted((r[0] for r in rows), key=times.index)
 
     @pytest.mark.parametrize("source", ["config", "dims", "2x2", "2x2-product",
                                         "4x4", "4x4-product"])
@@ -618,13 +643,8 @@ class TestCli:
     def test_shared_parser_keeps_no_state_between_calls(self, example_config, capsys):
         """Each call after another in one process prints what a fresh
         process prints."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-
         def fresh(argv):
-            proc = subprocess.run([sys.executable, "-m", "qheatnet.cli", *argv],
-                                  capture_output=True, text=True, env=env, timeout=120)
+            proc = _fresh_cli(argv)
             return proc.returncode, proc.stdout
 
         def here(argv):
@@ -688,6 +708,21 @@ class TestCli:
             raise ValueError(f"non-finite JSON constant {constant}")
         records = json.loads(out.read_text(), parse_constant=reject)["records"]
         assert [r["name"] for r in records if not r["passed"]] == ["integral_ft[j1]"]
+
+    @pytest.mark.parametrize("beta_a", [745.0, 800.0])
+    def test_heat_on_cold_subsystem_without_warning(self, tmp_path, product_spec, beta_a):
+        # exp(Q dbeta) of the Q = +1 row overflows and reads inf; psi there
+        # is finite at 745 (about 1.6e290) and past the float range at 800.
+        # A fresh process, so the warning filter covers the whole run
+        path = tmp_path / "cold.json"
+        config.save_config(dataclasses.replace(product_spec, beta_a=beta_a),
+                           bayesnet.TimeGrid((0.5,)), path)
+        proc = _fresh_cli(["heat", "--config", str(path)], "-W", "error::RuntimeWarning")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = {float(r["Q"]): r for r in csv.DictReader(proc.stdout.splitlines())}
+        assert rows[1.0]["exp_QdBeta"] == "inf"
+        psi = float(rows[1.0]["Psi"])
+        assert np.isfinite(psi) if beta_a == 745.0 else psi == np.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec", [

@@ -219,9 +219,9 @@ class TestIntegralFTs:
             "c0": np.einsum("ki,kj,i->", a0, a1, led.joint0),
             "j0": np.einsum("k,ki,kj,i->", pops, a0, a1, ratio(led.pp0, led.joint0)),
             "sigma_a": np.einsum("k,ki,kj,j->", pops, a0, a1,
-                                 ratio(led.pth_a1[led.flat_a], led.marg.a_1[led.flat_a])),
+                                 ratio(led.pth_a1_cell, led.marg.a_1[led.flat_a])),
             "sigma_b": np.einsum("k,ki,kj,j->", pops, a0, a1,
-                                 ratio(led.pth_b1[led.flat_b], led.marg.b_1[led.flat_b])),
+                                 ratio(led.pth_b1_cell, led.marg.b_1[led.flat_b])),
             "i1": np.einsum("kj,ki,j->", a1, a0, led.pp1),
             "c1": np.einsum("kj,ki,j->", a1, a0, led.joint1),
             "j1": np.einsum("k,kj,ki,j->", pops, a1, a0, ratio(led.pp1, led.joint1)),
@@ -229,15 +229,51 @@ class TestIntegralFTs:
         for name, want in full.items():
             assert abs(thermo.integral_ft(led, name, _measure(name)) - want) <= 1e-14, name
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_jensen_bounds(self, correlated_spec, product_spec):
-        # the cold product case (beta_a = 40, t = 0.5) has cells whose
-        # thermal weight is below the floor: sigma's mean must keep them,
-        # as the closed form over the marginal does
-        cold = dataclasses.replace(product_spec, beta_a=40.0)
-        for spec, t in ((correlated_spec, 0.83), (cold, 0.5)):
+        # the cold product cases (beta_a = 40 and 800, t = 0.5) have cells
+        # whose thermal weight is below the floor, at 800 exactly 0.0:
+        # sigma's mean must keep them, as D(rho(t) || gamma) does
+        for spec, t in ((correlated_spec, 0.83),
+                        (dataclasses.replace(product_spec, beta_a=40.0), 0.5),
+                        (dataclasses.replace(product_spec, beta_a=800.0), 0.5)):
             led = ledgers_at(spec, t)
             for name in ALL_QUANTITIES:
-                assert thermo.mean_quantity(led, name) >= -1e-10, name
+                mean = thermo.mean_quantity(led, name)
+                assert np.isfinite(mean) and mean >= -1e-10, name
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["cold-40", "cold-745", "cold-800", "2x2", "3x2-prod",
+                                      "3x3", "4x4-prod"])
+    def test_sigma_mean_is_the_balance_athermality(self, case, product_spec):
+        # p^th of the example's excited A level is exp(-745) = 5e-324, a
+        # denormal, at beta_a = 745 and 0.0 at 800: sigma's mean reads no
+        # thermal weight, so it stays exact and finite
+        if case.startswith("cold"):
+            spec = dataclasses.replace(product_spec, beta_a=float(case[5:]))
+            led = ledgers_at(spec, 0.5)
+        else:
+            da, db = int(case[0]), int(case[2])
+            led = ledgers_at(randspec.random_spec(5, da, db, correlated="prod" not in case),
+                             0.71)
+        means = {}
+        for name, p, e, gibbs in (("sigma_a", led.marg.a_1, led.e_a1, led.gibbs_a),
+                                  ("sigma_b", led.marg.b_1, led.e_b1, led.gibbs_b)):
+            means[name] = thermo.mean_quantity(led, name)
+            assert np.isfinite(means[name])
+            assert means[name] == thermo._athermality(p, e, gibbs)
+            # D(p || p^th) term by term, ln p^th = -beta (e - E_0) - ln Z
+            # taken without an exponential
+            ln_pth = -gibbs.beta * (e - gibbs.energies[0]) - np.log(gibbs.z_shifted)
+            live = p > 0
+            direct = np.sum(p[live] * (np.log(p[live]) - ln_pth[live]))
+            assert means[name] == pytest.approx(direct, rel=1e-12, abs=1e-14), name
+        # the heat balance's right-hand side is the information change plus
+        # these two means, its terms read from the reduced spectra
+        info = thermo.mutual_information_check(led)
+        rhs = thermo.mean_heat_balance(led).rhs
+        assert rhs == pytest.approx(info.info_1 - info.info_0 + sum(means.values()),
+                                    rel=1e-12, abs=1e-12)
 
     def test_combined_ft(self, correlated_spec):
         comb = thermo.combined_integral_ft(ledgers_at(correlated_spec, 0.61))
@@ -295,6 +331,20 @@ def oracle_ledgers(request):
     return ledgers_at(request.param[1], 0.83)
 
 
+def _assert_groups_reversed(bins: Bins, mirror: Bins) -> None:
+    """``mirror``, a fresh binning of the negated samples of ``bins`` with
+    the same groups, is the partition of ``bins`` with each group's bins
+    in reverse order, each keeping its first sample."""
+    spans = zip(bins.starts[:-1], bins.starts[1:])
+    order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in spans]).astype(np.intp)
+    assert mirror.values.tobytes() == (-bins.values).tobytes()
+    assert mirror.starts.tobytes() == bins.starts.tobytes()
+    assert mirror.first.tobytes() == bins.first[order].tobytes()
+    # reversing a group's bins is its own inverse: bin j goes to order[j]
+    assert mirror.bin_id.tobytes() == order[bins.bin_id].tobytes()
+    assert mirror.binning == bins.binning
+
+
 class TestSharedHeatBins:
     """The one binning of the heat table against binning each direction
     afresh, as ``heat_distribution`` did before it shared the bins."""
@@ -312,10 +362,26 @@ class TestSharedHeatBins:
 
     def test_mirrored_bins_equal_binning_the_mirror(self, oracle_ledgers):
         bins = oracle_ledgers.heat_bins
-        fresh = DiscreteDistribution._binned(-bins.values, bins.binning)
-        mirrored = bins.mirrored()
-        for name in ("values", "bin_id", "first"):
-            assert getattr(mirrored, name).tobytes() == getattr(fresh, name).tobytes(), name
+        _assert_groups_reversed(bins, DiscreteDistribution._binned(-bins.values, bins.binning))
+
+    @pytest.mark.parametrize("seed, correlated, stop", [(0, True, 2.0), (0, False, 2.0),
+                                                       (1, False, 3.0), (2, True, 3.0)])
+    def test_reverse_block_matches_fresh_binning(self, seed, correlated, stop):
+        # each time of a 21-time 3x3 block against the mirrored heat values
+        # binned afresh, the sign of zero included: some reverse bins have
+        # the point Q = 0.0 exactly, and it is +0.0 as a fresh binning gives
+        spec = randspec.random_spec(seed, 3, 3, correlated=correlated)
+        block, = bayesnet.sweep_blocks(spec, np.linspace(0.0, stop, 21))
+        led = thermo.compute_ledgers(block)
+        got, starts = thermo.heat_distribution(led, "reverse"), led.heat_bins.starts
+        for k in range(len(block.times)):
+            want = DiscreteDistribution.from_samples(-led.q_a_tab[k].ravel(),
+                                                     led.rev_cells[k].ravel(), led.binning)
+            assert got.points[starts[k]:starts[k + 1]].tobytes() == want.points.tobytes()
+            assert got.probs[starts[k]:starts[k + 1]].tobytes() == want.probs.tobytes()
+        zero = got.points[:, 0] == 0.0
+        assert np.any(zero & (got.probs > led.floor))
+        assert not np.signbit(got.points[zero, 0]).any()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), k=st.integers(1, 3), grouped=st.booleans(),
@@ -334,12 +400,8 @@ class TestSharedHeatBins:
         group = (np.array(data.draw(st.lists(st.integers(0, 3), min_size=size,
                                              max_size=size)))
                  if grouped else None)
-        bins = DiscreteDistribution._binned(values, binning, group)
-        fresh = DiscreteDistribution._binned(-values, binning, group)
-        mirrored = bins.mirrored()
-        for name in ("values", "bin_id", "first", "starts"):
-            assert getattr(mirrored, name).tobytes() == getattr(fresh, name).tobytes(), name
-        assert mirrored.binning == fresh.binning
+        _assert_groups_reversed(DiscreteDistribution._binned(values, binning, group),
+                                DiscreteDistribution._binned(-values, binning, group))
 
     def test_binned_once_per_ledger_set(self, correlated_spec, monkeypatch):
         calls = []
@@ -374,7 +436,7 @@ class TestLedgerBlocks:
     #: ledger tables with the block's time axis, and those shared by every
     #: time of a block
     AT_TIME = ("a1_table", "b0_table", "b1_table", "joint1", "pp1", "e_a1", "e_b1",
-               "pth_a1", "pth_b1", "q_a_tab", "q_b_tab", "fwd_cells", "rev_cells",
+               "q_a_tab", "q_b_tab", "fwd_cells", "rev_cells",
                "fmask", "rmask", "pair_mass", "pa1_cell", "pth_a1_cell", "pb1_cell",
                "pth_b1_cell")
     SHARED = ("floor", "binning", "beta_a", "beta_b", "delta_beta", "dim_a", "dim_b",
@@ -460,14 +522,18 @@ class TestLedgerBlocks:
         for block in blocks:
             bins = thermo.compute_ledgers(block).heat_bins
             m2 = spec.dim ** 2
+            time = np.arange(len(block.times)).repeat(m2)
+            mirror = DiscreteDistribution._binned(-bins.values, bins.binning, time)
             for k, t in enumerate(block.times):
                 one = self.one_time(spec, t).heat_bins
                 cells = slice(k * m2, (k + 1) * m2)
                 assert np.array_equal(bins.bin_id[cells] - bins.starts[k], one.bin_id)
                 assert np.array_equal(bins.first[bins.starts[k]:bins.starts[k + 1]] - k * m2,
                                       one.first)
-                assert np.array_equal(bins.mirrored().bin_id[cells] - bins.starts[k],
-                                      one.mirrored().bin_id)
+                # the negated block binned afresh, time as the group, holds
+                # each time's one-time bins in reverse order
+                assert np.array_equal(mirror.bin_id[cells] - mirror.starts[k],
+                                      len(one.first) - 1 - one.bin_id)
 
 
 def _flat_bytes(record) -> bytes:
@@ -665,22 +731,20 @@ class TestJointAndPsi:
         assert np.array_equal(psi.p_r, [p_r.prob_at(-q) for q in psi.forward.scalar_points()])
 
     def test_joint_bins_once_and_never_mirrors(self, monkeypatch):
-        # both weights are collected on the one forward binning of the pairs
+        # both weights are collected on the one binning of the forward
+        # samples of the pairs, never on their mirror
         led = ledgers_at(randspec.random_spec(31, 3, 3), 0.37)
         calls = []
         binned = DiscreteDistribution._binned
 
         def counted(values, binning, group=None):
-            calls.append(np.shape(values))
+            calls.append(np.array(values))
             return binned(values, binning, group)
-
-        def no_mirror(self):
-            raise AssertionError("bins mirrored")
         monkeypatch.setattr(DiscreteDistribution, "_binned", staticmethod(counted))
-        monkeypatch.setattr(Bins, "mirrored", no_mirror)
         joint = thermo.joint_distribution(led)
         assert joint.n_checked > 0
-        assert calls == [(len(thermo._pairs(led)[2]), 3)]
+        assert len(calls) == 1
+        assert calls[0].tobytes() == thermo._pairs(led)[2].tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("beta_a", [745.0, 800.0])
@@ -700,6 +764,25 @@ class TestJointAndPsi:
         checks = thermo.relation_checks(led)
         assert all(np.isfinite(c.value) for c in checks)
         assert [c.name for c in checks if not c.passed] == ["integral_ft[j1]"]
+
+        # psi at Q = +1 in log space: ln sum over the bin's cells of the
+        # exchange weight times exp(beta_A Q_A + beta_B Q_B), less ln P_f.
+        # About 1.6e290 at beta_A = 745, finite although the bath alone
+        # overflows; past the float range, so inf, at 800
+        bins = led.heat_bins
+        j = np.flatnonzero(np.isclose(psi.forward.scalar_points(), 1.0))[0]
+        exchange = thermo._exchange_cells(led).ravel()
+        exponent = (led.beta_a * led.q_a_tab + led.beta_b * led.q_b_tab).ravel()
+        cells = (bins.bin_id == j) & (exchange > 0)
+        ln_psi = (np.logaddexp.reduce(np.log(exchange[cells]) + exponent[cells])
+                  - np.log(psi.forward.probs[j]))
+        got = psi.psi[np.isclose(psi.q_values, 1.0)][0]
+        if ln_psi < np.log(np.finfo(float).max):
+            assert np.isfinite(got) and np.log(got) == pytest.approx(ln_psi, rel=1e-12)
+        else:
+            assert got == np.inf
+        if beta_a == 745.0:
+            assert got == pytest.approx(1.6057e290, rel=1e-4)
 
     def test_psi_unity_without_correlations(self, product_spec):
         psi = thermo.psi_factor(ledgers_at(product_spec, 0.93))
@@ -753,8 +836,8 @@ class TestCellForms:
                  - np.log(led.b0_table[r, i0]) - np.log(led.b1_table[r, i1]))
         rest = (np.log(led.pops[s]) - np.log(led.pp0[i0])
                 - np.log(led.pops[r]) + np.log(led.pp1[i1])
-                - np.log(led.marg.a_1[a]) + np.log(led.pth_a1[a])
-                - np.log(led.marg.b_1[b]) + np.log(led.pth_b1[b]) + gamma)
+                - np.log(led.marg.a_1[a]) + np.log(led.pth_a1_cell[i1])
+                - np.log(led.marg.b_1[b]) + np.log(led.pth_b1_cell[i1]) + gamma)
         x = led.beta_a * q_a + led.beta_b * q_b + rest
         # pairs dropped by the floor enter through their reverse weight
         cell = i0 * m + i1
@@ -794,7 +877,7 @@ class TestTermTable:
     def test_one_entry_moves_every_reader(self, name, monkeypatch):
         # swapping an entry's numerator and denominator turns X into -X:
         # the integral FT, the mean (i, j and c only: sigma's mean is the
-        # closed form over the marginal) and the joint FT's K all follow
+        # heat balance's D(rho(t) || gamma)) and the joint FT's K all follow
         led = ledgers_at(randspec.random_spec(3, 3, 3), 0.7)
         before = (thermo.integral_ft(led, name, _measure(name)),
                   thermo.mean_quantity(led, name), thermo._pairs(led)[2][:, 1])
@@ -825,8 +908,8 @@ class TestTermTable:
         col_i0 = (ln_j0 - np.log(led.pp0[i0])) + (ln_pops[ki] - ln_j0)
         col_i1 = (ln_j1 - np.log(led.pp1[i1])) + (ln_pops[kj] - ln_j1)
         at_a, at_b = led.flat_a[i1], led.flat_b[i1]
-        col_sigma_a = np.log(marg.a_1[at_a]) - np.log(led.pth_a1[at_a])
-        col_sigma_b = np.log(marg.b_1[at_b]) - np.log(led.pth_b1[at_b])
+        col_sigma_a = np.log(marg.a_1[at_a]) - np.log(led.pth_a1_cell[i1])
+        col_sigma_b = np.log(marg.b_1[at_b]) - np.log(led.pth_b1_cell[i1])
         col_gamma = (np.log(led.a0_table[s_lab, i0]) + np.log(led.a1_table[s_lab, i1])
                      - np.log(led.b0_table[t_lab, i0]) - np.log(led.b1_table[t_lab, i1]))
         col_k = col_i1 - col_i0 + col_sigma_a + col_sigma_b
