@@ -223,11 +223,13 @@ def reverse_overlap_tables(basis: BasisSet) -> list[np.ndarray]:
     backward evolution accumulates.  For a block both tables are stacked
     on its time axis.
     """
-    back = basis.unitaries[1].conj().swapaxes(-1, -2)
-    # U^dag(t - t_n) == U(t_n) U(t)^dag for a fixed generator
-    return [_overlap_table(basis.local_a[n].vectors, basis.local_b[n].vectors,
-                           basis.unitaries[n] @ back @ basis.global_vectors[0])
-            for n in (1, 0)]
+    u_t = basis.unitaries[1]
+    back = u_t.conj().swapaxes(-1, -2)
+    v0 = basis.global_vectors[0]
+    # U^dag(t - t_n) == U(t_n) U(t)^dag for a fixed generator, and U(0) = I
+    # takes no product
+    return [_overlap_table(basis.local_a[n].vectors, basis.local_b[n].vectors, evolved)
+            for n, evolved in ((1, u_t @ back @ v0), (0, back @ v0))]
 
 
 @dataclass(frozen=True)

@@ -111,12 +111,15 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report_text(command: str, checks) -> str:
+def _report_text(command: str, checks, times=None) -> str:
     """The JSON report of a verb: a record per check and whether all
-    passed."""
+    passed.  With ``times``, one per check, each record names its time
+    first."""
     records = [{"name": c.name, "value": float(c.value), "expected": float(c.expected),
                 "tolerance": float(c.tolerance), "passed": bool(c.passed)}
                for c in checks]
+    if times is not None:
+        records = [{"time": float(t), **r} for t, r in zip(times, records)]
     report = {
         "command": command,
         "passed": all(r["passed"] for r in records),
@@ -125,8 +128,8 @@ def _report_text(command: str, checks) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _emit_report(args, command: str, checks) -> int:
-    _write_out(args, _report_text(command, checks))
+def _emit_report(args, command: str, checks, times=None) -> int:
+    _write_out(args, _report_text(command, checks, times))
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -140,10 +143,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Every relation at every time of a config's ``times``, or at the one
+    time of ``--time`` or ``--dims``.  The report of several times names
+    the time of each record; that of one time names none."""
     spec, times = _load_spec(args)
-    t = _check_time(args.time, "--time") if args.time is not None else times[0]
-    basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((t,)))
-    return _emit_report(args, "verify", thermo.relation_checks(thermo.compute_ledgers(basis)))
+    if args.time is not None:
+        times = (_check_time(args.time, "--time"),)
+    checks, at = [], []
+    for t in times:
+        # one basis and one ledger set per time, dropped before the next
+        basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((t,)))
+        found = thermo.relation_checks(thermo.compute_ledgers(basis))
+        checks += found
+        at += [t] * len(found)
+    return _emit_report(args, "verify", checks, at if len(times) > 1 else None)
 
 
 _HEAT_HEADER = "t,Q,P_f,P_r,ratio,exp_QdBeta,Psi"
@@ -268,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="random instance seed (default 0)")
     p.add_argument("--product", action="store_true",
                    help="random instance without initial correlations")
-    p.add_argument("--time", type=float, help="evolution time")
+    p.add_argument("--time", type=float,
+                   help="evolution time (default: each time of the config, 1 for --dims)")
 
     p = sub.add_parser("heat", help="heat distributions over time as CSV")
     _add_common(p)

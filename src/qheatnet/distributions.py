@@ -99,23 +99,27 @@ class DiscreteDistribution:
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        scaled = vals / binning
-        if not np.all(np.abs(scaled) < _KEY_LIMIT):
-            raise ValueError(
-                "cannot bin non-finite values or values with |x| / binning >= 2**62")
-
-        keys = np.round(scaled).astype(np.int64)
-        if group is not None:
-            keys = np.column_stack((group, keys))
-        order = np.lexsort(keys.T[::-1])
-        ranked = keys[order]
-        # first sample of each bin in key order (none without samples)
-        heads = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))[:len(vals)]
+        # the int64 keys one column at a time, a group label first
+        keys = [] if group is None else [np.asarray(group, dtype=np.int64)]
+        for column in vals.T:
+            scaled = column / binning
+            if not np.all(np.abs(scaled) < _KEY_LIMIT):
+                raise ValueError(
+                    "cannot bin non-finite values or values with |x| / binning >= 2**62")
+            keys.append(np.round(scaled, out=scaled).astype(np.int64))
+        order = np.lexsort(keys[::-1])
+        # first sample of each bin in key order (none without samples): a
+        # sample heads a bin when any key differs from its predecessor's
+        heads = np.zeros(len(vals), dtype=bool)
+        heads[:1] = True
+        for key in keys:
+            ranked = key[order]
+            heads[1:] |= ranked[1:] != ranked[:-1]
         bin_id = np.empty(len(vals), dtype=np.intp)
         bin_id[order] = np.cumsum(heads) - 1
         first = order[heads]
         starts = (np.array([0, len(first)]) if group is None
-                  else np.searchsorted(keys[first, 0], np.arange(group.max() + 2)))
+                  else np.searchsorted(keys[0][first], np.arange(group.max() + 2)))
         return Bins(values=vals, bin_id=bin_id, first=first, binning=binning, starts=starts)
 
     @classmethod
@@ -127,13 +131,14 @@ class DiscreteDistribution:
             raise ValueError("values and weights length mismatch")
         nbins = len(first)
         probs = bins.masses(w)
-        # weighted mean location within each bin (spread < binning)
-        pts = np.empty((nbins, vals.shape[1]))
+        # weighted mean location within each bin (spread < binning); a bin
+        # without mass keeps its first sample
+        positive = probs > 0
+        pts = vals[first]
         for j in range(vals.shape[1]):
             num = np.bincount(bin_id, weights=w * vals[:, j], minlength=nbins)
             with np.errstate(invalid="ignore"):
-                pts[:, j] = np.where(probs > 0, num / np.where(probs > 0, probs, 1.0),
-                                     vals[first, j])
+                np.divide(num, probs, out=pts[:, j], where=positive)
         return cls(points=pts, probs=probs, binning=bins.binning)
 
     @property

@@ -57,23 +57,25 @@ FORWARD_QUANTITIES = ("i0", "j0", "c0", "sigma_a", "sigma_b", "gamma")
 REVERSE_QUANTITIES = ("i1", "j1", "c1")
 
 
-def _pair_indices(fmask: np.ndarray, rmask: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pair_indices(fwd_live: np.ndarray, rev_live: np.ndarray, k: int,
+                  m: int) -> tuple[np.ndarray, ...]:
     """Index arrays (ki, kj, i0, i1) of the retained augmented pairs of
-    masks (K, m, m) of one time.
+    one time, from the live entries of its forward and reverse (K, m, m)
+    weight tables, each given as ascending flat indices.
 
-    A pair joins a live forward cell ``fmask[ki, i0, i1]`` with a live
-    reverse cell ``rmask[kj, i0, i1]`` on the same outcomes, in the
-    lexicographic order of ``np.nonzero`` on the K x K x m x m product
-    mask, so every sum over pairs keeps its bits, but in O(K m^2 + P) for
-    P pairs: each forward entry is expanded over the reverse labels of its
+    A pair joins a live forward cell (ki, i0, i1) with a live reverse
+    cell (kj, i0, i1) on the same outcomes, in the lexicographic order of
+    ``np.nonzero`` on the K x K x m x m product mask, so every sum over
+    pairs keeps its bits, but in O(K m^2 + P) for P pairs and without any
+    mask: each forward entry is expanded over the reverse labels of its
     own cell, then the unique integer keys of the pairs are sorted.
     """
-    k, m, _ = fmask.shape
     cells = m * m
-    # forward entries as (ki, cell); reverse entries grouped by cell, kj
-    # ascending inside a cell
-    fk, fc = np.divmod(fmask.ravel().nonzero()[0], cells)
-    rc, rk = np.divmod(rmask.reshape(k, cells).T.ravel().nonzero()[0], k)
+    fk, fc = np.divmod(fwd_live, cells)
+    rk, rc = np.divmod(rev_live, cells)
+    # reverse entries grouped by cell, kj ascending inside a cell
+    by_cell = np.argsort(rc, kind="stable")
+    rc, rk = rc[by_cell], rk[by_cell]
     per_cell = np.bincount(rc, minlength=cells)
     cell_start = per_cell.cumsum() - per_cell
     fan = per_cell[fc]                      # reverse labels per forward entry
@@ -96,13 +98,16 @@ class LedgerSet:
     half (``a0_table``, ``joint0``, ``pp0``, ``e_a0``, ``e_b0``) have
     none.  The forward and reverse weights of the K retained labels over
     the cells, (P_k a0) a1 and (P_k b0) b1, are formed one chunk of labels
-    at a time (``_weight_chunks``) and never kept whole: ``fmask`` and
-    ``rmask`` are their (K, m, m) live entries, ``fwd_cells`` and
-    ``rev_cells`` their (m, m) sums over the labels, bit for bit those of
-    the whole tables.  Per cell, ``pair_mass`` is the reverse
-    weight of the augmented pairs, live forward labels x retained reverse
-    mass / K, and ``cell_factor`` is c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).
-    No per-pair array is kept.
+    at a time (``_weight_chunks``) and never kept whole, nor is any
+    (K, m, m) table of them: ``fwd_cells`` and ``rev_cells`` are their
+    (m, m) sums over the labels, bit for bit those of the whole tables,
+    and ``n_fwd`` and ``n_rev`` count the labels whose weight is above
+    the probability floor in each cell.  Per cell, ``pair_mass`` is the
+    reverse weight of the augmented pairs, live forward labels x
+    retained reverse mass / K, and ``cell_factor`` is
+    c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).  No per-pair array is kept: the
+    joint FT re-forms the chunks to find the live entries
+    (``_live_entries``).
     ``all_energy_conserving`` and ``detailed_residual`` have the time
     shape, and ``marg`` is ``bayesnet.local_marginals`` of the basis.
     The closed-form averages and relation checks below read the tables of
@@ -168,16 +173,20 @@ class LedgerSet:
         qb = self.e_b1[..., None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
 
-        # the weight tables are never whole: each chunk of labels leaves its
-        # masks and its share of the per-cell sums over the labels
-        shape = lead + (self.n_anchor, m, m)
-        self.fmask, self.rmask = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-        sums = (None,) * 4
-        for labels, fwd, rev in self._weight_chunks():
-            fmask = np.greater(fwd, floor, out=self.fmask[..., labels, :, :])
-            rmask = np.greater(rev, floor, out=self.rmask[..., labels, :, :])
-            sums = tuple(map(_fold, sums, (fwd, rev, np.where(rmask, rev, 0.0), fmask)))
-        self.fwd_cells, self.rev_cells, rev_ret, n_fwd = sums
+        # the weight tables are never whole: each chunk of labels leaves only
+        # its share of the per-cell sums and counts over the labels.  The
+        # forward chunk is dropped once folded, before the reverse chunk's
+        # retained part is formed
+        n_fwd = fwd_cells = n_rev = rev_ret = rev_cells = None
+        for _, fwd, rev in self._weight_chunks():
+            n_fwd = _fold(n_fwd, fwd > floor)
+            fwd_cells = _fold(fwd_cells, fwd)
+            del fwd
+            rmask = rev > floor
+            n_rev = _fold(n_rev, rmask)
+            rev_ret = _fold(rev_ret, np.where(rmask, rev, 0.0))
+            rev_cells = _fold(rev_cells, rev)
+        self.n_fwd, self.n_rev, self.fwd_cells, self.rev_cells = n_fwd, n_rev, fwd_cells, rev_cells
 
         # per time: no live forward cell moves energy out of the pair
         leak = np.where(n_fwd > 0, np.abs(qa + qb), 0.0)
@@ -210,10 +219,22 @@ class LedgerSet:
                    (pops * self.a0_table[kp][:, :, None]) * self.a1_table[..., kp, None, :],
                    pops * self.b0_table[..., kp, :, None] * self.b1_table[..., kp, None, :])
 
+    def _live_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of the forward and reverse weight tables of one
+        time above the probability floor, as ascending flat indices into
+        (K, m, m), gathered one chunk of labels at a time."""
+        cells = self.pp0.size ** 2
+        fwd_live, rev_live = [], []
+        for labels, fwd, rev in self._weight_chunks():
+            offset = labels.start * cells
+            fwd_live.append(np.flatnonzero(fwd > self.floor) + offset)
+            rev_live.append(np.flatnonzero(rev > self.floor) + offset)
+        return np.concatenate(fwd_live), np.concatenate(rev_live)
+
     @property
     def n_pairs(self) -> int:
         """Retained augmented pairs over all times, counted per cell."""
-        return int(np.sum(self.fmask.sum(axis=-3) * self.rmask.sum(axis=-3)))
+        return int(np.sum(self.n_fwd * self.n_rev))
 
     @cached_property
     def heat_bins(self) -> Bins:
@@ -230,15 +251,17 @@ class LedgerSet:
 def _fold(total, chunk: np.ndarray) -> np.ndarray:
     """``total`` plus the sum of ``chunk`` over its label axis (-3), None
     for no total: per-cell sums over a table taken one chunk of labels at
-    a time.  A float total enters the chunk's reduction as its first row,
-    and numpy reduces an outer axis as a left fold, so the result is the
-    sum of the whole table bit for bit; boolean chunks are counted, which
-    is exact in any order."""
+    a time.  A float total is added into the chunk's first label row,
+    which the caller gives up, and numpy reduces an outer axis as a left
+    fold, so the result is the sum of the whole table bit for bit (IEEE
+    addition commutes); boolean chunks are counted, which is exact in any
+    order."""
     if total is None:
         return chunk.sum(axis=-3)
     if chunk.dtype == bool:
         return total + chunk.sum(axis=-3)
-    return np.concatenate((total[..., None, :, :], chunk), axis=-3).sum(axis=-3)
+    chunk[..., 0, :, :] += total
+    return chunk.sum(axis=-3)
 
 
 def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
@@ -401,25 +424,43 @@ class JointFT:
 def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
     """The augmented pairs of the ledgers of one time as (ki, kj, samples,
     w_f, w_r): forward and anchor labels (positions in ``keep``), the
-    (P, 3) samples (Q, K, gamma) and the pair weights over the anchors."""
-    ki, kj, i0, i1 = _pair_indices(ledgers.fmask, ledgers.rmask)
-    s_lab, t_lab = ledgers.keep[ki], ledgers.keep[kj]
-    a0, a1 = ledgers.a0_table[s_lab, i0], ledgers.a1_table[s_lab, i1]
-    b0, b1 = ledgers.b0_table[t_lab, i0], ledgers.b1_table[t_lab, i1]
-    # the weights in the products of the ledgers' chunks, (P a0) a1 and (P b0) b1
-    w_f = ledgers.pops[s_lab] * a0 * a1 / ledgers.n_anchor
-    w_r = ledgers.pops[t_lab] * b0 * b1 / ledgers.n_anchor
+    (P, 3) samples (Q, K, gamma) and the pair weights over the anchors.
 
-    def term(name):
-        # a term at time 0 reads the forward label, one at t the anchor
-        time = _TERMS[name][0]
-        return _log_ratio(ledgers, name, (s_lab, t_lab)[time], (i0, i1)[time])
-    # i = j + c: the classical part plus the coherent part
-    col_i0 = term("j0") + term("c0")
-    col_i1 = term("j1") + term("c1")
-    col_gamma = np.log(a0) + np.log(a1) - np.log(b0) - np.log(b1)
-    col_k = col_i1 - col_i0 + term("sigma_a") + term("sigma_b")
-    samples = np.stack([ledgers.q_a_tab[i0, i1], col_k, col_gamma], axis=1)
+    Each log term is taken once per (retained label, cell), or per cell,
+    and gathered per pair in the order of the per-pair sums, so a pair's
+    K and gamma have the bits of the terms evaluated at that pair.  The
+    tables are taken with divide and invalid warnings off: an entry that
+    no pair reads may have a zero overlap or marginal, and so a log of
+    -inf or NaN."""
+    ki, kj, i0, i1 = _pair_indices(*ledgers._live_entries(), ledgers.n_anchor,
+                                   ledgers.pp0.size)
+    kp, n = ledgers.keep, ledgers.n_anchor
+    a0, a1 = ledgers.a0_table[kp], ledgers.a1_table[kp]
+    b0, b1 = ledgers.b0_table[kp], ledgers.b1_table[kp]
+    pops = ledgers.pops[kp]
+    # the weights in the products of the ledgers' chunks, (P a0) a1 and (P b0) b1
+    w_f = pops[ki] * a0[ki, i0] * a1[ki, i1] / n
+    w_r = pops[kj] * b0[kj, i0] * b1[kj, i1] / n
+
+    def table(name):
+        # over (retained label, cell) of the term's time, or (cell,) for a
+        # term that reads no label population
+        return _log_ratio(ledgers, name, kp[:, None], slice(None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # i = j + c: the classical part plus the coherent part
+        col_i0, col_i1 = table("j0") + table("c0"), table("j1") + table("c1")
+        sigma_a, sigma_b = table("sigma_a"), table("sigma_b")
+        ln_a0, ln_a1, ln_b0, ln_b1 = map(np.log, (a0, a1, b0, b1))
+    samples = np.empty((ki.size, 3))
+    q, col_k, col_gamma = samples.T
+    q[:] = ledgers.q_a_tab[i0, i1]
+    # a term at time 0 reads the forward label, one at t the anchor
+    np.subtract(col_i1[kj, i1], col_i0[ki, i0], out=col_k)
+    col_k += sigma_a[i1]
+    col_k += sigma_b[i1]
+    np.add(ln_a0[ki, i0], ln_a1[ki, i1], out=col_gamma)
+    col_gamma -= ln_b0[kj, i0]
+    col_gamma -= ln_b1[kj, i1]
     return ki, kj, samples, w_f, w_r
 
 
@@ -431,18 +472,33 @@ def joint_distribution(ledgers: LedgerSet) -> JointFT:
     bin, so both weights are collected on the forward bins."""
     _one_time(ledgers, "joint_distribution")
     floor = ledgers.floor
-    _, _, samples, w_f, w_r = _pairs(ledgers)
+    samples, w_f, w_r = _pairs(ledgers)[2:]
+    # each pair array is released as soon as it has been read
     bins = DiscreteDistribution._binned(samples, ledgers.binning)
+    del samples
+    pr = bins.masses(w_r)
+    del w_r
     fwd = DiscreteDistribution._collect(bins, w_f)
+    del w_f, bins
+    pf = fwd.probs
 
-    pf, pr = fwd.probs, bins.masses(w_r)
     live = pf > floor
     checked = live & (pr > floor)
-    q, kk, gg = fwd.points[checked].T
-    resid = np.abs(pf[checked] - np.exp(q * ledgers.delta_beta - kk + gg) * pr[checked])
-    return JointFT(forward=fwd, p_r=pr, max_residual=float(resid.max(initial=0.0)),
-                   n_checked=int(checked.sum()),
-                   n_unverified=int((live & ~checked).sum()))
+    n_checked = int(checked.sum())
+    # the residual over all bins, read where checked; exp(0) stands in
+    # for an unchecked bin, whose exponent may overflow
+    q, kk, gg = fwd.points.T
+    x = q * ledgers.delta_beta
+    x -= kk
+    x += gg
+    x[~checked] = 0.0
+    np.exp(x, out=x)
+    x *= pr
+    np.subtract(pf, x, out=x)
+    resid = np.abs(x, out=x).max(initial=0.0, where=checked)
+    return JointFT(forward=fwd, p_r=pr, max_residual=float(resid),
+                   n_checked=n_checked,
+                   n_unverified=int(live.sum()) - n_checked)
 
 
 @dataclass(frozen=True)
@@ -603,13 +659,19 @@ def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
         # and each anchor term the retained forward mass, summed over the
         # labels one chunk at a time
         sums = (None,) * 4
-        for labels, fwd, rev in ledgers._weight_chunks():
-            fmask, rmask = ledgers.fmask[labels], ledgers.rmask[labels]
+        for labels, f, g_r in ledgers._weight_chunks():
+            # in place on the chunk: f is the live forward weight, g_f and
+            # g_r the logs of the live weights over the label population
+            fmask, rmask = f > floor, g_r > floor
             pops = ledgers.pops[kp[labels], None, None]
-            f = np.where(fmask, fwd, 0.0)
-            g_f = np.log(np.where(fmask, fwd / pops, 1.0))
-            g_r = np.log(np.where(rmask, rev / pops, 1.0))
-            sums = tuple(map(_fold, sums, (rmask, f * g_f, f, g_r)))
+            g_f = np.divide(f, pops)
+            g_f[~fmask] = 1.0
+            f[~fmask] = 0.0
+            g_r /= pops
+            g_r[~rmask] = 1.0
+            np.log(g_f, out=g_f)
+            np.log(g_r, out=g_r)
+            sums = tuple(map(_fold, sums, (rmask, np.multiply(f, g_f, out=g_f), f, g_r)))
         n_live, f_g_f, f_sum, g_r_sum = sums
         return float(np.sum(n_live * f_g_f - f_sum * g_r_sum)) / ledgers.n_anchor
     raise ValueError(f"unknown quantity {quantity!r}")

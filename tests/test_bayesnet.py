@@ -235,6 +235,24 @@ class TestReverseEnumerate:
         fwd, rev = self._hists(correlated_spec, 0.8)
         assert abs(fwd.prob_at(1.0) - rev.prob_at(1.0)) > 1e-3
 
+    @pytest.mark.parametrize("dims, correlated", [((2, 3), True), ((3, 3), False),
+                                                  ((4, 4), True)])
+    def test_tables_match_product_with_identity(self, dims, correlated):
+        # the t0 table evolves by U(t)^dag alone: U(0) = I, the product
+        # U(0) U(t)^dag v0 it replaces gives the same bits, one time and
+        # stacked over a block
+        spec = randspec.random_spec(2, *dims, correlated=correlated)
+        for basis in (bayesnet.build_bases(spec, bayesnet.TimeGrid((0.7,))),
+                      *bayesnet.sweep_blocks(spec, (0.0, 0.4, 1.3))):
+            back = basis.unitaries[1].conj().swapaxes(-1, -2)
+            assert np.array_equal(basis.unitaries[0], np.eye(spec.dim))
+            want = [bayesnet._overlap_table(basis.local_a[n].vectors, basis.local_b[n].vectors,
+                                            basis.unitaries[n] @ back @ basis.global_vectors[0])
+                    for n in (1, 0)]
+            got = bayesnet.reverse_overlap_tables(basis)
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes()
+
 
 class TestMarginals:
     def test_initial_marginals_thermal(self, correlated_spec):

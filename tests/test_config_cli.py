@@ -491,15 +491,27 @@ class TestCli:
             assert cli.main(argv) == 0
         assert self.traced_peak(run) < 32 * 8 * bayesnet.BLOCK_ELEMENTS
 
+    #: tracemalloc peaks at D = 64 (randspec 8x8, seed 0), in MiB, measured
+    #: with numpy 2.4 on Linux x86-64; the bounds allow 10 % over them.
+    #: While the ledgers kept (K, m, m) live masks and folded by copying
+    #: they were 1.90, 2.04, 2.42 and 2.56 MiB, above these bounds
+    SOFT_CAP_PEAK_MIB = {"compute_ledgers": 1.21, "gamma_mean": 1.57, "verify": 1.96,
+                         "heat": 1.87}
+
+    @classmethod
+    def soft_cap_bound(cls, name) -> float:
+        return 1.1 * cls.SOFT_CAP_PEAK_MIB[name] * 2 ** 20
+
     def test_soft_cap_ledgers_memory_bounded_by_block_budget(self):
         # at D = 64 the forward and reverse weight tables of one time are
-        # 8 budgets each; formed a chunk of labels at a time, the ledgers
-        # and the gamma mean stay below 16 budgets of float64
+        # 8 budgets of float64 each (2 MiB); formed a chunk of labels at a
+        # time, and kept as per-cell sums and counts only, the ledgers stay
+        # below about 5.5 budgets and the gamma mean below 7
         led = ledgers_at(randspec.random_spec(0, 8, 8), 1.0)
         assert led.n_anchor * led.pp0.size ** 2 >= 8 * bayesnet.BLOCK_ELEMENTS
-        for call in (lambda: thermo.compute_ledgers(led.basis),
-                     lambda: thermo.mean_quantity(led, "gamma")):
-            assert self.traced_peak(call) < 16 * 8 * bayesnet.BLOCK_ELEMENTS
+        for name, call in (("compute_ledgers", lambda: thermo.compute_ledgers(led.basis)),
+                           ("gamma_mean", lambda: thermo.mean_quantity(led, "gamma"))):
+            assert self.traced_peak(call) < self.soft_cap_bound(name), name
 
     @pytest.mark.parametrize("argv", [["verify", "--dims", "8x8", "--seed", "0"],
                                       ["heat", "--dims", "8x8", "--seed", "0",
@@ -509,7 +521,7 @@ class TestCli:
 
         def run():
             assert cli.main(argv) == 0
-        assert self.traced_peak(run) < 16 * 8 * bayesnet.BLOCK_ELEMENTS
+        assert self.traced_peak(run) < self.soft_cap_bound(argv[0])
 
     def test_sweep_validates_and_diagonalizes_once(self, example_config, monkeypatch,
                                                    tmp_path):
@@ -692,6 +704,48 @@ class TestCli:
         records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
         assert records["mean_heat_balance"]["passed"]
         assert [n for n, r in records.items() if not r["passed"]] == ["integral_ft[j1]"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_checks_every_time_of_a_config(self, tmp_path, product_spec, capsys):
+        # the cold product spec passes at t = 0 and fails j1 at t = 0.5:
+        # a config of both times fails, naming the time of each record
+        spec = dataclasses.replace(product_spec, beta_a=40.0)
+        path, out = tmp_path / "cold.json", tmp_path / "report.json"
+        config.save_config(spec, bayesnet.TimeGrid((0.0, 0.5)), path)
+        assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["command"] == "verify" and not report["passed"]
+        records = report["records"]
+        assert [(r["time"], r["name"]) for r in records if not r["passed"]] == [
+            (0.5, "integral_ft[j1]")]
+        # each time's records, less the time, are the report of that time alone
+        for t in (0.0, 0.5):
+            code = cli.main(["verify", "--config", str(path), "--time", repr(t)])
+            alone = json.loads(capsys.readouterr().out)
+            assert code == (1 if t else 0) and alone["passed"] == (not t)
+            assert [{k: v for k, v in r.items() if k != "time"}
+                    for r in records if r["time"] == t] == alone["records"]
+            assert all(list(r)[0] == "time" for r in records)
+        assert len(records) == 2 * len(alone["records"])
+
+        # a config of one time reports no time, byte for byte the --time run
+        config.save_config(spec, bayesnet.TimeGrid((0.0,)), path)
+        assert cli.main(["verify", "--config", str(path)]) == 0
+        one = capsys.readouterr().out
+        assert cli.main(["verify", "--config", str(path), "--time", "0"]) == 0
+        assert capsys.readouterr().out == one
+        assert all("time" not in r for r in json.loads(one)["records"])
+
+    def test_verify_time_flag_checks_one_time(self, tmp_path, correlated_spec, capsys):
+        path = tmp_path / "three.json"
+        config.save_config(correlated_spec, bayesnet.TimeGrid((0.2, 0.5, 1.0)), path)
+        assert cli.main(["verify", "--config", str(path)]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [r["time"] for r in records[::len(self.VERIFY_RECORDS)]] == [0.2, 0.5, 1.0]
+        assert cli.main(["verify", "--config", str(path), "--time", "0.5"]) == 0
+        report = capsys.readouterr().out
+        assert report == cli._report_text(
+            "verify", thermo.relation_checks(ledgers_at(correlated_spec, 0.5)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("beta_a", [745.0, 800.0])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qheatnet import bayesnet, linalg, qubit, randspec, system, thermo
 from qheatnet.distributions import Bins, DiscreteDistribution
-from conftest import dense_weights, ledgers_at
+from conftest import dense_masks, dense_pair_indices, dense_weights, ledgers_at
 
 ALL_QUANTITIES = thermo.FORWARD_QUANTITIES + thermo.REVERSE_QUANTITIES
 
@@ -36,7 +36,8 @@ class TestLedgers:
     def test_energy_conservation(self, correlated_spec):
         led = ledgers_at(correlated_spec, 0.67)
         assert led.all_energy_conserving
-        live = led.fmask.any(axis=0)
+        live = dense_masks(led)[0].any(axis=0)
+        assert np.array_equal(live, led.n_fwd > 0)
         q_a, q_b = led.q_a_tab[live], led.q_b_tab[live]
         assert live.any() and (np.abs(q_a + q_b) <= led.binning).all()
         assert np.allclose(q_a, -q_b, rtol=0.0, atol=1e-12)
@@ -45,7 +46,7 @@ class TestLedgers:
         # i0 = ln(label population / product of the t = 0 marginals) on
         # every live forward (label, cell) entry
         led = ledgers_at(product_spec, 0.67)
-        label, i0, _ = np.nonzero(led.fmask)
+        label, i0, _ = np.nonzero(dense_masks(led)[0])
         assert label.size > 0
         i0_term = np.log(led.pops[led.keep][label]) - np.log(led.pp0[i0])
         assert np.abs(i0_term).max() < 1e-12
@@ -74,9 +75,11 @@ def _dense_pairs(fmask, rmask):
     return np.nonzero(fmask[:, None] & rmask[None])
 
 
-def _shell_ladder_spec(levels, seed):
+def _shell_ladder_spec(levels, seed, coherent=False):
     """Correlated instance on two integer ladders 0..levels-1, with the
-    interaction and correlation term restricted to the energy shells."""
+    interaction restricted to the energy shells, and the correlation
+    term too unless ``coherent``: then it is a random Hermitian matrix
+    with coherences across the shells."""
     rng = np.random.default_rng(seed)
     ladder = np.arange(levels, dtype=float)
     h = np.diag(ladder).astype(complex)
@@ -84,12 +87,12 @@ def _shell_ladder_spec(levels, seed):
     total = np.add.outer(ladder, ladder).ravel()
     shells = np.abs(np.subtract.outer(total, total)) < 0.5
 
-    def shell_hermitian():
+    def shell_hermitian(restrict=True):
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        x = np.where(shells, x + x.conj().T, 0.0)
+        x = np.where(shells | (not restrict), x + x.conj().T, 0.0)
         return x / np.abs(x).max()
 
-    h_int, chi = shell_hermitian(), shell_hermitian()
+    h_int, chi = shell_hermitian(), shell_hermitian(not coherent)
     eye = np.eye(levels)
     chi = (chi - linalg.tensor_product(linalg.partial_trace(chi, levels, levels, "A"), eye) / levels
            - linalg.tensor_product(eye, linalg.partial_trace(chi, levels, levels, "B")) / levels
@@ -108,13 +111,25 @@ class TestPairIndices:
     """The sparse pair builder against the dense product mask."""
 
     @staticmethod
-    def assert_matches_dense(fmask, rmask):
-        got = thermo._pair_indices(fmask, rmask)
+    def assert_matches_dense(fmask, rmask, live=None):
+        """The pairs of the masks' live entries against the product mask;
+        ``live``, the entries the ledgers gather chunk by chunk, must be
+        those of the masks."""
+        entries = np.flatnonzero(fmask), np.flatnonzero(rmask)
+        if live is not None:
+            for g, w in zip(live, entries, strict=True):
+                assert g.dtype == np.intp
+                assert np.array_equal(g, w)
+        got = thermo._pair_indices(*entries, *fmask.shape[:2])
         want = _dense_pairs(fmask, rmask)
         assert len(got) == 4
         for g, w in zip(got, want):
             assert g.dtype == np.intp
             assert np.array_equal(g, w)
+
+    @classmethod
+    def assert_ledgers_match_dense(cls, led):
+        cls.assert_matches_dense(*dense_masks(led), led._live_entries())
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
     @pytest.mark.parametrize("correlated", [True, False])
@@ -123,18 +138,18 @@ class TestPairIndices:
             led = ledgers_at(randspec.random_spec(seed, *dims, correlated=correlated),
                              0.37 + seed)
             assert led.n_pairs > 0
-            self.assert_matches_dense(led.fmask, led.rmask)
+            self.assert_ledgers_match_dense(led)
 
     def test_example_with_zero_population(self, correlated_spec):
         led = ledgers_at(correlated_spec, 0.71)
         assert led.n_anchor < correlated_spec.dim
-        self.assert_matches_dense(led.fmask, led.rmask)
+        self.assert_ledgers_match_dense(led)
 
     @pytest.mark.parametrize("levels", [6, 8])
     def test_shell_ladders(self, levels):
         led = ledgers_at(_shell_ladder_spec(levels, seed=levels), 1.0)
         assert led.n_pairs > 0
-        self.assert_matches_dense(led.fmask, led.rmask)
+        self.assert_ledgers_match_dense(led)
 
     @pytest.mark.parametrize("k, m", [(1, 1), (3, 2), (5, 4), (2, 7)])
     @pytest.mark.parametrize("density", [0.05, 0.5, 1.0])
@@ -151,10 +166,48 @@ class TestPairIndices:
         fmask[:, 0, 0] = True
         rmask[:, 1, 1] = True       # live cells, but never the same outcomes
         for f, r in ((fmask, rmask), (fmask, np.zeros_like(rmask))):
-            got = thermo._pair_indices(f, r)
+            got = thermo._pair_indices(np.flatnonzero(f), np.flatnonzero(r), 3, 2)
             assert [g.dtype for g in got] == [np.intp] * 4
             assert [g.size for g in got] == [0] * 4
             self.assert_matches_dense(f, r)
+
+    @pytest.mark.parametrize("case", ["8x8", "shell-8x8", "example"])
+    def test_ledgers_keep_no_label_cell_table(self, case, correlated_spec):
+        # every array the ledgers keep has fewer than K m^2 entries, the
+        # size of one (K, m, m) weight table or mask of one time
+        spec = {"8x8": lambda: randspec.random_spec(0, 8, 8),
+                "shell-8x8": lambda: _shell_ladder_spec(8, seed=8),
+                "example": lambda: correlated_spec}[case]()
+        led = ledgers_at(spec, 1.0)
+        thermo.joint_distribution(led)
+        thermo.heat_distribution(led)
+        limit = led.n_anchor * led.pp0.size ** 2
+        arrays = {name: value for name, value in vars(led).items()
+                  if isinstance(value, np.ndarray)}
+        assert {"fwd_cells", "rev_cells", "n_fwd", "n_rev", "pair_mass"} <= arrays.keys()
+        for name, value in arrays.items():
+            assert value.size < limit, name
+        assert led.n_pairs == int(np.sum(led.n_fwd * led.n_rev)) > 0
+
+    def test_coherent_joint_memory_per_pair(self):
+        # chi with coherences across the shells at D = 25: nearly every
+        # (label, cell) entry is live, so the joint FT holds about 4e5
+        # pairs, each its own bin.  Measured at 113 B per pair (numpy 2.4,
+        # Linux x86-64; 160 B before its pair arrays were freed as read);
+        # the bound leaves 10 % over the measurement
+        spec = _shell_ladder_spec(5, seed=0, coherent=True)
+        assert system.validate(spec).passed
+        led = ledgers_at(spec, 0.9)
+        assert not led.all_energy_conserving
+        assert led.n_pairs > 0.5 * led.n_anchor * led.pp0.size ** 2
+        thermo.joint_distribution(led)
+        tracemalloc.start()
+        try:
+            thermo.joint_distribution(led)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 113 * led.n_pairs
 
     def test_ledger_memory_below_dense_mask(self):
         # the dense product mask alone holds K^2 m^2 bytes
@@ -437,7 +490,7 @@ class TestLedgerBlocks:
     #: time of a block
     AT_TIME = ("a1_table", "b0_table", "b1_table", "joint1", "pp1", "e_a1", "e_b1",
                "q_a_tab", "q_b_tab", "fwd_cells", "rev_cells",
-               "fmask", "rmask", "pair_mass", "pa1_cell", "pth_a1_cell", "pb1_cell",
+               "n_fwd", "n_rev", "pair_mass", "pa1_cell", "pth_a1_cell", "pb1_cell",
                "pth_b1_cell")
     SHARED = ("floor", "binning", "beta_a", "beta_b", "delta_beta", "dim_a", "dim_b",
               "pops", "keep", "n_anchor", "a0_table", "joint0", "pp0", "e_a0", "e_b0",
@@ -555,7 +608,7 @@ class TestLabelChunks:
     with ``sum(axis=-3)``.  Equal bytes pin numpy's left fold over an
     outer axis, which the running sums rely on."""
 
-    TABLES = ("fwd_cells", "rev_cells", "fmask", "rmask", "pair_mass",
+    TABLES = ("fwd_cells", "rev_cells", "n_fwd", "n_rev", "pair_mass",
               "detailed_residual", "all_energy_conserving")
 
     @staticmethod
@@ -574,6 +627,7 @@ class TestLabelChunks:
         out["psi_factor"] = _flat_bytes(thermo.psi_factor(led))
         if not isinstance(led.basis.times, tuple):      # one time
             out["joint_distribution"] = _flat_bytes(thermo.joint_distribution(led))
+            out["live_entries"] = b"".join(e.tobytes() for e in led._live_entries())
             *_, w_f, w_r = thermo._pairs(led)
             out["pair_weights"] = w_f.tobytes() + w_r.tobytes()
             for name in ALL_QUANTITIES:
@@ -582,8 +636,8 @@ class TestLabelChunks:
 
     @staticmethod
     def dense(led):
-        """The tables, pair weights and gamma mean from the whole weight
-        tables, each sum over the labels one ``sum(axis=-3)``."""
+        """The tables, live entries, pair weights and gamma mean from the
+        whole weight tables, each sum over the labels one ``sum(axis=-3)``."""
         fwd, rev = dense_weights(led)
         fmask, rmask = fwd > led.floor, rev > led.floor
         n_fwd = fmask.sum(axis=-3)
@@ -591,12 +645,15 @@ class TestLabelChunks:
         leak = np.where(fmask.any(axis=-3), np.abs(led.q_a_tab + led.q_b_tab), 0.0)
         ln_c = np.log(np.where((n_fwd > 0) & (rev_ret > 0), led.cell_factor, 1.0))
         out = {"fwd_cells": fwd.sum(axis=-3), "rev_cells": rev.sum(axis=-3),
-               "fmask": fmask, "rmask": rmask, "pair_mass": n_fwd * rev_ret / led.n_anchor,
+               "n_fwd": n_fwd, "n_rev": rmask.sum(axis=-3),
+               "pair_mass": n_fwd * rev_ret / led.n_anchor,
                "detailed_residual": np.abs(ln_c).max(axis=(-2, -1))[()],
                "all_energy_conserving": (leak.max(axis=(-2, -1)) <= led.binning)[()]}
         out = {name: np.asarray(value).tobytes() for name, value in out.items()}
         if not isinstance(led.basis.times, tuple):      # one time
-            ki, kj, i0, i1 = thermo._pair_indices(fmask, rmask)
+            entries = np.flatnonzero(fmask), np.flatnonzero(rmask)
+            out["live_entries"] = b"".join(e.tobytes() for e in entries)
+            ki, kj, i0, i1 = thermo._pair_indices(*entries, *fmask.shape[:2])
             n = led.n_anchor
             out["pair_weights"] = ((fwd[ki, i0, i1] / n).tobytes()
                                    + (rev[kj, i0, i1] / n).tobytes())
@@ -824,7 +881,7 @@ class TestCellForms:
         led = ledgers_at(spec, t)
         if name == "example":
             assert led.n_anchor < spec.dim
-        ki, kj, i0, i1 = thermo._pair_indices(led.fmask, led.rmask)
+        ki, kj, i0, i1 = dense_pair_indices(led)
         assert led.n_pairs == ki.size > 0
         kp, n, m = led.keep, led.n_anchor, led.pp0.size
         s, r = kp[ki], kp[kj]
@@ -894,13 +951,60 @@ class TestTermTable:
             assert after[1] == pytest.approx(-before[1], abs=1e-12)
         assert np.abs(after[2] - before[2]).max() > 1e-6
 
+    @staticmethod
+    def per_pair_route(led, ki, kj, i0, i1):
+        """The samples and weights with every term evaluated at each pair
+        through ``_log_ratio``, the route before the (label, cell) log
+        tables."""
+        s_lab, t_lab = led.keep[ki], led.keep[kj]
+        a0, a1 = led.a0_table[s_lab, i0], led.a1_table[s_lab, i1]
+        b0, b1 = led.b0_table[t_lab, i0], led.b1_table[t_lab, i1]
+        w_f = led.pops[s_lab] * a0 * a1 / led.n_anchor
+        w_r = led.pops[t_lab] * b0 * b1 / led.n_anchor
+
+        def term(name):
+            time = thermo._TERMS[name][0]
+            return thermo._log_ratio(led, name, (s_lab, t_lab)[time], (i0, i1)[time])
+        col_i0 = term("j0") + term("c0")
+        col_i1 = term("j1") + term("c1")
+        col_gamma = np.log(a0) + np.log(a1) - np.log(b0) - np.log(b1)
+        col_k = col_i1 - col_i0 + term("sigma_a") + term("sigma_b")
+        return np.stack([led.q_a_tab[i0, i1], col_k, col_gamma], axis=1), w_f, w_r
+
+    @staticmethod
+    def bank_style_cases():
+        """The random classes of the acceptance bank, both branches, and
+        the 6x6 and 8x8 shell ladders."""
+        for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)):
+            for correlated in (True, False):
+                for seed in range(2):
+                    yield (f"{dims[0]}x{dims[1]}-{'corr' if correlated else 'prod'}-{seed}",
+                           lambda dims=dims, correlated=correlated, seed=seed: ledgers_at(
+                               randspec.random_spec(seed, *dims, correlated=correlated),
+                               0.37 + seed))
+        for levels in (6, 8):
+            yield (f"shell-{levels}x{levels}",
+                   lambda levels=levels: ledgers_at(_shell_ladder_spec(levels, levels), 1.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", list(bank_style_cases.__func__()), ids=lambda c: c[0])
+    def test_label_cell_tables_match_per_pair_terms(self, case):
+        led = case[1]()
+        ki, kj, samples, w_f, w_r = thermo._pairs(led)
+        got_ki, got_kj, i0, i1 = dense_pair_indices(led)
+        assert np.array_equal(ki, got_ki) and np.array_equal(kj, got_kj) and ki.size > 0
+        want, want_f, want_r = self.per_pair_route(led, ki, kj, i0, i1)
+        assert samples.tobytes() == want.tobytes()
+        assert w_f.tobytes() == want_f.tobytes()
+        assert w_r.tobytes() == want_r.tobytes()
+
     @pytest.mark.parametrize("case", list(_cell_form_cases()), ids=lambda c: c[0])
     def test_pair_samples_match_explicit_columns(self, case):
         # K and gamma spelt out column by column, i = j + c in this order
         _, spec, t = case
         led = ledgers_at(spec, t)
         ki, kj, samples, _, _ = thermo._pairs(led)
-        _, _, i0, i1 = thermo._pair_indices(led.fmask, led.rmask)
+        _, _, i0, i1 = dense_pair_indices(led)
         kp, marg = led.keep, led.marg
         s_lab, t_lab = kp[ki], kp[kj]
         ln_pops = np.log(led.pops[kp])
