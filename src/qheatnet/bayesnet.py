@@ -29,6 +29,7 @@ __all__ = [
     "MarginalTables",
     "BLOCK_ELEMENTS",
     "build_bases",
+    "time_bases",
     "sweep_blocks",
     "reverse_overlap_tables",
     "local_marginals",
@@ -55,7 +56,8 @@ class TimeGrid:
     ``build_bases`` takes a grid of one time t, the two-time basis at 0
     and t; t = 0 is an ordinary time, its unitary the identity to
     rounding.  A config file or the command line reads a longer grid as
-    a list of such times, swept block by block (``sweep_blocks``).
+    a list of such times, swept block by block (``sweep_blocks``).  A
+    time of -0.0 is stored as 0.0, so no output carries its sign.
     """
 
     times: tuple[float, ...]
@@ -70,6 +72,7 @@ class TimeGrid:
             if not (t >= 0 and t > prev):
                 raise ValueError("grid times must be >= 0 and strictly increasing")
             prev = t
+        object.__setattr__(self, "times", tuple(t + 0.0 for t in self.times))
 
     @property
     def n_steps(self) -> int:
@@ -152,6 +155,7 @@ def _time_independent_half(spec: system.BipartiteSpec):
     eigensystems, the local energies and the overlap table."""
     start = system.initial_state(spec)
     glob = linalg.hermitian_eigendecompose(start.rho, tiebreak=spec.h_total)
+    gibbs_a, gibbs_b = start.gibbs_a, start.gibbs_b     # the bases keep these, not rho_0
     populations = np.clip(glob.values, 0.0, None)
     generator = linalg.hermitian_eigendecompose(spec.h_int)
     ea0, eb0, energy_a0, energy_b0, overlap0 = _local_frame(spec, populations, glob.vectors)
@@ -172,8 +176,8 @@ def _time_independent_half(spec: system.BipartiteSpec):
             energies_b=(energy_b0, energy_b),
             overlaps=(overlap0, overlap),
             unitaries=(identity, u),
-            gibbs_a=start.gibbs_a,
-            gibbs_b=start.gibbs_b,
+            gibbs_a=gibbs_a,
+            gibbs_b=gibbs_b,
         )
     return populations, basis_at
 
@@ -185,7 +189,19 @@ def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
     one time raises ValueError."""
     if grid.n_steps != 1:
         raise ValueError("build_bases needs a grid of exactly one time (a two-time basis)")
-    return _time_independent_half(spec)[1](grid.times[0])
+    return next(time_bases(spec, grid.times))
+
+
+def time_bases(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:
+    """Yield the two-time basis of each of ``times`` in order, each that
+    of ``build_bases`` at its one time, with no time axis.  As in
+    ``sweep_blocks``, the times are checked as one ``TimeGrid`` and the
+    time-independent half is built once, before the first basis, and
+    shared by all of them."""
+    times = TimeGrid(tuple(times)).times
+    _, basis_at = _time_independent_half(spec)
+    for t in times:
+        yield basis_at(t)
 
 
 def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:

@@ -144,18 +144,18 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     """Every relation at every time of a config's ``times``, or at the one
-    time of ``--time`` or ``--dims``.  The report of several times names
-    the time of each record; that of one time names none."""
+    time of ``--time`` or ``--dims``, on bases that share one set-up of
+    the time-independent half.  The report of several times names the
+    time of each record; that of one time names none."""
     spec, times = _load_spec(args)
     if args.time is not None:
         times = (_check_time(args.time, "--time"),)
     checks, at = [], []
-    for t in times:
-        # one basis and one ledger set per time, dropped before the next
-        basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((t,)))
+    for basis in bayesnet.time_bases(spec, times):
+        # one ledger set per time, dropped before the next
         found = thermo.relation_checks(thermo.compute_ledgers(basis))
         checks += found
-        at += [t] * len(found)
+        at += [basis.times] * len(found)
     return _emit_report(args, "verify", checks, at if len(times) > 1 else None)
 
 

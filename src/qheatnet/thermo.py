@@ -97,17 +97,17 @@ class LedgerSet:
     for one time and (T,) for a block; the per-label tables of the t = 0
     half (``a0_table``, ``joint0``, ``pp0``, ``e_a0``, ``e_b0``) have
     none.  The forward and reverse weights of the K retained labels over
-    the cells, (P_k a0) a1 and (P_k b0) b1, are formed one chunk of labels
-    at a time (``_weight_chunks``) and never kept whole, nor is any
-    (K, m, m) table of them: ``fwd_cells`` and ``rev_cells`` are their
-    (m, m) sums over the labels, bit for bit those of the whole tables,
-    and ``n_fwd`` and ``n_rev`` count the labels whose weight is above
-    the probability floor in each cell.  Per cell, ``pair_mass`` is the
-    reverse weight of the augmented pairs, live forward labels x
-    retained reverse mass / K, and ``cell_factor`` is
-    c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).  No per-pair array is kept: the
-    joint FT re-forms the chunks to find the live entries
-    (``_live_entries``).
+    the cells, (P_k a0) a1 and (P_k b0) b1, are formed once, a chunk of
+    labels at a time (``_weight_chunks``), and never kept whole.  Kept are
+    their (m, m) sums over the labels, ``fwd_cells`` and ``rev_cells``, bit
+    for bit those of the whole tables, and their live entries (above the
+    probability floor), ``fwd_live`` and ``rev_live``: ascending flat
+    indices into (K,) + lead + (m, m), label first, 8 B per live entry.
+    Every reader of liveness reads these lists: ``n_fwd`` and ``n_rev``
+    count the live labels per cell, and the joint FT and the gamma mean
+    gather from them.  Per cell, ``pair_mass`` is the reverse weight of
+    the augmented pairs, live forward labels x retained reverse mass / K,
+    and ``cell_factor`` is c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).
     ``all_energy_conserving`` and ``detailed_residual`` have the time
     shape, and ``marg`` is ``bayesnet.local_marginals`` of the basis.
     The closed-form averages and relation checks below read the tables of
@@ -173,23 +173,37 @@ class LedgerSet:
         qb = self.e_b1[..., None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
 
-        # the weight tables are never whole: each chunk of labels leaves only
-        # its share of the per-cell sums and counts over the labels.  The
-        # forward chunk is dropped once folded, before the reverse chunk's
-        # retained part is formed
-        n_fwd = fwd_cells = n_rev = rev_ret = rev_cells = None
-        for _, fwd, rev in self._weight_chunks():
-            n_fwd = _fold(n_fwd, fwd > floor)
-            fwd_cells = _fold(fwd_cells, fwd)
+        # the weight tables are never whole: each chunk of labels adds its
+        # share of the per-cell sums, its live entries as flat indices into
+        # (K,) + lead + (m, m) and its live reverse weights, and is dropped
+        # once read, the forward chunk before the reverse one is.  A running
+        # sum goes into the chunk's first label row, and numpy reduces an
+        # outer axis as a left fold, so each sum is that of the whole table
+        # bit for bit (IEEE addition commutes, and no weight is -0.0)
+        fwd_live, rev_live, rev_weights = [], [], []
+        fwd_cells = rev_cells = 0.0
+        for labels, fwd, rev in self._weight_chunks():
+            offset = labels.start * fwd[0].size
+            fwd_live.append(np.flatnonzero(fwd > floor) + offset)
+            fwd[0] += fwd_cells
+            fwd_cells = fwd.sum(axis=0)
             del fwd
-            rmask = rev > floor
-            n_rev = _fold(n_rev, rmask)
-            rev_ret = _fold(rev_ret, np.where(rmask, rev, 0.0))
-            rev_cells = _fold(rev_cells, rev)
-        self.n_fwd, self.n_rev, self.fwd_cells, self.rev_cells = n_fwd, n_rev, fwd_cells, rev_cells
+            live = np.flatnonzero(rev > floor)
+            rev_weights.append(rev.take(live))
+            rev_live.append(live + offset)
+            rev[0] += rev_cells
+            rev_cells = rev.sum(axis=0)
+            del rev
+        self.fwd_cells, self.rev_cells = fwd_cells, rev_cells
+        self.fwd_live, self.rev_live = np.concatenate(fwd_live), np.concatenate(rev_live)
+        del fwd_live, rev_live
+        self.n_fwd, self.n_rev = self._per_cell(self.fwd_live), self._per_cell(self.rev_live)
+        # each cell's live reverse weights added in label order from 0.0,
+        # bit for bit the left fold over the labels of the masked table
+        rev_ret = self._per_cell(self.rev_live, np.concatenate(rev_weights))
 
         # per time: no live forward cell moves energy out of the pair
-        leak = np.where(n_fwd > 0, np.abs(qa + qb), 0.0)
+        leak = np.where(self.n_fwd > 0, np.abs(qa + qb), 0.0)
         self.all_energy_conserving = (leak.max(axis=(-2, -1)) <= binning)[()]
 
         # a pair's forward weight times exp(-X) is its reverse weight times
@@ -199,37 +213,47 @@ class LedgerSet:
         # when those marginals are thermal; c is computed, not assumed
         pth0 = np.outer(thermal(ga, self.e_a0), thermal(gb, self.e_b0)).ravel()
         self.cell_factor = _guarded_ratio(self.pp0, pth0, 0.0)[:, None]
-        self.pair_mass = n_fwd * rev_ret / self.n_anchor
-        ln_c = np.log(np.where((n_fwd > 0) & (rev_ret > 0), self.cell_factor, 1.0))
+        self.pair_mass = self.n_fwd * rev_ret / self.n_anchor
+        ln_c = np.log(np.where((self.n_fwd > 0) & (rev_ret > 0), self.cell_factor, 1.0))
         self.detailed_residual = np.abs(ln_c).max(axis=(-2, -1))[()]
 
     def _weight_chunks(self):
         """The forward and reverse weights of the retained labels, one
         chunk of consecutive labels at a time, as (labels, fwd, rev):
         ``labels`` a slice of positions in ``keep``, ``fwd`` = (P_k a0) a1
-        and ``rev`` = (P_k b0) b1 of shape lead + (c, m, m).  A chunk holds
-        as many labels as keep it within ``bayesnet.BLOCK_ELEMENTS``
-        entries, and at least one, so a block of a sweep is one chunk."""
+        and ``rev`` = (P_k b0) b1 of shape (c,) + lead + (m, m), label
+        first.  A chunk holds as many labels as keep it within
+        ``bayesnet.BLOCK_ELEMENTS`` entries, and at least one, so a block
+        of a sweep is one chunk."""
+        # the per-label tables with the label axis first
+        a1, b0, b1 = (np.moveaxis(table, -2, 0)
+                      for table in (self.a1_table, self.b0_table, self.b1_table))
+        a0 = self.a0_table.reshape(self.a0_table.shape[:1] + (1,) * (a1.ndim - 2) + (-1,))
         step = max(1, bayesnet.BLOCK_ELEMENTS // (self.n_times * self.pp0.size ** 2))
         for lo in range(0, self.n_anchor, step):
             labels = slice(lo, lo + step)
             kp = self.keep[labels]
-            pops = self.pops[kp, None, None]
+            pops = self.pops[kp].reshape((-1,) + (1,) * a1.ndim)
             yield (labels,
-                   (pops * self.a0_table[kp][:, :, None]) * self.a1_table[..., kp, None, :],
-                   pops * self.b0_table[..., kp, :, None] * self.b1_table[..., kp, None, :])
+                   (pops * a0[kp][..., :, None]) * a1[kp][..., None, :],
+                   pops * b0[kp][..., :, None] * b1[kp][..., None, :])
 
-    def _live_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The entries of the forward and reverse weight tables of one
-        time above the probability floor, as ascending flat indices into
-        (K, m, m), gathered one chunk of labels at a time."""
-        cells = self.pp0.size ** 2
-        fwd_live, rev_live = [], []
-        for labels, fwd, rev in self._weight_chunks():
-            offset = labels.start * cells
-            fwd_live.append(np.flatnonzero(fwd > self.floor) + offset)
-            rev_live.append(np.flatnonzero(rev > self.floor) + offset)
-        return np.concatenate(fwd_live), np.concatenate(rev_live)
+    def _per_cell(self, live: np.ndarray, weights=None) -> np.ndarray:
+        """Per (time, cell), the number of the live entries ``live``, or
+        the sum of their ``weights`` in the order given."""
+        cells = self.n_times * self.pp0.size ** 2
+        return np.bincount(live % cells, weights, cells).reshape(self.q_a_tab.shape)
+
+    def _live_weights(self, live: np.ndarray, direction: str) -> tuple[np.ndarray, ...]:
+        """The label populations P and the forward (P a0) a1 or reverse
+        (P b0) b1 weights of one time at its live entries ``live``, taken
+        in the chunks' product order, so each has its chunk entry's bits."""
+        label, i0, i1 = np.unravel_index(live, (self.n_anchor,) + self.q_a_tab.shape)
+        kp = self.keep[label]
+        first, last = ((self.a0_table, self.a1_table) if direction == "forward"
+                       else (self.b0_table, self.b1_table))
+        pops = self.pops[kp]
+        return pops, pops * first[kp, i0] * last[kp, i1]
 
     @property
     def n_pairs(self) -> int:
@@ -246,22 +270,6 @@ class LedgerSet:
         values = self.q_a_tab.ravel()
         time = np.arange(self.n_times).repeat(values.size // self.n_times)
         return DiscreteDistribution._binned(values, self.binning, time)
-
-
-def _fold(total, chunk: np.ndarray) -> np.ndarray:
-    """``total`` plus the sum of ``chunk`` over its label axis (-3), None
-    for no total: per-cell sums over a table taken one chunk of labels at
-    a time.  A float total is added into the chunk's first label row,
-    which the caller gives up, and numpy reduces an outer axis as a left
-    fold, so the result is the sum of the whole table bit for bit (IEEE
-    addition commutes); boolean chunks are counted, which is exact in any
-    order."""
-    if total is None:
-        return chunk.sum(axis=-3)
-    if chunk.dtype == bool:
-        return total + chunk.sum(axis=-3)
-    chunk[..., 0, :, :] += total
-    return chunk.sum(axis=-3)
 
 
 def compute_ledgers(basis: bayesnet.BasisSet) -> LedgerSet:
@@ -432,7 +440,7 @@ def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
     tables are taken with divide and invalid warnings off: an entry that
     no pair reads may have a zero overlap or marginal, and so a log of
     -inf or NaN."""
-    ki, kj, i0, i1 = _pair_indices(*ledgers._live_entries(), ledgers.n_anchor,
+    ki, kj, i0, i1 = _pair_indices(ledgers.fwd_live, ledgers.rev_live, ledgers.n_anchor,
                                    ledgers.pp0.size)
     kp, n = ledgers.keep, ledgers.n_anchor
     a0, a1 = ledgers.a0_table[kp], ledgers.a1_table[kp]
@@ -656,24 +664,13 @@ def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
     if quantity == "gamma":
         # gamma of a pair (s, t) is g_f(s) - g_r(t), g = ln(weight / label
         # population): per cell, each forward term meets every live anchor
-        # and each anchor term the retained forward mass, summed over the
-        # labels one chunk at a time
-        sums = (None,) * 4
-        for labels, f, g_r in ledgers._weight_chunks():
-            # in place on the chunk: f is the live forward weight, g_f and
-            # g_r the logs of the live weights over the label population
-            fmask, rmask = f > floor, g_r > floor
-            pops = ledgers.pops[kp[labels], None, None]
-            g_f = np.divide(f, pops)
-            g_f[~fmask] = 1.0
-            f[~fmask] = 0.0
-            g_r /= pops
-            g_r[~rmask] = 1.0
-            np.log(g_f, out=g_f)
-            np.log(g_r, out=g_r)
-            sums = tuple(map(_fold, sums, (rmask, np.multiply(f, g_f, out=g_f), f, g_r)))
-        n_live, f_g_f, f_sum, g_r_sum = sums
-        return float(np.sum(n_live * f_g_f - f_sum * g_r_sum)) / ledgers.n_anchor
+        # and each anchor term the live forward mass, summed in label order
+        pops, f = ledgers._live_weights(ledgers.fwd_live, "forward")
+        f_g_f = ledgers._per_cell(ledgers.fwd_live, f * np.log(f / pops))
+        f_sum = ledgers._per_cell(ledgers.fwd_live, f)
+        pops, r = ledgers._live_weights(ledgers.rev_live, "reverse")
+        g_r_sum = ledgers._per_cell(ledgers.rev_live, np.log(r / pops))
+        return float(np.sum(ledgers.n_rev * f_g_f - f_sum * g_r_sum)) / ledgers.n_anchor
     raise ValueError(f"unknown quantity {quantity!r}")
 
 

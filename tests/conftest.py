@@ -13,7 +13,7 @@ def dense_weights(led):
     """The reference (K, m, m) forward and reverse weight tables of all
     retained labels at once, (P_k a0) a1 and (P_k b0) b1, with the leading
     time shape of a block: the ledgers form them one chunk of labels at a
-    time and keep only their per-cell sums and counts."""
+    time and keep only their per-cell sums and live entries."""
     kp = led.keep
     fwd = ((led.pops[kp, None, None] * led.a0_table[kp][:, :, None])
            * led.a1_table[..., kp, None, :])
@@ -25,8 +25,8 @@ def dense_weights(led):
 
 def dense_masks(led):
     """The reference (K, m, m) live entries of ``dense_weights``, those
-    above the probability floor: the ledgers keep only their per-cell
-    counts ``n_fwd`` and ``n_rev``."""
+    above the probability floor: the ledgers keep them as flat indices,
+    ``fwd_live`` and ``rev_live``, and no mask."""
     fwd, rev = dense_weights(led)
     return fwd > led.floor, rev > led.floor
 

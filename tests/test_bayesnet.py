@@ -31,6 +31,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="not finite"):
             bayesnet.TimeGrid(times)
 
+    @pytest.mark.parametrize("times", [(-0.0,), (-0.0, 0.5), (np.float64(-0.0), 1.0)])
+    def test_negative_zero_reads_as_zero(self, times):
+        # -0.0 >= 0 passes, but its sign must not reach any output
+        got = bayesnet.TimeGrid(times).times
+        assert got == times
+        assert np.copysign(1.0, got[0]) == 1.0
+        assert got[1:] == times[1:]
+
 
 class TestBuildBases:
     def test_correlated_populations(self, correlated_spec):
@@ -130,6 +138,22 @@ class TestSweepBases:
         assert second.local_a[0] is first.local_a[0]
         assert second.gibbs_a is first.gibbs_a
         assert not np.array_equal(second.overlaps[1], first.overlaps[1])
+
+    @pytest.mark.parametrize("name", ["example-corr", "rand-3x3-prod", "rand-4x4-corr"])
+    def test_time_bases_match_build_bases(self, name):
+        # one basis per time, without a time axis, sharing the t = 0 half
+        spec = SWEEP_SPECS[name]
+        bases = list(bayesnet.time_bases(spec, SWEEP_TIMES))
+        assert [b.times for b in bases] == list(SWEEP_TIMES)
+        for t, basis in zip(SWEEP_TIMES, bases):
+            _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
+        assert all(b.overlaps[0] is bases[0].overlaps[0] for b in bases)
+        assert all(b.gibbs_a is bases[0].gibbs_a for b in bases)
+
+    @pytest.mark.parametrize("times", [(0.5, -0.25), (np.inf,), (0.5, 0.5)])
+    def test_time_bases_reject_bad_times_before_any_basis(self, correlated_spec, times):
+        with pytest.raises(ValueError):
+            next(bayesnet.time_bases(correlated_spec, times))
 
     def test_time_axis_only_on_blocks(self, correlated_spec):
         one = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.37,)))

@@ -494,9 +494,12 @@ class TestCli:
     #: tracemalloc peaks at D = 64 (randspec 8x8, seed 0), in MiB, measured
     #: with numpy 2.4 on Linux x86-64; the bounds allow 10 % over them.
     #: While the ledgers kept (K, m, m) live masks and folded by copying
-    #: they were 1.90, 2.04, 2.42 and 2.56 MiB, above these bounds
-    SOFT_CAP_PEAK_MIB = {"compute_ledgers": 1.21, "gamma_mean": 1.57, "verify": 1.96,
-                         "heat": 1.87}
+    #: they were 1.90, 2.04, 2.42 and 2.56 MiB; while the joint FT and the
+    #: gamma mean formed the weight chunks again, and the ledgers held a
+    #: reverse chunk while forming the next, 1.21, 1.57, 1.96 and 1.87 MiB,
+    #: the joint FT 1.14 MiB: all above these bounds
+    SOFT_CAP_PEAK_MIB = {"compute_ledgers": 0.85, "gamma_mean": 0.20,
+                         "joint_distribution": 0.36, "verify": 1.43, "heat": 1.45}
 
     @classmethod
     def soft_cap_bound(cls, name) -> float:
@@ -504,13 +507,15 @@ class TestCli:
 
     def test_soft_cap_ledgers_memory_bounded_by_block_budget(self):
         # at D = 64 the forward and reverse weight tables of one time are
-        # 8 budgets of float64 each (2 MiB); formed a chunk of labels at a
-        # time, and kept as per-cell sums and counts only, the ledgers stay
-        # below about 5.5 budgets and the gamma mean below 7
+        # 8 budgets of float64 each (2 MiB); formed once, a chunk of labels
+        # at a time, and kept as per-cell sums and lists of the live
+        # entries, the ledgers stay below about 4 budgets, and the joint FT
+        # and the gamma mean, which read the lists, below 2
         led = ledgers_at(randspec.random_spec(0, 8, 8), 1.0)
         assert led.n_anchor * led.pp0.size ** 2 >= 8 * bayesnet.BLOCK_ELEMENTS
         for name, call in (("compute_ledgers", lambda: thermo.compute_ledgers(led.basis)),
-                           ("gamma_mean", lambda: thermo.mean_quantity(led, "gamma"))):
+                           ("gamma_mean", lambda: thermo.mean_quantity(led, "gamma")),
+                           ("joint_distribution", lambda: thermo.joint_distribution(led))):
             assert self.traced_peak(call) < self.soft_cap_bound(name), name
 
     @pytest.mark.parametrize("argv", [["verify", "--dims", "8x8", "--seed", "0"],
@@ -735,6 +740,61 @@ class TestCli:
         assert cli.main(["verify", "--config", str(path), "--time", "0"]) == 0
         assert capsys.readouterr().out == one
         assert all("time" not in r for r in json.loads(one)["records"])
+
+    def test_verify_sets_up_each_config_once(self, tmp_path, monkeypatch, capsys):
+        # five times share one validation and the global, h_int and t = 0
+        # local decompositions (two Gibbs states and four more): 1 + 8 per
+        # time, as one time alone is 8
+        path = tmp_path / "five.json"
+        times = (0.1, 0.4, 0.9, 1.6, 2.5)
+        config.save_config(randspec.random_spec(0, 4, 4), bayesnet.TimeGrid(times), path)
+        counts = {"validate": 0, "eig": 0}
+        validate, eig = system.validate, linalg.hermitian_eigendecompose
+
+        def counted_validate(*args, **kwargs):
+            counts["validate"] += 1
+            return validate(*args, **kwargs)
+
+        def counted_eig(*args, **kwargs):
+            counts["eig"] += 1
+            return eig(*args, **kwargs)
+        monkeypatch.setattr(system, "validate", counted_validate)
+        monkeypatch.setattr(linalg, "hermitian_eigendecompose", counted_eig)
+        assert cli.main(["verify", "--config", str(path)]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert counts == {"validate": 1, "eig": 16}
+        monkeypatch.undo()
+        # each time's records are the report of that time alone
+        for t in times:
+            assert cli.main(["verify", "--config", str(path), "--time", repr(t)]) == 0
+            alone = json.loads(capsys.readouterr().out)["records"]
+            assert [{k: v for k, v in r.items() if k != "time"}
+                    for r in records if r["time"] == t] == alone
+
+    def test_negative_zero_time_reads_as_zero(self, tmp_path, capsys):
+        # -0.0 passes as a time >= 0; no output carries its sign, and every
+        # output is that of 0.0
+        def run(*argv):
+            code = cli.main(list(argv))
+            return code, capsys.readouterr().out
+        heat = run("heat", "--dims", "2x2", "--time", "-0.0")
+        assert heat == run("heat", "--dims", "2x2", "--time", "0.0")
+        assert {row.split(",")[0] for row in heat[1].splitlines()[1:]} == {"0"}
+
+        spec = randspec.random_spec(0, 2, 2)
+        negative, zero = tmp_path / "negative.json", tmp_path / "zero.json"
+        data = config.config_dict(spec, bayesnet.TimeGrid((0.5,)))
+        for path, first in ((negative, -0.0), (zero, 0.0)):
+            path.write_text(json.dumps({**data, "times": [first, 0.5]}))
+        verify = run("verify", "--config", str(negative))
+        assert verify == run("verify", "--config", str(zero))
+        assert verify[0] == 0 and '"time": -0.0' not in verify[1]
+        assert {r["time"] for r in json.loads(verify[1])["records"]} == {0.0, 0.5}
+
+        loaded = config.load_config(negative)
+        config.save_config(loaded.spec, loaded.grid, tmp_path / "saved.json")
+        saved = json.loads((tmp_path / "saved.json").read_text())["times"]
+        assert saved == [0.0, 0.5] and np.copysign(1.0, saved[0]) == 1.0
 
     def test_verify_time_flag_checks_one_time(self, tmp_path, correlated_spec, capsys):
         path = tmp_path / "three.json"

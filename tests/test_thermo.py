@@ -129,7 +129,7 @@ class TestPairIndices:
 
     @classmethod
     def assert_ledgers_match_dense(cls, led):
-        cls.assert_matches_dense(*dense_masks(led), led._live_entries())
+        cls.assert_matches_dense(*dense_masks(led), (led.fwd_live, led.rev_live))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
     @pytest.mark.parametrize("correlated", [True, False])
@@ -208,6 +208,43 @@ class TestPairIndices:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * 113 * led.n_pairs
+
+    def test_coherent_ledger_memory(self):
+        # nearly every entry of the coherent D = 25 ladder is live, so the
+        # kept lists near K m^2 entries of 8 B each: compute_ledgers was
+        # measured at 0.767 MiB (numpy 2.4, Linux x86-64; 0.40 MiB before
+        # the ledgers kept the lists); the bound leaves 10 % over it
+        spec = _shell_ladder_spec(5, seed=0, coherent=True)
+        led = ledgers_at(spec, 0.9)
+        assert led.fwd_live.size > 0.99 * led.n_anchor * led.pp0.size ** 2
+        thermo.compute_ledgers(led.basis)
+        tracemalloc.start()
+        try:
+            thermo.compute_ledgers(led.basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 0.767 * 2 ** 20
+
+    def test_weight_chunks_formed_once(self, correlated_spec, monkeypatch):
+        # the ledgers' one pass over the chunks decides liveness; the joint
+        # FT, psi and the gamma mean read its lists and per-cell tables
+        calls = []
+        chunks = thermo.LedgerSet._weight_chunks
+
+        def counted(led):
+            calls.append(led)
+            return chunks(led)
+        monkeypatch.setattr(thermo.LedgerSet, "_weight_chunks", counted)
+        for spec in (randspec.random_spec(0, 8, 8), _shell_ladder_spec(6, 3),
+                     correlated_spec):
+            led = ledgers_at(spec, 1.0)
+            assert len(calls) == 1
+            thermo.relation_checks(led)
+            thermo.mean_quantity(led, "gamma")
+            thermo.heat_distribution(led, "reverse")
+            assert len(calls) == 1
+            calls.clear()
 
     def test_ledger_memory_below_dense_mask(self):
         # the dense product mask alone holds K^2 m^2 bytes
@@ -625,9 +662,9 @@ class TestLabelChunks:
     def outputs(cls, led):
         out = {name: np.asarray(getattr(led, name)).tobytes() for name in cls.TABLES}
         out["psi_factor"] = _flat_bytes(thermo.psi_factor(led))
+        out["live_entries"] = led.fwd_live.tobytes() + led.rev_live.tobytes()
         if not isinstance(led.basis.times, tuple):      # one time
             out["joint_distribution"] = _flat_bytes(thermo.joint_distribution(led))
-            out["live_entries"] = b"".join(e.tobytes() for e in led._live_entries())
             *_, w_f, w_r = thermo._pairs(led)
             out["pair_weights"] = w_f.tobytes() + w_r.tobytes()
             for name in ALL_QUANTITIES:
@@ -650,9 +687,10 @@ class TestLabelChunks:
                "detailed_residual": np.abs(ln_c).max(axis=(-2, -1))[()],
                "all_energy_conserving": (leak.max(axis=(-2, -1)) <= led.binning)[()]}
         out = {name: np.asarray(value).tobytes() for name, value in out.items()}
+        # live entries label first: flat indices into (K,) + lead + (m, m)
+        entries = tuple(np.flatnonzero(np.moveaxis(mask, -3, 0)) for mask in (fmask, rmask))
+        out["live_entries"] = b"".join(e.tobytes() for e in entries)
         if not isinstance(led.basis.times, tuple):      # one time
-            entries = np.flatnonzero(fmask), np.flatnonzero(rmask)
-            out["live_entries"] = b"".join(e.tobytes() for e in entries)
             ki, kj, i0, i1 = thermo._pair_indices(*entries, *fmask.shape[:2])
             n = led.n_anchor
             out["pair_weights"] = ((fwd[ki, i0, i1] / n).tobytes()
