@@ -32,9 +32,12 @@ class CliError(ValueError):
     """Unusable command-line input (exit code 2)."""
 
 
-def _csv_row(*values: float) -> str:
-    """Comma-separated values, each with 17 significant digits."""
-    return ",".join(["{:.17g}"] * len(values)).format(*values)
+def _csv_rows(*columns: np.ndarray) -> list[str]:
+    """The rows of equal-length ``columns`` as one CSV text formatted in one
+    ``%`` call, each value with 17 significant digits; none for no rows."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(columns))
+    return ["\n".join([row] * len(table)) % tuple(table.ravel().tolist())] if len(table) else []
 
 
 def _parse_tol(pairs, base: system.Tolerances) -> system.Tolerances:
@@ -167,22 +170,19 @@ def _heat_rows(ledgers: thermo.LedgerSet) -> list[str]:
     bins in descending heat order."""
     psi = thermo.psi_factor(ledgers)
     p_f, bins = psi.forward, ledgers.heat_bins
-
     # psi has a row for each forward bin above the floor, in bin order
     psi_by_bin = np.full(p_f.n_points, np.nan)
     psi_by_bin[p_f.probs > ledgers.floor] = psi.psi
-    columns = (p_f.scalar_points(), p_f.probs, psi.p_r, psi_by_bin)
-
-    rows = []
-    # a time's bins run in ascending heat order, so each is read backwards;
+    # a time's bins run in ascending heat order, so each is read backwards
+    lo, hi = bins.starts[:-1], bins.starts[1:]
+    order = (lo + hi - 1).repeat(hi - lo) - np.arange(p_f.n_points)
+    q, pf, pr = p_f.scalar_points()[order], p_f.probs[order], psi.p_r[order]
     # exp(Q * delta_beta) of a cold subsystem may read inf
-    with np.errstate(over="ignore"):
-        for t, lo, hi in zip(ledgers.basis.times, bins.starts[:-1], bins.starts[1:]):
-            for q, pf, pr_mirror, psi_q in zip(*(c[lo:hi][::-1].tolist() for c in columns)):
-                ratio = pf / pr_mirror if pr_mirror > ledgers.floor else float("nan")
-                rows.append(_csv_row(t, q, pf, pr_mirror, ratio,
-                                     np.exp(q * ledgers.delta_beta), psi_q))
-    return rows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(pr > ledgers.floor, pf / pr, np.nan)
+        exp_q = np.exp(q * ledgers.delta_beta)
+    return _csv_rows(np.repeat(ledgers.basis.times, hi - lo), q, pf, pr, ratio, exp_q,
+                     psi_by_bin[order])
 
 
 def cmd_heat(args) -> int:
@@ -242,9 +242,9 @@ def cmd_example(args) -> int:
         p_f, a_f, p_r, a_r = tables
         # np.maximum and np.max, unlike max, keep a NaN deviation
         deviations.append(np.maximum(np.abs(p_f - a_f), np.abs(p_r - a_r)).max())
-        for t, *rows in zip(block.times, *(table.tolist() for table in tables)):
-            lines.extend(_csv_row(t, q, *masses)
-                         for q, *masses in zip(qubit.HEAT_VALUES, *rows))
+        lines.extend(_csv_rows(np.repeat(block.times, len(qubit.HEAT_VALUES)),
+                               np.tile(qubit.HEAT_VALUES, len(block.times)),
+                               *(table.ravel() for table in tables)))
     _write_out(args, "\n".join(lines) + "\n")
     check = system.CheckResult("analytic_oracle_deviation", float(np.max(deviations)),
                                ORACLE_TOL)

@@ -56,6 +56,9 @@ FORWARD_QUANTITIES = ("i0", "j0", "c0", "sigma_a", "sigma_b", "gamma")
 #: quantities averaged over the reversed / final-measurement ensemble
 REVERSE_QUANTITIES = ("i1", "j1", "c1")
 
+#: the (first, last) overlap tables of each side's weights (P_k first) last
+_SIDES = {"forward": ("a0_table", "a1_table"), "reverse": ("b0_table", "b1_table")}
+
 
 def _pair_indices(fwd_live: np.ndarray, rev_live: np.ndarray, k: int,
                   m: int) -> tuple[np.ndarray, ...]:
@@ -97,10 +100,10 @@ class LedgerSet:
     for one time and (T,) for a block; the per-label tables of the t = 0
     half (``a0_table``, ``joint0``, ``pp0``, ``e_a0``, ``e_b0``) have
     none.  The forward and reverse weights of the K retained labels over
-    the cells, (P_k a0) a1 and (P_k b0) b1, are formed once, a chunk of
-    labels at a time (``_weight_chunks``), and never kept whole.  Kept are
-    their (m, m) sums over the labels, ``fwd_cells`` and ``rev_cells``, bit
-    for bit those of the whole tables, and their live entries (above the
+    the cells, (P_k a0) a1 and (P_k b0) b1, are formed once, one side and
+    one chunk of labels at a time (``_fold``), and never kept whole.  Kept
+    are their (m, m) sums over the labels, ``fwd_cells`` and ``rev_cells``,
+    bit for bit those of the whole tables, and their live entries (above the
     probability floor), ``fwd_live`` and ``rev_live``: ascending flat
     indices into (K,) + lead + (m, m), label first, 8 B per live entry.
     Every reader of liveness reads these lists: ``n_fwd`` and ``n_rev``
@@ -173,34 +176,13 @@ class LedgerSet:
         qb = self.e_b1[..., None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
 
-        # the weight tables are never whole: each chunk of labels adds its
-        # share of the per-cell sums, its live entries as flat indices into
-        # (K,) + lead + (m, m) and its live reverse weights, and is dropped
-        # once read, the forward chunk before the reverse one is.  A running
-        # sum goes into the chunk's first label row, and numpy reduces an
-        # outer axis as a left fold, so each sum is that of the whole table
-        # bit for bit (IEEE addition commutes, and no weight is -0.0)
-        fwd_live, rev_live, rev_weights = [], [], []
-        fwd_cells = rev_cells = 0.0
-        for labels, fwd, rev in self._weight_chunks():
-            offset = labels.start * fwd[0].size
-            fwd_live.append(np.flatnonzero(fwd > floor) + offset)
-            fwd[0] += fwd_cells
-            fwd_cells = fwd.sum(axis=0)
-            del fwd
-            live = np.flatnonzero(rev > floor)
-            rev_weights.append(rev.take(live))
-            rev_live.append(live + offset)
-            rev[0] += rev_cells
-            rev_cells = rev.sum(axis=0)
-            del rev
-        self.fwd_cells, self.rev_cells = fwd_cells, rev_cells
-        self.fwd_live, self.rev_live = np.concatenate(fwd_live), np.concatenate(rev_live)
-        del fwd_live, rev_live
+        # the weight tables are never whole: one fold per side forms them a
+        # chunk of labels at a time and keeps the per-cell sums and the live
+        # entries, and each chunk is dropped once read, the forward side's
+        # last before the reverse side's first is formed
+        self.fwd_cells, self.fwd_live, _ = self._fold("forward")
+        self.rev_cells, self.rev_live, rev_ret = self._fold("reverse")
         self.n_fwd, self.n_rev = self._per_cell(self.fwd_live), self._per_cell(self.rev_live)
-        # each cell's live reverse weights added in label order from 0.0,
-        # bit for bit the left fold over the labels of the masked table
-        rev_ret = self._per_cell(self.rev_live, np.concatenate(rev_weights))
 
         # per time: no live forward cell moves energy out of the pair
         leak = np.where(self.n_fwd > 0, np.abs(qa + qb), 0.0)
@@ -217,41 +199,54 @@ class LedgerSet:
         ln_c = np.log(np.where((self.n_fwd > 0) & (rev_ret > 0), self.cell_factor, 1.0))
         self.detailed_residual = np.abs(ln_c).max(axis=(-2, -1))[()]
 
-    def _weight_chunks(self):
-        """The forward and reverse weights of the retained labels, one
-        chunk of consecutive labels at a time, as (labels, fwd, rev):
-        ``labels`` a slice of positions in ``keep``, ``fwd`` = (P_k a0) a1
-        and ``rev`` = (P_k b0) b1 of shape (c,) + lead + (m, m), label
-        first.  A chunk holds as many labels as keep it within
+    def _fold(self, side: str) -> tuple[np.ndarray, ...]:
+        """The weights of one side of the retained labels, (P_k a0) a1
+        forward or (P_k b0) b1 reverse, folded one chunk of consecutive
+        labels at a time into (cells, live, live_mass): per (time, cell)
+        the sum over the labels, the live entries (above the probability
+        floor) as ascending flat indices into (K,) + lead + (m, m), label
+        first, and the sum of the live weights.
+
+        A chunk holds as many labels as keep it within
         ``bayesnet.BLOCK_ELEMENTS`` entries, and at least one, so a block
-        of a sweep is one chunk."""
-        # the per-label tables with the label axis first
-        a1, b0, b1 = (np.moveaxis(table, -2, 0)
-                      for table in (self.a1_table, self.b0_table, self.b1_table))
-        a0 = self.a0_table.reshape(self.a0_table.shape[:1] + (1,) * (a1.ndim - 2) + (-1,))
-        step = max(1, bayesnet.BLOCK_ELEMENTS // (self.n_times * self.pp0.size ** 2))
+        of a sweep is one chunk, and only one chunk exists at a time.  The
+        running sum goes into the chunk's first label row, and numpy
+        reduces an outer axis as a left fold, so ``cells`` is the sum of
+        the whole table bit for bit (IEEE addition commutes, and no weight
+        is -0.0); the live weights are added per cell in label order from
+        0.0, the left fold over the labels of the masked table."""
+        first, last = (np.moveaxis(getattr(self, name), -2, 0) for name in _SIDES[side])
+        # a0 has no time axis: broadcast it over the lead shape of a block
+        first = first.reshape(first.shape[:1] + (1,) * (last.ndim - first.ndim)
+                              + first.shape[1:])
+        size = self.q_a_tab.size                # (time, cell) entries per label
+        step = max(1, bayesnet.BLOCK_ELEMENTS // size)
+        cells, live, live_mass = 0.0, [], np.zeros(size)
         for lo in range(0, self.n_anchor, step):
-            labels = slice(lo, lo + step)
-            kp = self.keep[labels]
-            pops = self.pops[kp].reshape((-1,) + (1,) * a1.ndim)
-            yield (labels,
-                   (pops * a0[kp][..., :, None]) * a1[kp][..., None, :],
-                   pops * b0[kp][..., :, None] * b1[kp][..., None, :])
+            kp = self.keep[lo:lo + step]
+            pops = self.pops[kp].reshape((-1,) + (1,) * last.ndim)
+            chunk = (pops * first[kp][..., :, None]) * last[kp][..., None, :]
+            at = np.flatnonzero(chunk > self.floor)
+            np.add.at(live_mass, at % size, chunk.take(at))
+            live.append(at + lo * size)
+            chunk[0] += cells
+            cells = chunk.sum(axis=0)
+            del chunk
+        return cells, np.concatenate(live), live_mass.reshape(self.q_a_tab.shape)
 
     def _per_cell(self, live: np.ndarray, weights=None) -> np.ndarray:
         """Per (time, cell), the number of the live entries ``live``, or
         the sum of their ``weights`` in the order given."""
-        cells = self.n_times * self.pp0.size ** 2
+        cells = self.q_a_tab.size
         return np.bincount(live % cells, weights, cells).reshape(self.q_a_tab.shape)
 
     def _live_weights(self, live: np.ndarray, direction: str) -> tuple[np.ndarray, ...]:
         """The label populations P and the forward (P a0) a1 or reverse
         (P b0) b1 weights of one time at its live entries ``live``, taken
-        in the chunks' product order, so each has its chunk entry's bits."""
+        in the fold's product order, so each has its chunk entry's bits."""
         label, i0, i1 = np.unravel_index(live, (self.n_anchor,) + self.q_a_tab.shape)
         kp = self.keep[label]
-        first, last = ((self.a0_table, self.a1_table) if direction == "forward"
-                       else (self.b0_table, self.b1_table))
+        first, last = (getattr(self, name) for name in _SIDES[direction])
         pops = self.pops[kp]
         return pops, pops * first[kp, i0] * last[kp, i1]
 

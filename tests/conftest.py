@@ -1,7 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, qubit, thermo
+from qheatnet import bayesnet, qubit, randspec, thermo
+
+#: random instances of the acceptance bank
+N_RANDOM = 50
+EXAMPLE_TIMES = np.linspace(0.0, 2.0, 22)[1:]   # 21 positive times in (0, 2*tau]
 
 
 def ledgers_at(spec, t):
@@ -52,3 +58,34 @@ def correlated_spec():
 @pytest.fixture(scope="session")
 def product_spec():
     return qubit.build_example_spec(qubit.ExampleParams(correlated=False))
+
+
+@pytest.fixture(scope="session")
+def bank():
+    """The acceptance bank: the two-qubit example on both branches at
+    ``EXAMPLE_TIMES`` and ``N_RANDOM`` random instances with subsystem
+    dimensions 2 and 3, each as (name, spec, t, ledgers), and the time
+    it took to build."""
+    start = time.monotonic()
+    entries = []
+    for correlated in (True, False):
+        spec = qubit.build_example_spec(qubit.ExampleParams(correlated=correlated))
+        for t in EXAMPLE_TIMES:
+            entries.append(("example" if correlated else "example-product",
+                            spec, float(t), ledgers_at(spec, t)))
+    rng = np.random.default_rng(20240811)
+    dims = [(2, 2), (2, 3), (3, 2), (3, 3)]
+    for n in range(N_RANDOM):
+        da, db = dims[n % 4]
+        spec = randspec.random_spec(n, da, db, correlated=(n % 3 != 0))
+        t = float(rng.uniform(0.2, 3.0))
+        entries.append((f"random-{n}", spec, t, ledgers_at(spec, t)))
+    elapsed = time.monotonic() - start
+    return {"entries": entries, "elapsed": elapsed}
+
+
+@pytest.fixture(scope="session")
+def checks(bank):
+    """The relation checks of each bank entry, by record name."""
+    return [{c.name: c for c in thermo.relation_checks(led)}
+            for _, _, _, led in bank["entries"]]

@@ -1,55 +1,22 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion.
 
-The instance bank is shared across criteria: the solvable two-qubit
-example (both branches, 21 times spanning a full period) plus 50 random
-instances with subsystem dimensions 2 and 3.  Criteria 1, 2, 3, 8 (the
-channel-state half) and 9 read the records of ``thermo.relation_checks``,
-the list ``verify`` reports, by name.
+The instance bank (``conftest.bank``) is shared across criteria: the
+solvable two-qubit example (both branches, 21 times spanning a full
+period) plus 50 random instances with subsystem dimensions 2 and 3.
+Criteria 1, 2, 3, 8 (the channel-state half) and 9 read the records of
+``thermo.relation_checks``, the list ``verify`` reports, by name.
 """
 
-import time
-
 import numpy as np
-import pytest
 
-from qheatnet import bayesnet, qubit, randspec, thermo
-from conftest import ledgers_at
-
-N_RANDOM = 50
-EXAMPLE_TIMES = np.linspace(0.0, 2.0, 22)[1:]   # 21 positive times in (0, 2*tau]
+from qheatnet import bayesnet, qubit, thermo
+from conftest import EXAMPLE_TIMES, ledgers_at
 
 
 def _report(num, label, ok, detail=""):
     suffix = f" [{detail}]" if detail else ""
     print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"criterion {num} ({label}) failed{suffix}"
-
-
-@pytest.fixture(scope="module")
-def bank():
-    start = time.monotonic()
-    entries = []
-    for correlated in (True, False):
-        spec = qubit.build_example_spec(qubit.ExampleParams(correlated=correlated))
-        for t in EXAMPLE_TIMES:
-            entries.append(("example" if correlated else "example-product",
-                            spec, float(t), ledgers_at(spec, t)))
-    rng = np.random.default_rng(20240811)
-    dims = [(2, 2), (2, 3), (3, 2), (3, 3)]
-    for n in range(N_RANDOM):
-        da, db = dims[n % 4]
-        spec = randspec.random_spec(n, da, db, correlated=(n % 3 != 0))
-        t = float(rng.uniform(0.2, 3.0))
-        entries.append((f"random-{n}", spec, t, ledgers_at(spec, t)))
-    elapsed = time.monotonic() - start
-    return {"entries": entries, "elapsed": elapsed}
-
-
-@pytest.fixture(scope="module")
-def checks(bank):
-    """The relation checks of each bank entry, by record name."""
-    return [{c.name: c for c in thermo.relation_checks(led)}
-            for _, _, _, led in bank["entries"]]
 
 
 def _worst(checks, *names):

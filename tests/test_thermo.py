@@ -212,8 +212,9 @@ class TestPairIndices:
     def test_coherent_ledger_memory(self):
         # nearly every entry of the coherent D = 25 ladder is live, so the
         # kept lists near K m^2 entries of 8 B each: compute_ledgers was
-        # measured at 0.767 MiB (numpy 2.4, Linux x86-64; 0.40 MiB before
-        # the ledgers kept the lists); the bound leaves 10 % over it
+        # measured at 0.643 MiB (numpy 2.4, Linux x86-64; 0.40 MiB before
+        # the ledgers kept the lists, 0.767 MiB while both sides' chunks
+        # were formed together); the bound leaves 10 % over it
         spec = _shell_ladder_spec(5, seed=0, coherent=True)
         led = ledgers_at(spec, 0.9)
         assert led.fwd_live.size > 0.99 * led.n_anchor * led.pp0.size ** 2
@@ -224,26 +225,26 @@ class TestPairIndices:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 0.767 * 2 ** 20
+        assert peak < 1.1 * 0.643 * 2 ** 20
 
     def test_weight_chunks_formed_once(self, correlated_spec, monkeypatch):
-        # the ledgers' one pass over the chunks decides liveness; the joint
-        # FT, psi and the gamma mean read its lists and per-cell tables
+        # the ledgers' one fold per side decides liveness; the joint FT,
+        # psi and the gamma mean read its lists and per-cell tables
         calls = []
-        chunks = thermo.LedgerSet._weight_chunks
+        fold = thermo.LedgerSet._fold
 
-        def counted(led):
-            calls.append(led)
-            return chunks(led)
-        monkeypatch.setattr(thermo.LedgerSet, "_weight_chunks", counted)
+        def counted(led, side):
+            calls.append(side)
+            return fold(led, side)
+        monkeypatch.setattr(thermo.LedgerSet, "_fold", counted)
         for spec in (randspec.random_spec(0, 8, 8), _shell_ladder_spec(6, 3),
                      correlated_spec):
             led = ledgers_at(spec, 1.0)
-            assert len(calls) == 1
+            assert calls == ["forward", "reverse"]
             thermo.relation_checks(led)
             thermo.mean_quantity(led, "gamma")
             thermo.heat_distribution(led, "reverse")
-            assert len(calls) == 1
+            assert calls == ["forward", "reverse"]
             calls.clear()
 
     def test_ledger_memory_below_dense_mask(self):
@@ -714,8 +715,27 @@ class TestLabelChunks:
         k = led.n_anchor
         size = max(c for c in range(1, k) if -(-k // c) >= 3 and k % c)
         monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", size * led.n_times * led.pp0.size ** 2)
+        # each fold reads its chunks' labels as slices of ``keep``
+        sizes, fold = [], thermo.LedgerSet._fold
+
+        class Keep(np.ndarray):
+            def __getitem__(self, index):
+                labels = self.view(np.ndarray)[index]
+                if isinstance(index, slice):
+                    sizes.append(labels.size)
+                return labels
+
+        def recorded(led, side):
+            led.keep = led.keep.view(Keep)
+            try:
+                return fold(led, side)
+            finally:
+                led.keep = led.keep.view(np.ndarray)
+        monkeypatch.setattr(thermo.LedgerSet, "_fold", recorded)
         chunked = thermo.compute_ledgers(led.basis)
-        sizes = [len(range(k)[labels]) for labels, _, _ in chunked._weight_chunks()]
+        half = len(sizes) // 2
+        assert sizes[:half] == sizes[half:]             # forward, then reverse
+        sizes = sizes[:half]
         assert len(sizes) >= 3 and sizes[:-1] == [size] * (len(sizes) - 1)
         assert 0 < sizes[-1] < size
         got = self.outputs(chunked)
