@@ -2,7 +2,14 @@
 
 Binning rule: a sample x lands in the bin keyed by the integer vector
 ``round(x / binning)``, and samples share a bin exactly when their keys
-agree in every coordinate.  ``np.round`` is odd-symmetric, so negating
+agree in every coordinate.  The bins are found with one sort:
+``DiscreteDistribution._binned`` folds the keys of a sample, a group label
+first, into one int64 composite in their lexicographic order, each key
+shifted to start at 0; where the product of the key widths would reach
+2**62, the composite so far or the new key is replaced by its dense
+rank, which keeps the order.  The bins are the runs of the sorted
+composite, numbered in key order, each with its least input index as its
+first sample.  ``np.round`` is odd-symmetric, so negating
 some coordinates of every sample negates the same key coordinates and
 leaves the partition of the samples into bins unchanged: the mirror
 image of a bin is one bin of the mirrored samples.  The relation checks
@@ -26,6 +33,41 @@ __all__ = ["Bins", "DiscreteDistribution"]
 
 #: bin keys are int64; |x| / binning must stay below this so none wraps
 _KEY_LIMIT = 2.0 ** 62
+
+
+def _keys(vals: np.ndarray, binning: float, group):
+    """The int64 keys of the binning rule, a ``group`` label first, then
+    ``round(x / binning)`` of each column, each shifted to start at 0 and
+    given with its width, its largest value plus one."""
+    if group is not None:
+        yield _shifted(np.asarray(group))
+    for column in vals.T:
+        scaled = column / binning
+        # np.rint: the rounding of np.round to integers, without its wrapper
+        yield _shifted(np.rint(scaled, out=scaled))
+
+
+def _shifted(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """``key`` less its least value as int64, and its width.  Raises
+    ValueError for a key that is not finite or reaches 2**62."""
+    low, high = (key.min(), key.max()) if key.size else (0, 0)
+    if not -_KEY_LIMIT < low <= high < _KEY_LIMIT:
+        raise ValueError(
+            "cannot bin non-finite values or values with |x| / binning >= 2**62")
+    return (np.subtract(key, low, dtype=np.int64, casting="unsafe"),
+            int(high) - int(low) + 1)
+
+
+def _rank(key: np.ndarray) -> int:
+    """Replace ``key`` in place by its dense rank, 0 for its least value,
+    and return the number of distinct values."""
+    order = np.argsort(key)
+    ranked = key[order]
+    # the rank of a sorted entry is the number of changes before it
+    np.add.accumulate(ranked[1:] != ranked[:-1], dtype=np.int64, out=ranked[1:])
+    ranked[:1] = 0
+    key[order] = ranked
+    return int(ranked[-1]) + 1 if len(ranked) else 0
 
 
 @dataclass(frozen=True)
@@ -99,28 +141,30 @@ class DiscreteDistribution:
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        # the int64 keys one column at a time, a group label first
-        keys = [] if group is None else [np.asarray(group, dtype=np.int64)]
-        for column in vals.T:
-            scaled = column / binning
-            if not np.all(np.abs(scaled) < _KEY_LIMIT):
-                raise ValueError(
-                    "cannot bin non-finite values or values with |x| / binning >= 2**62")
-            keys.append(np.round(scaled, out=scaled).astype(np.int64))
-        order = np.lexsort(keys[::-1])
-        # first sample of each bin in key order (none without samples): a
-        # sample heads a bin when any key differs from its predecessor's
-        heads = np.zeros(len(vals), dtype=bool)
-        heads[:1] = True
-        for key in keys:
-            ranked = key[order]
-            heads[1:] |= ranked[1:] != ranked[:-1]
-        bin_id = np.empty(len(vals), dtype=np.intp)
-        bin_id[order] = np.cumsum(heads) - 1
-        first = order[heads]
+        # the keys folded into one int64 composite in their lexicographic
+        # order, a key at a time: the composite so far times the key's
+        # width, plus the key.  Where the product of the widths would reach
+        # 2**62, the wider of the two is replaced by its dense rank first,
+        # and the other too if that is not enough
+        keys = _keys(vals, binning, group)
+        composite, span = next(keys)
+        for key, width in keys:
+            if span * width >= _KEY_LIMIT and span >= width:
+                span = _rank(composite)
+            if span * width >= _KEY_LIMIT:
+                width = _rank(key)
+            if span * width >= _KEY_LIMIT:
+                span = _rank(composite)
+            composite *= width
+            composite += key
+            span *= width
+        # the bin of a sample is the dense rank of its composite, and the
+        # first sample of a bin the least input index in it
+        first = np.full(_rank(composite), len(vals))
+        np.minimum.at(first, composite, np.arange(len(vals)))
         starts = (np.array([0, len(first)]) if group is None
-                  else np.searchsorted(keys[0][first], np.arange(group.max() + 2)))
-        return Bins(values=vals, bin_id=bin_id, first=first, binning=binning, starts=starts)
+                  else np.searchsorted(np.asarray(group)[first], np.arange(group.max() + 2)))
+        return Bins(values=vals, bin_id=composite, first=first, binning=binning, starts=starts)
 
     @classmethod
     def _collect(cls, bins: "Bins", weights) -> "DiscreteDistribution":
@@ -131,14 +175,19 @@ class DiscreteDistribution:
             raise ValueError("values and weights length mismatch")
         nbins = len(first)
         probs = bins.masses(w)
-        # weighted mean location within each bin (spread < binning); a bin
-        # without mass keeps its first sample
+        # weighted mean location within each bin (spread < binning), a column
+        # at a time: the weighted sums are added per bin in input order from
+        # 0.0, as ``masses`` adds, straight into the column, through one
+        # product buffer.  A bin without mass keeps its first sample
         positive = probs > 0
-        pts = vals[first]
-        for j in range(vals.shape[1]):
-            num = np.bincount(bin_id, weights=w * vals[:, j], minlength=nbins)
-            with np.errstate(invalid="ignore"):
-                np.divide(num, probs, out=pts[:, j], where=positive)
+        empty = np.flatnonzero(~positive)
+        pts = np.zeros((nbins, vals.shape[1]), order="F")
+        product = np.empty_like(w)
+        with np.errstate(invalid="ignore"):
+            for column, values in zip(pts.T, vals.T):
+                np.add.at(column, bin_id, np.multiply(w, values, out=product))
+                np.divide(column, probs, out=column, where=positive)
+                column[empty] = values[first[empty]]
         return cls(points=pts, probs=probs, binning=bins.binning)
 
     @property

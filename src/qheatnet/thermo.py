@@ -20,6 +20,7 @@ silently lose the 0 * inf contributions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -62,9 +63,9 @@ _SIDES = {"forward": ("a0_table", "a1_table"), "reverse": ("b0_table", "b1_table
 
 def _pair_indices(fwd_live: np.ndarray, rev_live: np.ndarray, k: int,
                   m: int) -> tuple[np.ndarray, ...]:
-    """Index arrays (ki, kj, i0, i1) of the retained augmented pairs of
-    one time, from the live entries of its forward and reverse (K, m, m)
-    weight tables, each given as ascending flat indices.
+    """Index arrays (ki, kj, i0, i1), int32, of the retained augmented
+    pairs of one time, from the live entries of its forward and reverse
+    (K, m, m) weight tables, each given as ascending flat indices.
 
     A pair joins a live forward cell (ki, i0, i1) with a live reverse
     cell (kj, i0, i1) on the same outcomes, in the lexicographic order of
@@ -77,19 +78,27 @@ def _pair_indices(fwd_live: np.ndarray, rev_live: np.ndarray, k: int,
     fk, fc = np.divmod(fwd_live, cells)
     rk, rc = np.divmod(rev_live, cells)
     # reverse entries grouped by cell, kj ascending inside a cell
-    by_cell = np.argsort(rc, kind="stable")
-    rc, rk = rc[by_cell], rk[by_cell]
+    rc, rk = np.divmod(np.sort(rc * k + rk), k)
     per_cell = np.bincount(rc, minlength=cells)
     cell_start = per_cell.cumsum() - per_cell
     fan = per_cell[fc]                      # reverse labels per forward entry
     run_start = fan.cumsum() - fan
-    kj = rk[(cell_start[fc] - run_start).repeat(fan) + np.arange(fan.sum())]
-    key = (fk.repeat(fan) * k + kj) * cells + fc.repeat(fan)
+    # the pair keys ((ki k + kj) m + i0) m + i1, built and sorted in place
+    key = (cell_start[fc] - run_start).repeat(fan)
+    key += np.arange(key.size)
+    key = rk[key]
+    key += (fk * k).repeat(fan)
+    key *= cells
+    key += fc.repeat(fan)
     key.sort()
-    ki_kj, cell = np.divmod(key, cells)
-    ki, kj = np.divmod(ki_kj, k)
-    i0, i1 = np.divmod(cell, m)
-    return ki, kj, i0, i1
+    parts = []
+    for base in (m, m, k):
+        high = key // base
+        key -= high * base
+        parts.append(key.astype(np.int32))
+        key = high
+    i1, i0, kj = parts
+    return key.astype(np.int32), kj, i0, i1
 
 
 class LedgerSet:
@@ -106,9 +115,9 @@ class LedgerSet:
     bit for bit those of the whole tables, and their live entries (above the
     probability floor), ``fwd_live`` and ``rev_live``: ascending flat
     indices into (K,) + lead + (m, m), label first, 8 B per live entry.
-    Every reader of liveness reads these lists: ``n_fwd`` and ``n_rev``
-    count the live labels per cell, and the joint FT and the gamma mean
-    gather from them.  Per cell, ``pair_mass`` is the reverse weight of
+    The fold counts the live labels per cell as it lists them, ``n_fwd``
+    and ``n_rev``, and the joint FT and the gamma mean gather from the
+    lists.  Per cell, ``pair_mass`` is the reverse weight of
     the augmented pairs, live forward labels x retained reverse mass / K,
     and ``cell_factor`` is c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).
     ``all_energy_conserving`` and ``detailed_residual`` have the time
@@ -172,17 +181,17 @@ class LedgerSet:
         # the athermality terms' marginals and thermal weights per cell at t
         self.pa1_cell, self.pth_a1_cell = marg.a_1[..., a0idx], thermal(ga, self.e_a1)[..., a0idx]
         self.pb1_cell, self.pth_b1_cell = marg.b_1[..., b0idx], thermal(gb, self.e_b1)[..., b0idx]
+
+        # the weight tables are never whole: one fold per side forms them a
+        # chunk of labels at a time and keeps the per-cell sums, the live
+        # entries and their counts, and each chunk is dropped once read, the
+        # forward side's last before the reverse side's first is formed.
+        # The heat tables are formed after the folds, which do not read them
+        self.fwd_cells, self.fwd_live, _, self.n_fwd = self._fold("forward")
+        self.rev_cells, self.rev_live, rev_ret, self.n_rev = self._fold("reverse")
         qa = self.e_a1[..., None, a0idx] - self.e_a0[a0idx][:, None]
         qb = self.e_b1[..., None, b0idx] - self.e_b0[b0idx][:, None]
         self.q_a_tab, self.q_b_tab = qa, qb
-
-        # the weight tables are never whole: one fold per side forms them a
-        # chunk of labels at a time and keeps the per-cell sums and the live
-        # entries, and each chunk is dropped once read, the forward side's
-        # last before the reverse side's first is formed
-        self.fwd_cells, self.fwd_live, _ = self._fold("forward")
-        self.rev_cells, self.rev_live, rev_ret = self._fold("reverse")
-        self.n_fwd, self.n_rev = self._per_cell(self.fwd_live), self._per_cell(self.rev_live)
 
         # per time: no live forward cell moves energy out of the pair
         leak = np.where(self.n_fwd > 0, np.abs(qa + qb), 0.0)
@@ -202,10 +211,10 @@ class LedgerSet:
     def _fold(self, side: str) -> tuple[np.ndarray, ...]:
         """The weights of one side of the retained labels, (P_k a0) a1
         forward or (P_k b0) b1 reverse, folded one chunk of consecutive
-        labels at a time into (cells, live, live_mass): per (time, cell)
-        the sum over the labels, the live entries (above the probability
-        floor) as ascending flat indices into (K,) + lead + (m, m), label
-        first, and the sum of the live weights.
+        labels at a time into (cells, live, live_mass, count): per (time,
+        cell) the sum over the labels, the live entries (above the
+        probability floor) as ascending flat indices into (K,) + lead +
+        (m, m), label first, the sum of the live weights and their number.
 
         A chunk holds as many labels as keep it within
         ``bayesnet.BLOCK_ELEMENTS`` entries, and at least one, so a block
@@ -219,24 +228,30 @@ class LedgerSet:
         # a0 has no time axis: broadcast it over the lead shape of a block
         first = first.reshape(first.shape[:1] + (1,) * (last.ndim - first.ndim)
                               + first.shape[1:])
-        size = self.q_a_tab.size                # (time, cell) entries per label
+        shape = last.shape[1:] + last.shape[-1:]   # (time, cell): lead + (m, m)
+        size = math.prod(shape)
         step = max(1, bayesnet.BLOCK_ELEMENTS // size)
-        cells, live, live_mass = 0.0, [], np.zeros(size)
+        cells, live = 0.0, []
+        live_mass, count = np.zeros(size), np.zeros(size, dtype=np.intp)
         for lo in range(0, self.n_anchor, step):
             kp = self.keep[lo:lo + step]
             pops = self.pops[kp].reshape((-1,) + (1,) * last.ndim)
             chunk = (pops * first[kp][..., :, None]) * last[kp][..., None, :]
             at = np.flatnonzero(chunk > self.floor)
-            np.add.at(live_mass, at % size, chunk.take(at))
+            weights = chunk.take(at)
             live.append(at + lo * size)
+            at %= size                          # the (time, cell) of each
+            np.add.at(live_mass, at, weights)
+            del weights
+            count += np.bincount(at, minlength=size)
             chunk[0] += cells
             cells = chunk.sum(axis=0)
             del chunk
-        return cells, np.concatenate(live), live_mass.reshape(self.q_a_tab.shape)
+        return cells, np.concatenate(live), live_mass.reshape(shape), count.reshape(shape)
 
-    def _per_cell(self, live: np.ndarray, weights=None) -> np.ndarray:
-        """Per (time, cell), the number of the live entries ``live``, or
-        the sum of their ``weights`` in the order given."""
+    def _per_cell(self, live: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per (time, cell), the sum of the ``weights`` of the live entries
+        ``live`` in the order given."""
         cells = self.q_a_tab.size
         return np.bincount(live % cells, weights, cells).reshape(self.q_a_tab.shape)
 
@@ -435,15 +450,15 @@ def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
     tables are taken with divide and invalid warnings off: an entry that
     no pair reads may have a zero overlap or marginal, and so a log of
     -inf or NaN."""
-    ki, kj, i0, i1 = _pair_indices(ledgers.fwd_live, ledgers.rev_live, ledgers.n_anchor,
-                                   ledgers.pp0.size)
+    m = ledgers.pp0.size
+    ki, kj, i0, i1 = _pair_indices(ledgers.fwd_live, ledgers.rev_live, ledgers.n_anchor, m)
     kp, n = ledgers.keep, ledgers.n_anchor
-    a0, a1 = ledgers.a0_table[kp], ledgers.a1_table[kp]
-    b0, b1 = ledgers.b0_table[kp], ledgers.b1_table[kp]
-    pops = ledgers.pops[kp]
-    # the weights in the products of the ledgers' chunks, (P a0) a1 and (P b0) b1
-    w_f = pops[ki] * a0[ki, i0] * a1[ki, i1] / n
-    w_r = pops[kj] * b0[kj, i0] * b1[kj, i1] / n
+
+    def flat(high, low):
+        # the flat int32 index high * m + low into an (high, low) table
+        index = high * m
+        index += low
+        return index
 
     def table(name):
         # over (retained label, cell) of the term's time, or (cell,) for a
@@ -453,17 +468,36 @@ def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
         # i = j + c: the classical part plus the coherent part
         col_i0, col_i1 = table("j0") + table("c0"), table("j1") + table("c1")
         sigma_a, sigma_b = table("sigma_a"), table("sigma_b")
-        ln_a0, ln_a1, ln_b0, ln_b1 = map(np.log, (a0, a1, b0, b1))
-    samples = np.empty((ki.size, 3))
+        ln_a0, ln_a1, ln_b0, ln_b1 = (np.log(getattr(ledgers, name)[kp]) for name in
+                                      ("a0_table", "a1_table", "b0_table", "b1_table"))
+    samples = np.empty((ki.size, 3), order="F")
     q, col_k, col_gamma = samples.T
-    q[:] = ledgers.q_a_tab[i0, i1]
+    # every table is read flat, at label * m + outcome for a (retained label,
+    # outcome) table: f0 and f1 at the forward label, r0 and r1 at the anchor
+    cell = flat(i0, i1)
+    q[:] = ledgers.q_a_tab.take(cell)
+    del cell
+    f0, r1 = flat(ki, i0), flat(kj, i1)
     # a term at time 0 reads the forward label, one at t the anchor
-    np.subtract(col_i1[kj, i1], col_i0[ki, i0], out=col_k)
-    col_k += sigma_a[i1]
-    col_k += sigma_b[i1]
-    np.add(ln_a0[ki, i0], ln_a1[ki, i1], out=col_gamma)
-    col_gamma -= ln_b0[kj, i0]
-    col_gamma -= ln_b1[kj, i1]
+    np.subtract(col_i1.take(r1), col_i0.take(f0), out=col_k)
+    col_k += sigma_a.take(i1)
+    col_k += sigma_b.take(i1)
+    f1, r0 = flat(ki, i1), flat(kj, i0)
+    del i0, i1
+    np.add(ln_a0.take(f0), ln_a1.take(f1), out=col_gamma)
+    col_gamma -= ln_b0.take(r0)
+    col_gamma -= ln_b1.take(r1)
+    # the weights in the products of the ledgers' chunks, (P a0) a1 and
+    # (P b0) b1, the first product once per (label, outcome); the (label,
+    # outcome) tables are taken again rather than kept beside their logs
+    pops = ledgers.pops[kp, None]
+    w_f = (pops * ledgers.a0_table[kp]).take(f0)
+    w_f *= ledgers.a1_table[kp].take(f1)
+    w_f /= n
+    del f0, f1
+    w_r = (pops * ledgers.b0_table[kp]).take(r0)
+    w_r *= ledgers.b1_table[kp].take(r1)
+    w_r /= n
     return ki, kj, samples, w_f, w_r
 
 

@@ -37,6 +37,34 @@ def dense_masks(led):
     return fwd > led.floor, rev > led.floor
 
 
+def reference_binned(values, binning, group=None):
+    """The binning rule by a lexsort over the int64 keys, a group label
+    first: (bin_id, first, starts) as ``DiscreteDistribution._binned``
+    gives them from its one composite key and one sort."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    keys = [] if group is None else [np.asarray(group, dtype=np.int64)]
+    for column in vals.T:
+        scaled = column / binning
+        if not np.all(np.abs(scaled) < 2.0 ** 62):
+            raise ValueError("cannot bin values with |x| / binning >= 2**62")
+        keys.append(np.round(scaled, out=scaled).astype(np.int64))
+    order = np.lexsort(keys[::-1])
+    # a sample heads a bin when any key differs from its predecessor's
+    heads = np.zeros(len(vals), dtype=bool)
+    heads[:1] = True
+    for key in keys:
+        ranked = key[order]
+        heads[1:] |= ranked[1:] != ranked[:-1]
+    bin_id = np.empty(len(vals), dtype=np.intp)
+    bin_id[order] = np.cumsum(heads) - 1
+    first = order[heads]
+    starts = (np.array([0, len(first)]) if group is None
+              else np.searchsorted(keys[0][first], np.arange(group.max() + 2)))
+    return bin_id, first, starts
+
+
 def dense_pair_indices(led):
     """``thermo._pair_indices`` of one time on the live entries of the
     dense reference masks."""

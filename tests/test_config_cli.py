@@ -11,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qheatnet import bayesnet, cli, config, linalg, qubit, randspec, system, thermo
+from qheatnet import (bayesnet, cli, config, distributions, linalg, qubit, randspec, system,
+                      thermo)
 from qheatnet.distributions import DiscreteDistribution
-from conftest import ledgers_at
+from conftest import ledgers_at, reference_binned
 
 
 @pytest.fixture()
@@ -226,6 +228,89 @@ class TestDistribution:
     def test_unbinnable_values_rejected(self, values):
         with pytest.raises(ValueError, match="2\\*\\*62"):
             DiscreteDistribution.from_samples(np.array(values), np.array([0.2, 0.3, 0.5]))
+
+
+class TestBinningRule:
+    """``DiscreteDistribution._binned``, one composite key and one sort,
+    against the lexsort over the keys (``conftest.reference_binned``)."""
+
+    @staticmethod
+    def assert_matches_reference(values, binning, group=None):
+        bins = DiscreteDistribution._binned(values, binning, group)
+        for name, want in zip(("bin_id", "first", "starts"),
+                              reference_binned(values, binning, group)):
+            got = getattr(bins, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        return bins
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 3), grouped=st.booleans(),
+           binning=st.sampled_from([0.25, 1e-9, 1e-16]))
+    def test_drawn_samples(self, data, k, grouped, binning):
+        # few keys, so bins share leading coordinates, with negatives, both
+        # zeros and offsets on and next to the rounding boundary (k + 1/2)
+        size = data.draw(st.integers(1, 40))
+        entry = st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.builds(lambda key, offset: (key + offset) * binning, st.integers(-3, 3),
+                      st.sampled_from([0.0, 0.2, -0.3, 0.5, -0.5, 0.4999999, -0.5000001])))
+        values = np.array(data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                             min_size=size, max_size=size)))
+        group = (np.array(data.draw(st.lists(st.integers(0, 3), min_size=size,
+                                             max_size=size)))
+                 if grouped else None)
+        self.assert_matches_reference(values, binning, group)
+
+    @pytest.mark.parametrize("values", [np.empty(0), np.empty((0, 3)), [0.7], [[-0.0, 1.5]]])
+    def test_no_sample_and_one_sample(self, values):
+        bins = self.assert_matches_reference(values, 1e-9)
+        assert len(bins.first) == len(values)
+        if len(values):
+            self.assert_matches_reference(values, 1e-9, np.array([2]))
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("scales", [(100.0, 100.0, 100.0), (29.0, 115.0)])
+    def test_key_spans_past_two_to_the_62_run_the_rank_step(self, scales, grouped,
+                                                             monkeypatch):
+        # columns of |x| about 100 at binning 1e-16 span about 2**61 keys
+        # each: the composite so far is replaced by its dense rank.  After a
+        # first column of about 2**59 keys the wider second is ranked, and
+        # then the composite too
+        ranked = []
+        rank = distributions._rank
+
+        def counted(key):
+            ranked.append(key.size)
+            return rank(key)
+        monkeypatch.setattr(distributions, "_rank", counted)
+        rng = np.random.default_rng(5)
+        pool = rng.uniform(-1.0, 1.0, (12, len(scales))) * scales
+        values = pool[rng.integers(0, 12, 300)]
+        values[::7, 1] = pool[0, 1] + 1e-14         # ties in some columns only
+        group = rng.integers(0, 3, 300) if grouped else None
+        bins = self.assert_matches_reference(values, 1e-16, group)
+        assert len(ranked) > 2                      # rank steps and the final sort
+        assert 1 < len(bins.first) < 300
+
+    def test_keys_far_from_zero(self):
+        # keys near 2**40 and -2**41 whose widths multiply to about 2**41:
+        # the composite fits in int64 only because each key is shifted to
+        # start at 0; unshifted, 2**40 times the second width passes 2**63
+        first, second = 2.0 ** 40 + np.array([0.0, 2.0 ** 18]), -(2.0 ** 41) + np.array(
+            [0.0, 2.0 ** 23])
+        values = np.array([[first[i], second[j]]
+                           for i, j in [(1, 0), (0, 1), (1, 1), (0, 0), (1, 0)]])
+        bins = self.assert_matches_reference(values, 1.0)
+        assert bins.bin_id.tolist() == [2, 1, 3, 0, 2]
+
+    @pytest.mark.parametrize("values", [[2.0 ** 62], [-(2.0 ** 62)], [[0.0, -np.inf]],
+                                        [[np.nan, 0.0]]])
+    def test_key_limit_and_non_finite_rejected(self, values):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            DiscreteDistribution._binned(values, 1.0)
+        below = np.nextafter(2.0 ** 62, 0.0)
+        self.assert_matches_reference([below, -below, 0.0], 1.0)
 
 
 def _fresh_cli(argv, *flags) -> subprocess.CompletedProcess:
@@ -502,9 +587,10 @@ class TestCli:
     #: reverse chunk while forming the next, 1.21, 1.57, 1.96 and 1.87 MiB,
     #: the joint FT 1.14 MiB; while the ledgers formed the forward and
     #: reverse chunks of each label chunk together, 0.85, 1.43 and 1.45 MiB
-    #: for compute_ledgers, verify and heat: all above these bounds
+    #: for compute_ledgers, verify and heat; while the joint FT sorted its
+    #: keys by a lexsort, 0.36 MiB for the joint FT: all above these bounds
     SOFT_CAP_PEAK_MIB = {"compute_ledgers": 0.65, "gamma_mean": 0.20,
-                         "joint_distribution": 0.36, "verify": 1.30, "heat": 1.25}
+                         "joint_distribution": 0.31, "verify": 1.30, "heat": 1.25}
 
     @classmethod
     def soft_cap_bound(cls, name) -> float:

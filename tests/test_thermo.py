@@ -124,7 +124,7 @@ class TestPairIndices:
         want = _dense_pairs(fmask, rmask)
         assert len(got) == 4
         for g, w in zip(got, want):
-            assert g.dtype == np.intp
+            assert g.dtype == np.int32
             assert np.array_equal(g, w)
 
     @classmethod
@@ -167,7 +167,7 @@ class TestPairIndices:
         rmask[:, 1, 1] = True       # live cells, but never the same outcomes
         for f, r in ((fmask, rmask), (fmask, np.zeros_like(rmask))):
             got = thermo._pair_indices(np.flatnonzero(f), np.flatnonzero(r), 3, 2)
-            assert [g.dtype for g in got] == [np.intp] * 4
+            assert [g.dtype for g in got] == [np.int32] * 4
             assert [g.size for g in got] == [0] * 4
             self.assert_matches_dense(f, r)
 
@@ -192,9 +192,10 @@ class TestPairIndices:
     def test_coherent_joint_memory_per_pair(self):
         # chi with coherences across the shells at D = 25: nearly every
         # (label, cell) entry is live, so the joint FT holds about 4e5
-        # pairs, each its own bin.  Measured at 113 B per pair (numpy 2.4,
-        # Linux x86-64; 160 B before its pair arrays were freed as read);
-        # the bound leaves 10 % over the measurement
+        # pairs, each its own bin.  Measured at 97 B per pair (numpy 2.4,
+        # Linux x86-64; 160 B before its pair arrays were freed as read,
+        # 113 B while the weighted sums of a bin's location were formed
+        # apart from its column); the bound leaves 10 % over the measurement
         spec = _shell_ladder_spec(5, seed=0, coherent=True)
         assert system.validate(spec).passed
         led = ledgers_at(spec, 0.9)
@@ -207,7 +208,24 @@ class TestPairIndices:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 113 * led.n_pairs
+        assert peak < 1.1 * 97 * led.n_pairs
+
+    def test_shell_ladder_joint_memory(self):
+        # the D = 64 shell-block ladder of the ``wide`` benchmark family:
+        # 13 448 pairs in 13 443 bins.  Measured at 1.25 MiB (numpy 2.4,
+        # Linux x86-64; 1.45 MiB with the three-key lexsort and the
+        # weighted sums formed apart from the location columns); the bound
+        # leaves 10 % over the measurement
+        led = ledgers_at(_shell_ladder_spec(8, seed=8), 1.0)
+        assert led.n_pairs == 13448
+        thermo.joint_distribution(led)
+        tracemalloc.start()
+        try:
+            thermo.joint_distribution(led)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 1.25 * 2 ** 20
 
     def test_coherent_ledger_memory(self):
         # nearly every entry of the coherent D = 25 ladder is live, so the
