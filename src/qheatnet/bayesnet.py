@@ -9,9 +9,9 @@ and these (D, d_A, d_B) overlap tables are the whole two-time ensemble:
 a path (s, a_0 b_0, a_1 b_1) weighs P_s times one overlap per time.
 Everything at t = 0 is independent of t.  A basis holds the time-t half
 of one time or of a block of times: its time-t arrays carry the leading
-shape of its times, none for one time and (T,) for a block, so a sweep
-builds the t = 0 half once and adds the time-t half one block at a time
-through the same lines as one time.
+shape of its times, none for one time and (T,) for a block.  Only
+``sweep_blocks`` builds a time-t half, one block at a time on one t = 0
+half; a basis of one time is a block's time read off (``BasisSet.at``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "MarginalTables",
     "BLOCK_ELEMENTS",
     "build_bases",
-    "time_bases",
     "sweep_blocks",
     "reverse_overlap_tables",
     "local_marginals",
@@ -110,6 +109,22 @@ class BasisSet:
     def dim(self) -> int:
         return self.populations.shape[0]
 
+    def at(self, k: int) -> BasisSet:
+        """Time ``k`` of a block as a basis of that one time, with no time
+        axis: every time-t array read at ``k``, the t = 0 half shared."""
+        def pick(t0, tt):
+            if isinstance(tt, linalg.EigenSystem):
+                return t0, linalg.EigenSystem(tt.values[k], tt.vectors[k])
+            return t0, tt[k]
+        return BasisSet(spec=self.spec, times=self.times[k], populations=self.populations,
+                        gibbs_a=self.gibbs_a, gibbs_b=self.gibbs_b,
+                        **{name: pick(*getattr(self, name)) for name in _TIME_PAIRS})
+
+
+#: the fields of a basis that pair its t = 0 half with its time-t half
+_TIME_PAIRS = ("global_vectors", "local_a", "local_b", "energies_a", "energies_b",
+               "overlaps", "unitaries")
+
 
 def _product_vectors(vecs_a: np.ndarray, vecs_b: np.ndarray) -> np.ndarray:
     """Columns |a b> of the product of two local bases, a-major: the
@@ -145,29 +160,51 @@ def _local_frame(spec: system.BipartiteSpec, populations: np.ndarray, vecs: np.n
     return ea, eb, energy_a, energy_b, _overlap_table(ea.vectors, eb.vectors, vecs)
 
 
-def _time_independent_half(spec: system.BipartiteSpec):
-    """Build the half of ``spec``'s bases that no time changes: the
-    validated initial state and its Gibbs states, the global eigensystem,
-    the eigensystem of ``h_int`` and the t = 0 local frame.  Return the
-    populations and a function adding the time-t half for one time, or
-    for a tuple of times in one stacked numpy pass each: U(t), the
-    evolved vectors, the reduced states and their tie-broken
-    eigensystems, the local energies and the overlap table."""
+def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
+    """Diagonalize the global state once and the reduced states at t = 0
+    and at the grid's one time t, with Hamiltonian tie-breaking inside
+    degenerate blocks: the one time of ``sweep_blocks``' one block, with
+    no time axis.  A grid of more than one time raises ValueError."""
+    if grid.n_steps != 1:
+        raise ValueError("build_bases needs a grid of exactly one time (a two-time basis)")
+    return next(sweep_blocks(spec, grid.times)).at(0)
+
+
+def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:
+    """Yield the two-time bases of ``times`` in order, in blocks of
+    consecutive times, each one basis with a (T_b,) time axis.
+
+    The list is checked as one ``TimeGrid`` (ValueError unless finite,
+    >= 0 and strictly increasing) and the half no time changes is built
+    once, before the first block: the validated initial state and its
+    Gibbs states, the global eigensystem, that of ``h_int`` and the t = 0
+    local frame.  A block adds its time-t half (U(t), the evolved vectors,
+    the reduced states' tie-broken eigensystems, the local energies and
+    the overlap table) in one stacked numpy pass each, and holds as many
+    times as keep its ledger tables within ``BLOCK_ELEMENTS`` entries,
+    and at least one.  A stacked operation gives each member the bits of
+    the one-time operation, so ``block.at(k)`` is the basis of that time
+    alone bit for bit, whatever the block size.  The blocks share the
+    t = 0 arrays: treat them as read-only.
+    """
+    times = TimeGrid(tuple(times)).times
     start = system.initial_state(spec)
     glob = linalg.hermitian_eigendecompose(start.rho, tiebreak=spec.h_total)
-    gibbs_a, gibbs_b = start.gibbs_a, start.gibbs_b     # the bases keep these, not rho_0
     populations = np.clip(glob.values, 0.0, None)
     generator = linalg.hermitian_eigendecompose(spec.h_int)
     ea0, eb0, energy_a0, energy_b0, overlap0 = _local_frame(spec, populations, glob.vectors)
     identity = np.eye(spec.dim, dtype=complex)
-
-    def basis_at(times) -> BasisSet:
-        u = linalg.unitary_from_eigensystem(generator, times)
+    # no label above the floor fails in the ledgers; size such blocks as one
+    kept = max(1, np.count_nonzero(populations > spec.tol.probability_floor))
+    size = max(1, BLOCK_ELEMENTS // (kept * spec.dim ** 2))
+    for lo in range(0, len(times), size):
+        block = times[lo:lo + size]
+        u = linalg.unitary_from_eigensystem(generator, block)
         vecs = u @ glob.vectors
         ea, eb, energy_a, energy_b, overlap = _local_frame(spec, populations, vecs)
-        return BasisSet(
+        yield BasisSet(
             spec=spec,
-            times=times,
+            times=block,
             populations=populations,
             global_vectors=(glob.vectors, vecs),
             local_a=(ea0, ea),
@@ -176,56 +213,9 @@ def _time_independent_half(spec: system.BipartiteSpec):
             energies_b=(energy_b0, energy_b),
             overlaps=(overlap0, overlap),
             unitaries=(identity, u),
-            gibbs_a=gibbs_a,
-            gibbs_b=gibbs_b,
+            gibbs_a=start.gibbs_a,        # the thermal states, not rho_0
+            gibbs_b=start.gibbs_b,
         )
-    return populations, basis_at
-
-
-def build_bases(spec: system.BipartiteSpec, grid: TimeGrid) -> BasisSet:
-    """Diagonalize the global state once and the reduced states at t = 0
-    and at the grid's one time t, with Hamiltonian tie-breaking inside
-    degenerate blocks.  The basis has no time axis.  A grid of more than
-    one time raises ValueError."""
-    if grid.n_steps != 1:
-        raise ValueError("build_bases needs a grid of exactly one time (a two-time basis)")
-    return next(time_bases(spec, grid.times))
-
-
-def time_bases(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:
-    """Yield the two-time basis of each of ``times`` in order, each that
-    of ``build_bases`` at its one time, with no time axis.  As in
-    ``sweep_blocks``, the times are checked as one ``TimeGrid`` and the
-    time-independent half is built once, before the first basis, and
-    shared by all of them."""
-    times = TimeGrid(tuple(times)).times
-    _, basis_at = _time_independent_half(spec)
-    for t in times:
-        yield basis_at(t)
-
-
-def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator[BasisSet]:
-    """Yield the two-time bases of ``times`` in blocks of consecutive
-    times, in order, each block one basis with a (T_b,) time axis.
-
-    Before the first block, the whole list is checked as one
-    ``TimeGrid`` (ValueError unless the times are finite, >= 0 and
-    strictly increasing, so no time is swept twice) and the
-    time-independent half is built once.  A block holds as many times as
-    keep its ledger tables within ``BLOCK_ELEMENTS`` entries, and at
-    least one.  Stacked
-    operations give each member the bits of the one-time operation, so
-    the time-t arrays of a block, read at its k-th time, equal those of
-    ``build_bases`` at that time bit for bit.  The blocks share the
-    t = 0 arrays, so treat them as read-only.
-    """
-    times = TimeGrid(tuple(times)).times
-    populations, basis_at = _time_independent_half(spec)
-    # no label above the floor fails in the ledgers; size such blocks as one
-    kept = max(1, np.count_nonzero(populations > spec.tol.probability_floor))
-    size = max(1, BLOCK_ELEMENTS // (kept * spec.dim ** 2))
-    for lo in range(0, len(times), size):
-        yield basis_at(tuple(times[lo:lo + size]))
 
 
 def reverse_overlap_tables(basis: BasisSet) -> list[np.ndarray]:

@@ -147,18 +147,19 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     """Every relation at every time of a config's ``times``, or at the one
-    time of ``--time`` or ``--dims``, on bases that share one set-up of
-    the time-independent half.  The report of several times names the
-    time of each record; that of one time names none."""
+    time of ``--time`` or ``--dims``, each time read off a block of
+    ``sweep_blocks``.  The report of several times names the time of
+    each record; that of one time names none."""
     spec, times = _load_spec(args)
     if args.time is not None:
         times = (_check_time(args.time, "--time"),)
     checks, at = [], []
-    for basis in bayesnet.time_bases(spec, times):
-        # one ledger set per time, dropped before the next
-        found = thermo.relation_checks(thermo.compute_ledgers(basis))
-        checks += found
-        at += [basis.times] * len(found)
+    for block in bayesnet.sweep_blocks(spec, times):
+        for k, t in enumerate(block.times):
+            # one ledger set per time, dropped before the next
+            found = thermo.relation_checks(thermo.compute_ledgers(block.at(k)))
+            checks += found
+            at += [t] * len(found)
     return _emit_report(args, "verify", checks, at if len(times) > 1 else None)
 
 
@@ -173,16 +174,14 @@ def _heat_rows(ledgers: thermo.LedgerSet) -> list[str]:
     # psi has a row for each forward bin above the floor, in bin order
     psi_by_bin = np.full(p_f.n_points, np.nan)
     psi_by_bin[p_f.probs > ledgers.floor] = psi.psi
-    # a time's bins run in ascending heat order, so each is read backwards
-    lo, hi = bins.starts[:-1], bins.starts[1:]
-    order = (lo + hi - 1).repeat(hi - lo) - np.arange(p_f.n_points)
+    order = bins.descending()
     q, pf, pr = p_f.scalar_points()[order], p_f.probs[order], psi.p_r[order]
     # exp(Q * delta_beta) of a cold subsystem may read inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(pr > ledgers.floor, pf / pr, np.nan)
         exp_q = np.exp(q * ledgers.delta_beta)
-    return _csv_rows(np.repeat(ledgers.basis.times, hi - lo), q, pf, pr, ratio, exp_q,
-                     psi_by_bin[order])
+    return _csv_rows(np.repeat(ledgers.basis.times, np.diff(bins.starts)), q, pf, pr, ratio,
+                     exp_q, psi_by_bin[order])
 
 
 def cmd_heat(args) -> int:

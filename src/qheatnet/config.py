@@ -39,6 +39,10 @@ def encode_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+#: what ``float`` reads (``float(True)``, ``float("1.5")``) but is no number here
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
 def decode_matrix(obj, name: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -47,6 +51,9 @@ def decode_matrix(obj, name: str) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(
             f"{name} must be a square matrix of [re, im] pairs, got shape {arr.shape}")
+    kinds = {type(x) for row in obj for pair in row for x in pair}
+    if any(issubclass(kind, _NOT_NUMBERS) for kind in kinds):
+        raise ConfigError(f"{name} is not a numeric matrix")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -57,9 +64,8 @@ class LoadedConfig:
 
 
 def _number(value, name: str) -> float:
-    """``value`` as a float.  A JSON boolean is not a number here, though
-    ``float(True)`` is 1.0."""
-    if isinstance(value, (bool, np.bool_)):
+    """``value`` as a float; a JSON boolean or string is no number here."""
+    if isinstance(value, _NOT_NUMBERS):
         raise ConfigError(f"{name} must be a number, not {value!r}")
     return float(value)
 

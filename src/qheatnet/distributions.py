@@ -97,6 +97,11 @@ class Bins:
         read here has the bits of a collect over the mirrored bins."""
         return np.bincount(self.bin_id, weights=np.ravel(weights), minlength=len(self.first))
 
+    def descending(self) -> np.ndarray:
+        """Every bin index, each group's bins in descending key order."""
+        lo, hi = self.starts[:-1], self.starts[1:]
+        return (lo + hi - 1).repeat(hi - lo) - np.arange(len(self.first))
+
 
 @dataclass(frozen=True)
 class DiscreteDistribution:

@@ -419,8 +419,7 @@ def heat_distribution(ledgers: LedgerSet, direction: str = "forward") -> Discret
         raise ValueError(f"unknown direction {direction!r}")
     # negated before the collect, so a bin at Q = 0 keeps +0.0
     rev = DiscreteDistribution._collect(replace(bins, values=-bins.values), ledgers.rev_cells)
-    lo, hi = bins.starts[:-1], bins.starts[1:]
-    order = (lo + hi - 1).repeat(hi - lo) - np.arange(len(bins.first))
+    order = bins.descending()
     return DiscreteDistribution(rev.points[order], rev.probs[order], rev.binning)
 
 

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, qubit, randspec, thermo
+from qheatnet import bayesnet, linalg, qubit, randspec, system, thermo
 
 #: random instances of the acceptance bank
 N_RANDOM = 50
@@ -13,6 +13,37 @@ EXAMPLE_TIMES = np.linspace(0.0, 2.0, 22)[1:]   # 21 positive times in (0, 2*tau
 def ledgers_at(spec, t):
     basis = bayesnet.build_bases(spec, bayesnet.TimeGrid((float(t),)))
     return thermo.compute_ledgers(basis)
+
+
+def reference_basis(spec, t):
+    """The two-time basis at the one time ``t`` built with no time axis:
+    ``bayesnet._local_frame`` on U(t) v_0 at a scalar t.  ``sweep_blocks``
+    builds every basis in stacked blocks, so this is the reference that
+    keeps each time of a block, and with it every one-time output, that
+    of the time alone bit for bit."""
+    start = system.initial_state(spec)
+    glob = linalg.hermitian_eigendecompose(start.rho, tiebreak=spec.h_total)
+    populations = np.clip(glob.values, 0.0, None)
+    generator = linalg.hermitian_eigendecompose(spec.h_int)
+    u = linalg.unitary_from_eigensystem(generator, t)
+    vecs = u @ glob.vectors
+    ea0, eb0, energy_a0, energy_b0, overlap0 = bayesnet._local_frame(spec, populations,
+                                                                     glob.vectors)
+    ea, eb, energy_a, energy_b, overlap = bayesnet._local_frame(spec, populations, vecs)
+    return bayesnet.BasisSet(
+        spec=spec,
+        times=t,
+        populations=populations,
+        global_vectors=(glob.vectors, vecs),
+        local_a=(ea0, ea),
+        local_b=(eb0, eb),
+        energies_a=(energy_a0, energy_a),
+        energies_b=(energy_b0, energy_b),
+        overlaps=(overlap0, overlap),
+        unitaries=(np.eye(spec.dim, dtype=complex), u),
+        gibbs_a=start.gibbs_a,
+        gibbs_b=start.gibbs_b,
+    )
 
 
 def dense_weights(led):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qheatnet import bayesnet, linalg, qubit, randspec, system, thermo
-from conftest import dense_weights, ledgers_at
+from conftest import dense_weights, ledgers_at, reference_basis
 
 EA = 0.25        # exp(-beta_a) for occupation 0.2
 EB = 3.0 / 7.0   # exp(-beta_b) for occupation 0.3
@@ -81,7 +81,8 @@ def _assert_bit_identical(a, b, where="basis"):
 
 
 def _at_time(block, k):
-    """The basis of a block at its k-th time: every time-t array read at k."""
+    """The basis of a block at its k-th time: every time-t array read at k,
+    the reference for ``BasisSet.at``."""
     def pick(pair):
         t0, tt = pair
         if isinstance(tt, linalg.EigenSystem):
@@ -102,17 +103,26 @@ SWEEP_SPECS.update({
     for seed, d in ((0, 2), (1, 3), (2, 4)) for c in (True, False)})
 
 
+def _assert_times_match_reference(spec, blocks):
+    """Each time of ``blocks`` read off with ``at``, and ``build_bases`` at
+    that time, equal the no-axis reference basis bit for bit, and ``at``
+    reads the same arrays as the test's own slice ``_at_time``."""
+    at = [(block, k) for block in blocks for k in range(len(block.times))]
+    assert [block.times[k] for block, k in at] == list(SWEEP_TIMES)
+    for t, (block, k) in zip(SWEEP_TIMES, at):
+        reference = reference_basis(spec, t)
+        _assert_bit_identical(block.at(k), _at_time(block, k))
+        _assert_bit_identical(block.at(k), reference)
+        _assert_bit_identical(bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))), reference)
+
+
 class TestSweepBases:
     @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
     def test_sweep_matches_single_time(self, name):
         spec = SWEEP_SPECS[name]
-        blocks = list(bayesnet.sweep_blocks(spec, SWEEP_TIMES))
-        bases = [_at_time(block, k) for block in blocks for k in range(len(block.times))]
-        assert [b.times for b in bases] == list(SWEEP_TIMES)
-        for t, basis in zip(SWEEP_TIMES, bases):
-            _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
+        _assert_times_match_reference(spec, list(bayesnet.sweep_blocks(spec, SWEEP_TIMES)))
 
-    @pytest.mark.parametrize("name", ["example-corr", "rand-3x3-prod", "rand-4x4-corr"])
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
     @pytest.mark.parametrize("per_block", [1, 2, 4, None])
     def test_blocks_hold_the_budgeted_times(self, name, per_block, monkeypatch):
         spec = SWEEP_SPECS[name]
@@ -126,9 +136,7 @@ class TestSweepBases:
         blocks = list(bayesnet.sweep_blocks(spec, SWEEP_TIMES))
         assert [b.times for b in blocks] == [SWEEP_TIMES[i:i + per_block]
                                             for i in range(0, len(SWEEP_TIMES), per_block)]
-        bases = [_at_time(block, k) for block in blocks for k in range(len(block.times))]
-        for t, basis in zip(SWEEP_TIMES, bases):
-            _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
+        _assert_times_match_reference(spec, blocks)
         assert all(b.overlaps[0] is blocks[0].overlaps[0] for b in blocks)
 
     def test_time_independent_half_is_shared(self, correlated_spec, monkeypatch):
@@ -140,20 +148,30 @@ class TestSweepBases:
         assert not np.array_equal(second.overlaps[1], first.overlaps[1])
 
     @pytest.mark.parametrize("name", ["example-corr", "rand-3x3-prod", "rand-4x4-corr"])
-    def test_time_bases_match_build_bases(self, name):
-        # one basis per time, without a time axis, sharing the t = 0 half
+    def test_time_bases_match_build_bases(self, name, monkeypatch):
+        # the basis of each time read off its block, without a time axis,
+        # sharing the t = 0 half, in blocks of two times and of all six
         spec = SWEEP_SPECS[name]
-        bases = list(bayesnet.time_bases(spec, SWEEP_TIMES))
-        assert [b.times for b in bases] == list(SWEEP_TIMES)
-        for t, basis in zip(SWEEP_TIMES, bases):
+        bases = [block.at(k) for block in bayesnet.sweep_blocks(spec, SWEEP_TIMES)
+                 for k in range(len(block.times))]
+        monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", 1)     # one time per block
+        bases += [block.at(0) for block in bayesnet.sweep_blocks(spec, SWEEP_TIMES)]
+        assert [b.times for b in bases] == 2 * list(SWEEP_TIMES)
+        for t, basis in zip(2 * SWEEP_TIMES, bases):
+            assert np.shape(basis.times) == () and basis.overlaps[1].ndim == 3
             _assert_bit_identical(basis, bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))))
-        assert all(b.overlaps[0] is bases[0].overlaps[0] for b in bases)
-        assert all(b.gibbs_a is bases[0].gibbs_a for b in bases)
+        assert all(b.overlaps[0] is bases[0].overlaps[0] for b in bases[:6])
+        assert all(b.gibbs_a is bases[0].gibbs_a for b in bases[:6])
 
     @pytest.mark.parametrize("times", [(0.5, -0.25), (np.inf,), (0.5, 0.5)])
-    def test_time_bases_reject_bad_times_before_any_basis(self, correlated_spec, times):
+    def test_time_bases_reject_bad_times_before_any_basis(self, correlated_spec, times,
+                                                          monkeypatch):
+        # the times are checked before the spec is validated or any basis built
+        calls, validate = [], system.validate
+        monkeypatch.setattr(system, "validate", lambda spec: calls.append(spec) or validate(spec))
         with pytest.raises(ValueError):
-            next(bayesnet.time_bases(correlated_spec, times))
+            next(bayesnet.sweep_blocks(correlated_spec, times))
+        assert calls == []
 
     def test_time_axis_only_on_blocks(self, correlated_spec):
         one = bayesnet.build_bases(correlated_spec, bayesnet.TimeGrid((0.37,)))

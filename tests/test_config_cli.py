@@ -63,7 +63,15 @@ class TestMatrixCodec:
         m = np.array([[1.0, 2 - 3j], [2 + 3j, -0.5]])
         assert np.array_equal(config.decode_matrix(config.encode_matrix(m), "m"), m)
 
-    @pytest.mark.parametrize("bad", ["x", [[1, 2]], [[[1, 2], [3, 4]]], [[[1], [2]]]])
+    @pytest.mark.parametrize("bad", [
+        "x", [[1, 2]], [[[1, 2], [3, 4]]], [[[1], [2]]],
+        # float() reads these, but a string or boolean entry is no number
+        [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, " 2 "]]],
+        [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, False]]],
+        [[[1.0, np.bool_(True)]]],
+    ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(config.ConfigError):
             config.decode_matrix(bad, "m")
@@ -114,6 +122,9 @@ class TestConfigIO:
     @pytest.mark.parametrize("key,value", [
         ("beta_a", True), ("beta_b", False), ("occupation_a", True), ("occupation_b", True),
         ("times", [0.5, True]), ("tolerances", {"binning": True}),
+        # nor is a JSON string, though float() reads it
+        ("beta_a", "1.5"), ("beta_b", " 2 "), ("beta_a", "nan"), ("occupation_a", "0.2"),
+        ("times", ["0.5"]), ("tolerances", {"binning": "1e-3"}),
     ])
     def test_boolean_is_not_a_number(self, product_spec, key, value):
         d = config.config_dict(product_spec, bayesnet.TimeGrid((1.0,)))
@@ -833,9 +844,10 @@ class TestCli:
         assert all("time" not in r for r in json.loads(one)["records"])
 
     def test_verify_sets_up_each_config_once(self, tmp_path, monkeypatch, capsys):
-        # five times share one validation and the global, h_int and t = 0
-        # local decompositions (two Gibbs states and four more): 1 + 8 per
-        # time, as one time alone is 8
+        # five times of one block share one validation and the global,
+        # h_int and t = 0 local decompositions (two Gibbs states and four
+        # more) and the block's two stacked reduced-state decompositions:
+        # 8, as one time alone
         path = tmp_path / "five.json"
         times = (0.1, 0.4, 0.9, 1.6, 2.5)
         config.save_config(randspec.random_spec(0, 4, 4), bayesnet.TimeGrid(times), path)
@@ -853,7 +865,7 @@ class TestCli:
         monkeypatch.setattr(linalg, "hermitian_eigendecompose", counted_eig)
         assert cli.main(["verify", "--config", str(path)]) == 0
         records = json.loads(capsys.readouterr().out)["records"]
-        assert counts == {"validate": 1, "eig": 16}
+        assert counts == {"validate": 1, "eig": 8}
         monkeypatch.undo()
         # each time's records are the report of that time alone
         for t in times:

@@ -443,9 +443,11 @@ def oracle_ledgers(request):
 def _assert_groups_reversed(bins: Bins, mirror: Bins) -> None:
     """``mirror``, a fresh binning of the negated samples of ``bins`` with
     the same groups, is the partition of ``bins`` with each group's bins
-    in reverse order, each keeping its first sample."""
+    in reverse order, each keeping its first sample; that order is
+    ``bins.descending()``."""
     spans = zip(bins.starts[:-1], bins.starts[1:])
     order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in spans]).astype(np.intp)
+    assert bins.descending().tobytes() == order.tobytes()
     assert mirror.values.tobytes() == (-bins.values).tobytes()
     assert mirror.starts.tobytes() == bins.starts.tobytes()
     assert mirror.first.tobytes() == bins.first[order].tobytes()
