@@ -95,6 +95,8 @@ def _load_spec(args) -> tuple[system.BipartiteSpec, tuple[float, ...]]:
         spec, times = loaded.spec, loaded.grid.times
     elif args.dims:
         da, db = _parse_dims(args.dims)
+        if args.seed is not None and args.seed < 0:
+            raise CliError(f"bad --seed {args.seed} (expect an integer >= 0)")
         spec = randspec.random_spec(
             args.seed or 0, da, db, correlated=not args.product)
         times = (1.0,)

@@ -9,7 +9,8 @@ exchange-type relation in the hierarchy is evaluated as an exact finite
 sum over (label, cell) tables, a cell being the outcomes (i0, i1): a
 pair's summand is a forward-label x anchor-label x cell factor, but for
 the joint FT's (Q, K, gamma), so only ``joint_distribution`` enumerates
-the augmented pairs, for one time.
+the augmented pairs, for one time, each as its two positions in the
+ledgers' lists of live forward and reverse entries.
 
 Averages whose summand cancels the anchor population (the information
 terms) are computed in the cancelled form over *all* labels, so states
@@ -61,44 +62,28 @@ REVERSE_QUANTITIES = ("i1", "j1", "c1")
 _SIDES = {"forward": ("a0_table", "a1_table"), "reverse": ("b0_table", "b1_table")}
 
 
-def _pair_indices(fwd_live: np.ndarray, rev_live: np.ndarray, k: int,
-                  m: int) -> tuple[np.ndarray, ...]:
-    """Index arrays (ki, kj, i0, i1), int32, of the retained augmented
-    pairs of one time, from the live entries of its forward and reverse
-    (K, m, m) weight tables, each given as ascending flat indices.
-
-    A pair joins a live forward cell (ki, i0, i1) with a live reverse
-    cell (kj, i0, i1) on the same outcomes, in the lexicographic order of
-    ``np.nonzero`` on the K x K x m x m product mask, so every sum over
-    pairs keeps its bits, but in O(K m^2 + P) for P pairs and without any
-    mask: each forward entry is expanded over the reverse labels of its
-    own cell, then the unique integer keys of the pairs are sorted.
-    """
-    cells = m * m
-    fk, fc = np.divmod(fwd_live, cells)
-    rk, rc = np.divmod(rev_live, cells)
-    # reverse entries grouped by cell, kj ascending inside a cell
-    rc, rk = np.divmod(np.sort(rc * k + rk), k)
+def _pair_positions(fwd_live: np.ndarray, rev_live: np.ndarray,
+                    cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The retained augmented pairs of one time as (pos_f, pos_r), int32
+    positions in the live lists ``fwd_live`` and ``rev_live``: ascending
+    flat indices label * cells + cell, ``cells`` = m * m.  A pair joins a
+    forward and a reverse entry of the same cell.  Each forward entry, in
+    list order, meets the reverse entries of its cell, label ascending, so
+    the pairs run in the lexicographic order of (ki, i0, i1, kj), that of
+    ``np.nonzero`` on the K x m x m x K product mask, in O(K m^2 + P) for
+    P pairs, with no mask and no sort of pairs.  int32 holds every pair
+    number below 2**31, over 200 GB of pair arrays at 97 B a pair."""
+    fc, rc = fwd_live % cells, rev_live % cells
+    # reverse entries grouped by cell: the list ascends label first, so a
+    # stable sort keeps kj ascending inside a cell
+    by_cell = np.argsort(rc, kind="stable").astype(np.int32)
     per_cell = np.bincount(rc, minlength=cells)
     cell_start = per_cell.cumsum() - per_cell
-    fan = per_cell[fc]                      # reverse labels per forward entry
+    fan = per_cell[fc]                      # reverse entries per forward entry
     run_start = fan.cumsum() - fan
-    # the pair keys ((ki k + kj) m + i0) m + i1, built and sorted in place
-    key = (cell_start[fc] - run_start).repeat(fan)
-    key += np.arange(key.size)
-    key = rk[key]
-    key += (fk * k).repeat(fan)
-    key *= cells
-    key += fc.repeat(fan)
-    key.sort()
-    parts = []
-    for base in (m, m, k):
-        high = key // base
-        key -= high * base
-        parts.append(key.astype(np.int32))
-        key = high
-    i1, i0, kj = parts
-    return key.astype(np.int32), kj, i0, i1
+    pos_r = (cell_start[fc] - run_start).astype(np.int32).repeat(fan)
+    pos_r += np.arange(pos_r.size, dtype=np.int32)
+    return np.arange(fc.size, dtype=np.int32).repeat(fan), by_cell.take(pos_r)
 
 
 class LedgerSet:
@@ -116,10 +101,12 @@ class LedgerSet:
     probability floor), ``fwd_live`` and ``rev_live``: ascending flat
     indices into (K,) + lead + (m, m), label first, 8 B per live entry.
     The fold counts the live labels per cell as it lists them, ``n_fwd``
-    and ``n_rev``, and the joint FT and the gamma mean gather from the
-    lists.  Per cell, ``pair_mass`` is the reverse weight of
-    the augmented pairs, live forward labels x retained reverse mass / K,
-    and ``cell_factor`` is c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).
+    and ``n_rev``.  The joint FT takes its terms once per listed entry and
+    addresses a pair by its positions in the two lists
+    (``_pair_positions``); the gamma mean gathers from the lists.  Per
+    cell, ``pair_mass`` is the reverse weight of the augmented pairs, live
+    forward labels x retained reverse mass / K, and ``cell_factor`` is
+    c(i0) = a_0 b_0 / (p^th_A0 p^th_B0).
     ``all_energy_conserving`` and ``detailed_residual`` have the time
     shape, and ``marg`` is ``bayesnet.local_marginals`` of the basis.
     The closed-form averages and relation checks below read the tables of
@@ -441,63 +428,38 @@ class JointFT:
 def _pairs(ledgers: LedgerSet) -> tuple[np.ndarray, ...]:
     """The augmented pairs of the ledgers of one time as (ki, kj, samples,
     w_f, w_r): forward and anchor labels (positions in ``keep``), the
-    (P, 3) samples (Q, K, gamma) and the pair weights over the anchors.
-
-    Each log term is taken once per (retained label, cell), or per cell,
-    and gathered per pair in the order of the per-pair sums, so a pair's
-    K and gamma have the bits of the terms evaluated at that pair.  The
-    tables are taken with divide and invalid warnings off: an entry that
-    no pair reads may have a zero overlap or marginal, and so a log of
-    -inf or NaN."""
-    m = ledgers.pp0.size
-    ki, kj, i0, i1 = _pair_indices(ledgers.fwd_live, ledgers.rev_live, ledgers.n_anchor, m)
-    kp, n = ledgers.keep, ledgers.n_anchor
-
-    def flat(high, low):
-        # the flat int32 index high * m + low into an (high, low) table
-        index = high * m
-        index += low
-        return index
-
-    def table(name):
-        # over (retained label, cell) of the term's time, or (cell,) for a
-        # term that reads no label population
-        return _log_ratio(ledgers, name, kp[:, None], slice(None))
+    (P, 3) samples (Q, K, gamma) and the pair weights over the anchors,
+    in the order of ``_pair_positions``.  Each term and weight is taken
+    once per live entry and gathered per pair in the order of the per-pair
+    sums, so each has the bits of its terms evaluated at the pair.  The
+    logs are taken with divide and invalid warnings off: a marginal or a
+    thermal weight may underflow to 0.0."""
+    n, shape = ledgers.n_anchor, ledgers.q_a_tab.shape
+    fwd, rev = ledgers.fwd_live, ledgers.rev_live
+    pos_f, pos_r = _pair_positions(fwd, rev, ledgers.q_a_tab.size)
+    ki, f0, f1 = np.unravel_index(fwd, (n,) + shape)
+    kj, r0, r1 = np.unravel_index(rev, (n,) + shape)
+    s, t = ledgers.keep[ki], ledgers.keep[kj]
     with np.errstate(divide="ignore", invalid="ignore"):
         # i = j + c: the classical part plus the coherent part
-        col_i0, col_i1 = table("j0") + table("c0"), table("j1") + table("c1")
-        sigma_a, sigma_b = table("sigma_a"), table("sigma_b")
-        ln_a0, ln_a1, ln_b0, ln_b1 = (np.log(getattr(ledgers, name)[kp]) for name in
-                                      ("a0_table", "a1_table", "b0_table", "b1_table"))
-    samples = np.empty((ki.size, 3), order="F")
+        col_i0 = _log_ratio(ledgers, "j0", s, f0) + _log_ratio(ledgers, "c0", s, f0)
+        col_i1 = _log_ratio(ledgers, "j1", t, r1) + _log_ratio(ledgers, "c1", t, r1)
+        sigma_a, sigma_b = (_log_ratio(ledgers, name, t, r1) for name in ("sigma_a", "sigma_b"))
+        ln_a = np.log(ledgers.a0_table[s, f0]) + np.log(ledgers.a1_table[s, f1])
+        ln_b0, ln_b1 = np.log(ledgers.b0_table[t, r0]), np.log(ledgers.b1_table[t, r1])
+    samples = np.empty((pos_f.size, 3), order="F")
     q, col_k, col_gamma = samples.T
-    # every table is read flat, at label * m + outcome for a (retained label,
-    # outcome) table: f0 and f1 at the forward label, r0 and r1 at the anchor
-    cell = flat(i0, i1)
-    q[:] = ledgers.q_a_tab.take(cell)
-    del cell
-    f0, r1 = flat(ki, i0), flat(kj, i1)
-    # a term at time 0 reads the forward label, one at t the anchor
-    np.subtract(col_i1.take(r1), col_i0.take(f0), out=col_k)
-    col_k += sigma_a.take(i1)
-    col_k += sigma_b.take(i1)
-    f1, r0 = flat(ki, i1), flat(kj, i0)
-    del i0, i1
-    np.add(ln_a0.take(f0), ln_a1.take(f1), out=col_gamma)
-    col_gamma -= ln_b0.take(r0)
-    col_gamma -= ln_b1.take(r1)
-    # the weights in the products of the ledgers' chunks, (P a0) a1 and
-    # (P b0) b1, the first product once per (label, outcome); the (label,
-    # outcome) tables are taken again rather than kept beside their logs
-    pops = ledgers.pops[kp, None]
-    w_f = (pops * ledgers.a0_table[kp]).take(f0)
-    w_f *= ledgers.a1_table[kp].take(f1)
+    ledgers.q_a_tab[f0, f1].take(pos_f, out=q)
+    np.subtract(col_i1.take(pos_r), col_i0.take(pos_f), out=col_k)
+    col_k += sigma_a.take(pos_r)
+    col_k += sigma_b.take(pos_r)
+    np.subtract(ln_a.take(pos_f), ln_b0.take(pos_r), out=col_gamma)
+    col_gamma -= ln_b1.take(pos_r)
+    w_f = ledgers._live_weights(fwd, "forward")[1].take(pos_f)
     w_f /= n
-    del f0, f1
-    w_r = (pops * ledgers.b0_table[kp]).take(r0)
-    w_r *= ledgers.b1_table[kp].take(r1)
+    w_r = ledgers._live_weights(rev, "reverse")[1].take(pos_r)
     w_r /= n
-    return ki, kj, samples, w_f, w_r
+    return ki.take(pos_f), kj.take(pos_r), samples, w_f, w_r
 
 
 def joint_distribution(ledgers: LedgerSet) -> JointFT:

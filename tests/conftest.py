@@ -96,12 +96,18 @@ def reference_binned(values, binning, group=None):
     return bin_id, first, starts
 
 
+def dense_pairs(fmask, rmask):
+    """The reference pairs (ki, kj, i0, i1) of (K, m, m) forward and
+    reverse live masks: ``np.nonzero`` of the K x m x m x K product mask,
+    so in the lexicographic order of (ki, i0, i1, kj)."""
+    ki, i0, i1, kj = np.nonzero(fmask[..., None] & np.moveaxis(rmask, 0, -1)[None])
+    return ki, kj, i0, i1
+
+
 def dense_pair_indices(led):
-    """``thermo._pair_indices`` of one time on the live entries of the
-    dense reference masks."""
-    fmask, rmask = dense_masks(led)
-    return thermo._pair_indices(np.flatnonzero(fmask), np.flatnonzero(rmask),
-                                *fmask.shape[:2])
+    """The reference pairs (ki, kj, i0, i1) of one time from the dense
+    reference masks."""
+    return dense_pairs(*dense_masks(led))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qheatnet import bayesnet, linalg, qubit, randspec, system, thermo
 from qheatnet.distributions import Bins, DiscreteDistribution
-from conftest import dense_masks, dense_pair_indices, dense_weights, ledgers_at
+from conftest import dense_masks, dense_pair_indices, dense_pairs, dense_weights, ledgers_at
 
 ALL_QUANTITIES = thermo.FORWARD_QUANTITIES + thermo.REVERSE_QUANTITIES
 
@@ -70,11 +70,6 @@ class TestLedgers:
                 assert ledgers_at(spec, t).detailed_residual < 1e-12
 
 
-def _dense_pairs(fmask, rmask):
-    """Reference: every cell of the K x K x m x m product mask."""
-    return np.nonzero(fmask[:, None] & rmask[None])
-
-
 def _shell_ladder_spec(levels, seed, coherent=False):
     """Correlated instance on two integer ladders 0..levels-1, with the
     interaction restricted to the energy shells, and the correlation
@@ -112,7 +107,8 @@ class TestPairIndices:
 
     @staticmethod
     def assert_matches_dense(fmask, rmask, live=None):
-        """The pairs of the masks' live entries against the product mask;
+        """The pairs of the masks' live entries against the product mask,
+        in order, each pair's positions mapped back through the lists;
         ``live``, the entries the ledgers gather chunk by chunk, must be
         those of the masks."""
         entries = np.flatnonzero(fmask), np.flatnonzero(rmask)
@@ -120,11 +116,14 @@ class TestPairIndices:
             for g, w in zip(live, entries, strict=True):
                 assert g.dtype == np.intp
                 assert np.array_equal(g, w)
-        got = thermo._pair_indices(*entries, *fmask.shape[:2])
-        want = _dense_pairs(fmask, rmask)
-        assert len(got) == 4
-        for g, w in zip(got, want):
-            assert g.dtype == np.int32
+        cells = fmask[0].size
+        got = thermo._pair_positions(*entries, cells)
+        assert len(got) == 2
+        assert [g.dtype for g in got] == [np.int32] * 2
+        (ki, f_cell), (kj, r_cell) = (np.divmod(e[pos], cells) for e, pos in zip(entries, got))
+        assert np.array_equal(f_cell, r_cell)
+        i0, i1 = np.divmod(f_cell, fmask.shape[-1])
+        for g, w in zip((ki, kj, i0, i1), dense_pairs(fmask, rmask), strict=True):
             assert np.array_equal(g, w)
 
     @classmethod
@@ -165,10 +164,11 @@ class TestPairIndices:
         rmask = np.zeros((3, 2, 2), dtype=bool)
         fmask[:, 0, 0] = True
         rmask[:, 1, 1] = True       # live cells, but never the same outcomes
-        for f, r in ((fmask, rmask), (fmask, np.zeros_like(rmask))):
-            got = thermo._pair_indices(np.flatnonzero(f), np.flatnonzero(r), 3, 2)
-            assert [g.dtype for g in got] == [np.int32] * 4
-            assert [g.size for g in got] == [0] * 4
+        for f, r in ((fmask, rmask), (fmask, np.zeros_like(rmask)),
+                     (np.zeros_like(fmask), rmask)):
+            got = thermo._pair_positions(np.flatnonzero(f), np.flatnonzero(r), 4)
+            assert [g.dtype for g in got] == [np.int32] * 2
+            assert [g.size for g in got] == [0] * 2
             self.assert_matches_dense(f, r)
 
     @pytest.mark.parametrize("case", ["8x8", "shell-8x8", "example"])
@@ -712,7 +712,7 @@ class TestLabelChunks:
         entries = tuple(np.flatnonzero(np.moveaxis(mask, -3, 0)) for mask in (fmask, rmask))
         out["live_entries"] = b"".join(e.tobytes() for e in entries)
         if not isinstance(led.basis.times, tuple):      # one time
-            ki, kj, i0, i1 = thermo._pair_indices(*entries, *fmask.shape[:2])
+            ki, kj, i0, i1 = dense_pairs(fmask, rmask)
             n = led.n_anchor
             out["pair_weights"] = ((fwd[ki, i0, i1] / n).tobytes()
                                    + (rev[kj, i0, i1] / n).tobytes())
@@ -1032,8 +1032,8 @@ class TestTermTable:
     @staticmethod
     def per_pair_route(led, ki, kj, i0, i1):
         """The samples and weights with every term evaluated at each pair
-        through ``_log_ratio``, the route before the (label, cell) log
-        tables."""
+        through ``_log_ratio``, against which the per-entry terms gathered
+        per pair must keep their bits."""
         s_lab, t_lab = led.keep[ki], led.keep[kj]
         a0, a1 = led.a0_table[s_lab, i0], led.a1_table[s_lab, i1]
         b0, b1 = led.b0_table[t_lab, i0], led.b1_table[t_lab, i1]
