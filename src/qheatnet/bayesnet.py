@@ -113,9 +113,7 @@ class BasisSet:
         """Time ``k`` of a block as a basis of that one time, with no time
         axis: every time-t array read at ``k``, the t = 0 half shared."""
         def pick(t0, tt):
-            if isinstance(tt, linalg.EigenSystem):
-                return t0, linalg.EigenSystem(tt.values[k], tt.vectors[k])
-            return t0, tt[k]
+            return t0, _take(tt, k)
         return BasisSet(spec=self.spec, times=self.times[k], populations=self.populations,
                         gibbs_a=self.gibbs_a, gibbs_b=self.gibbs_b,
                         **{name: pick(*getattr(self, name)) for name in _TIME_PAIRS})
@@ -124,6 +122,16 @@ class BasisSet:
 #: the fields of a basis that pair its t = 0 half with its time-t half
 _TIME_PAIRS = ("global_vectors", "local_a", "local_b", "energies_a", "energies_b",
                "overlaps", "unitaries")
+#: the fields of a basis that ``_local_frame`` fills, in its order
+_FRAME = ("local_a", "local_b", "energies_a", "energies_b", "overlaps")
+
+
+def _take(item, index):
+    """``item[index]`` of a stacked array, or of both arrays of a stacked
+    EigenSystem."""
+    if isinstance(item, linalg.EigenSystem):
+        return linalg.EigenSystem(item.values[index], item.vectors[index])
+    return item[index]
 
 
 def _product_vectors(vecs_a: np.ndarray, vecs_b: np.ndarray) -> np.ndarray:
@@ -176,14 +184,18 @@ def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator
 
     The list is checked as one ``TimeGrid`` (ValueError unless finite,
     >= 0 and strictly increasing) and the half no time changes is built
-    once, before the first block: the validated initial state and its
-    Gibbs states, the global eigensystem, that of ``h_int`` and the t = 0
-    local frame.  A block adds its time-t half (U(t), the evolved vectors,
-    the reduced states' tie-broken eigensystems, the local energies and
-    the overlap table) in one stacked numpy pass each, and holds as many
-    times as keep its ledger tables within ``BLOCK_ELEMENTS`` entries,
-    and at least one.  A stacked operation gives each member the bits of
-    the one-time operation, so ``block.at(k)`` is the basis of that time
+    once: the validated initial state and its Gibbs states, the global
+    eigensystem and that of ``h_int`` before the first block, and the
+    t = 0 local frame with it.  A block adds its time-t half (U(t), the
+    evolved vectors, the reduced states' tie-broken eigensystems, the
+    local energies and the overlap table) in one stacked numpy pass each,
+    and holds as many times as keep its ledger tables within
+    ``BLOCK_ELEMENTS`` entries, and at least one.  The first block's
+    local frame is stacked on the t = 0 vectors as member 0, so a sweep
+    of one block takes six decompositions: the two Gibbs states, rho_0,
+    ``h_int`` and one stack per subsystem.  A stacked operation gives
+    each member the bits of the one-time operation, so the t = 0 frame
+    is that of v_0 alone and ``block.at(k)`` is the basis of that time
     alone bit for bit, whatever the block size.  The blocks share the
     t = 0 arrays: treat them as read-only.
     """
@@ -192,7 +204,6 @@ def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator
     glob = linalg.hermitian_eigendecompose(start.rho, tiebreak=spec.h_total)
     populations = np.clip(glob.values, 0.0, None)
     generator = linalg.hermitian_eigendecompose(spec.h_int)
-    ea0, eb0, energy_a0, energy_b0, overlap0 = _local_frame(spec, populations, glob.vectors)
     identity = np.eye(spec.dim, dtype=complex)
     # no label above the floor fails in the ledgers; size such blocks as one
     kept = max(1, np.count_nonzero(populations > spec.tol.probability_floor))
@@ -201,20 +212,22 @@ def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator
         block = times[lo:lo + size]
         u = linalg.unitary_from_eigensystem(generator, block)
         vecs = u @ glob.vectors
-        ea, eb, energy_a, energy_b, overlap = _local_frame(spec, populations, vecs)
+        if lo:
+            frame = _local_frame(spec, populations, vecs)
+        else:
+            # the t = 0 frame is member 0 of the first block's stacked pass
+            both = _local_frame(spec, populations, np.concatenate((glob.vectors[None], vecs)))
+            frame0 = [_take(item, 0) for item in both]
+            frame = [_take(item, np.s_[1:]) for item in both]
         yield BasisSet(
             spec=spec,
             times=block,
             populations=populations,
             global_vectors=(glob.vectors, vecs),
-            local_a=(ea0, ea),
-            local_b=(eb0, eb),
-            energies_a=(energy_a0, energy_a),
-            energies_b=(energy_b0, energy_b),
-            overlaps=(overlap0, overlap),
             unitaries=(identity, u),
             gibbs_a=start.gibbs_a,        # the thermal states, not rho_0
             gibbs_b=start.gibbs_b,
+            **{name: (t0, tt) for name, t0, tt in zip(_FRAME, frame0, frame)},
         )
 
 

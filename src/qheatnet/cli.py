@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
+import os
+import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -108,29 +110,59 @@ def _load_spec(args) -> tuple[system.BipartiteSpec, tuple[float, ...]]:
     return spec, times
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write the ASCII ``text`` to ``path`` with the bytes, mode and link
+    behaviour of ``open(path, "w")``, but rewrite an existing file in
+    place: no truncation before writing, only after, to the written
+    length, and only for a regular file (so ``/dev/null`` and pipes are
+    written as they are)."""
+    data = text.encode("ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def _write_out(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+#: json's spelling of the floats whose repr it does not use
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_RECORD_KEYS = ("name", "value", "expected", "tolerance", "passed")
+
+
+def _json_float(x) -> str:
+    text = repr(float(x))
+    return _JSON_SPECIAL.get(text, text)
 
 
 def _report_text(command: str, checks, times=None) -> str:
     """The JSON report of a verb: a record per check and whether all
     passed.  With ``times``, one per check, each record names its time
-    first."""
-    records = [{"name": c.name, "value": float(c.value), "expected": float(c.expected),
-                "tolerance": float(c.tolerance), "passed": bool(c.passed)}
-               for c in checks]
+    first.  The text is that of ``json.dumps(report, indent=2) + "\\n"``,
+    its records formatted in one ``%`` call."""
+    records = [(encode_basestring_ascii(c.name), _json_float(c.value),
+                _json_float(c.expected), _json_float(c.tolerance),
+                "true" if c.passed else "false") for c in checks]
+    keys = _RECORD_KEYS
     if times is not None:
-        records = [{"time": float(t), **r} for t, r in zip(times, records)]
-    report = {
-        "command": command,
-        "passed": all(r["passed"] for r in records),
-        "records": records,
-    }
-    return json.dumps(report, indent=2) + "\n"
+        records = [(_json_float(t), *r) for t, r in zip(times, records)]
+        keys = ("time",) + keys
+    record = "    {\n" + ",\n".join(f'      "{k}": %s' for k in keys) + "\n    }"
+    rows = ",\n".join([record] * len(records)) % tuple(v for r in records for v in r)
+    body = f"[\n{rows}\n  ]" if records else "[]"
+    passed = "true" if all(r[-1] == "true" for r in records) else "false"
+    return (f'{{\n  "command": {encode_basestring_ascii(command)},\n  "passed": {passed},\n'
+            f'  "records": {body}\n}}\n')
 
 
 def _emit_report(args, command: str, checks, times=None) -> int:
@@ -250,8 +282,7 @@ def cmd_example(args) -> int:
     check = system.CheckResult("analytic_oracle_deviation", float(np.max(deviations)),
                                ORACLE_TOL)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(_report_text("example", [check]))
+        _write_file(args.report, _report_text("example", [check]))
     return 0 if check.passed else 1
 
 

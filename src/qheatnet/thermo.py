@@ -575,13 +575,17 @@ class HeatBalance:
     heat_reversed: bool
 
 
-def _athermality(pops: np.ndarray, energies: np.ndarray, gibbs: system.GibbsState) -> float:
+def _athermality(pops: np.ndarray, energies: np.ndarray, gibbs: system.GibbsState,
+                 entropy: float | None = None) -> float:
     """D(rho || gamma) of a reduced state with populations ``pops`` in its
     eigenbasis and energies <a|H|a> there against its Gibbs state, read
-    from the spectra: no thermal weight enters, so none can underflow."""
+    from the spectra: no thermal weight enters, so none can underflow.
+    ``entropy`` is S(pops) if the caller has it already."""
+    if entropy is None:
+        entropy = linalg.spectral_entropy(pops)
     e0 = gibbs.energies[0]
     return float(gibbs.beta * np.dot(pops, energies - e0)
-                 + np.log(gibbs.z_shifted) - linalg.spectral_entropy(pops))
+                 + np.log(gibbs.z_shifted) - entropy)
 
 
 def mean_heat_balance(ledgers: LedgerSet) -> HeatBalance:
@@ -590,15 +594,13 @@ def mean_heat_balance(ledgers: LedgerSet) -> HeatBalance:
     lhs = mean_q_a * ledgers.delta_beta
 
     basis = ledgers.basis
-
-    def local_entropies(n):
-        return (linalg.spectral_entropy(basis.local_a[n].values)
-                + linalg.spectral_entropy(basis.local_b[n].values))
+    s_a0, s_b0, s_a1, s_b1 = (linalg.spectral_entropy(local[n].values)
+                              for n in (0, 1) for local in (basis.local_a, basis.local_b))
 
     # the mutual-information change: S(rho(t)) = S(rho_0) cancels
-    rhs = (local_entropies(1) - local_entropies(0)
-           + _athermality(basis.local_a[1].values, basis.energies_a[1], ledgers.gibbs_a)
-           + _athermality(basis.local_b[1].values, basis.energies_b[1], ledgers.gibbs_b))
+    rhs = (s_a1 + s_b1 - (s_a0 + s_b0)
+           + _athermality(basis.local_a[1].values, basis.energies_a[1], ledgers.gibbs_a, s_a1)
+           + _athermality(basis.local_b[1].values, basis.energies_b[1], ledgers.gibbs_b, s_b1))
     return HeatBalance(
         mean_q_a=mean_q_a, lhs=lhs, rhs=rhs,
         residual=abs(lhs - rhs), heat_reversed=lhs < 0,

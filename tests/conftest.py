@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -44,6 +45,24 @@ def reference_basis(spec, t):
         gibbs_a=start.gibbs_a,
         gibbs_b=start.gibbs_b,
     )
+
+
+def reference_report_text(command, checks, times=None):
+    """A verb's JSON report as ``json.dumps(report, indent=2) + "\\n"``
+    spells it, a record per check and whether all passed, each record
+    with its time first when ``times`` are given: the reference for
+    ``cli._report_text``, which formats the same text in one ``%`` call."""
+    records = [{"name": c.name, "value": float(c.value), "expected": float(c.expected),
+                "tolerance": float(c.tolerance), "passed": bool(c.passed)}
+               for c in checks]
+    if times is not None:
+        records = [{"time": float(t), **r} for t, r in zip(times, records)]
+    report = {
+        "command": command,
+        "passed": all(r["passed"] for r in records),
+        "records": records,
+    }
+    return json.dumps(report, indent=2) + "\n"
 
 
 def dense_weights(led):

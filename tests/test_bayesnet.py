@@ -116,6 +116,19 @@ def _assert_times_match_reference(spec, blocks):
         _assert_bit_identical(bayesnet.build_bases(spec, bayesnet.TimeGrid((t,))), reference)
 
 
+def _times_per_block(spec, per_block, monkeypatch):
+    """Set the block budget to hold ``per_block`` times of ``spec``, a
+    little short of the next time, or, for None, keep it; return the
+    times a block holds."""
+    kept = np.count_nonzero(bayesnet.build_bases(spec, bayesnet.TimeGrid((1.0,)))
+                            .populations > spec.tol.probability_floor)
+    per_time = kept * spec.dim ** 2
+    if per_block is None:
+        return max(1, bayesnet.BLOCK_ELEMENTS // per_time)
+    monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", (per_block + 1) * per_time - 1)
+    return per_block
+
+
 class TestSweepBases:
     @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
     def test_sweep_matches_single_time(self, name):
@@ -126,18 +139,41 @@ class TestSweepBases:
     @pytest.mark.parametrize("per_block", [1, 2, 4, None])
     def test_blocks_hold_the_budgeted_times(self, name, per_block, monkeypatch):
         spec = SWEEP_SPECS[name]
-        kept = np.count_nonzero(bayesnet.build_bases(spec, bayesnet.TimeGrid((1.0,)))
-                                .populations > spec.tol.probability_floor)
-        per_time = kept * spec.dim ** 2
-        if per_block is None:
-            per_block = max(1, bayesnet.BLOCK_ELEMENTS // per_time)
-        else:   # a budget a little short of the next time
-            monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", (per_block + 1) * per_time - 1)
+        per_block = _times_per_block(spec, per_block, monkeypatch)
         blocks = list(bayesnet.sweep_blocks(spec, SWEEP_TIMES))
         assert [b.times for b in blocks] == [SWEEP_TIMES[i:i + per_block]
                                             for i in range(0, len(SWEEP_TIMES), per_block)]
         _assert_times_match_reference(spec, blocks)
         assert all(b.overlaps[0] is blocks[0].overlaps[0] for b in blocks)
+
+    @pytest.mark.parametrize("name", ["example-corr", "rand-2x2-prod", "rand-4x4-corr"])
+    @pytest.mark.parametrize("per_block", [1, 2, None])
+    def test_t0_frame_is_member_zero_of_the_first_block(self, name, per_block, monkeypatch):
+        # the t = 0 local frame is stacked into the first block's pass: the
+        # first block's t = 0 half is the frame of v_0 alone bit for bit,
+        # every later block shares it, and each reduced state takes one
+        # decomposition per block, t = 0 included
+        spec = SWEEP_SPECS[name]
+        per_block = _times_per_block(spec, per_block, monkeypatch)
+        calls, eig = [], linalg.hermitian_eigendecompose
+        monkeypatch.setattr(linalg, "hermitian_eigendecompose",
+                            lambda *a, **k: calls.append(None) or eig(*a, **k))
+        first, *rest = bayesnet.sweep_blocks(spec, SWEEP_TIMES)
+        assert len(rest) == -(-len(SWEEP_TIMES) // per_block) - 1
+        # two Gibbs states, rho_0 and h_int, then A and B per block
+        assert len(calls) == 4 + 2 * (1 + len(rest))
+        monkeypatch.undo()
+        alone = bayesnet._local_frame(spec, first.populations, first.global_vectors[0])
+        got = (first.local_a[0], first.local_b[0], first.energies_a[0], first.energies_b[0],
+               first.overlaps[0])
+        for a, b in zip(got, alone):
+            pairs = ([(a.values, b.values), (a.vectors, b.vectors)]
+                     if isinstance(a, linalg.EigenSystem) else [(a, b)])
+            for x, y in pairs:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        for block in rest:
+            for field in ("local_a", "local_b", "energies_a", "energies_b", "overlaps"):
+                assert getattr(block, field)[0] is getattr(first, field)[0]
 
     def test_time_independent_half_is_shared(self, correlated_spec, monkeypatch):
         monkeypatch.setattr(bayesnet, "BLOCK_ELEMENTS", 1)     # one time per block

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import gc
 import inspect
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from qheatnet import (bayesnet, cli, config, distributions, linalg, qubit, randspec, system,
                       thermo)
 from qheatnet.distributions import DiscreteDistribution
-from conftest import ledgers_at, reference_binned
+from conftest import ledgers_at, reference_binned, reference_report_text
 
 
 @pytest.fixture()
@@ -854,10 +856,10 @@ class TestCli:
         assert all("time" not in r for r in json.loads(one)["records"])
 
     def test_verify_sets_up_each_config_once(self, tmp_path, monkeypatch, capsys):
-        # five times of one block share one validation and the global,
-        # h_int and t = 0 local decompositions (two Gibbs states and four
-        # more) and the block's two stacked reduced-state decompositions:
-        # 8, as one time alone
+        # five times of one block share one validation and the global and
+        # h_int decompositions (two Gibbs states and two more), and the
+        # t = 0 local frame joins the block's two stacked reduced-state
+        # decompositions: 6, as one time alone
         path = tmp_path / "five.json"
         times = (0.1, 0.4, 0.9, 1.6, 2.5)
         config.save_config(randspec.random_spec(0, 4, 4), bayesnet.TimeGrid(times), path)
@@ -875,7 +877,7 @@ class TestCli:
         monkeypatch.setattr(linalg, "hermitian_eigendecompose", counted_eig)
         assert cli.main(["verify", "--config", str(path)]) == 0
         records = json.loads(capsys.readouterr().out)["records"]
-        assert counts == {"validate": 1, "eig": 8}
+        assert counts == {"validate": 1, "eig": 6}
         monkeypatch.undo()
         # each time's records are the report of that time alone
         for t in times:
@@ -1121,3 +1123,156 @@ class TestCli:
         assert out.read_text() == "\n".join(lines) + "\n"
         record, = json.loads(report.read_text())["records"]
         assert record["value"] == worst
+
+
+class TestReportText:
+    """``cli._report_text`` spells every report as the json.dumps reference
+    does, byte for byte."""
+
+    @staticmethod
+    def assert_matches(command, checks, times=None):
+        text = cli._report_text(command, checks, times)
+        assert text.encode("ascii") == reference_report_text(command, checks, times).encode()
+        return text
+
+    def test_acceptance_bank_reports(self, checks):
+        for found in checks:
+            self.assert_matches("verify", list(found.values()))
+
+    def test_multi_time_report(self, tmp_path, capsys):
+        spec, times = randspec.random_spec(3, 3, 3), (0.0, 0.4, 1.3)
+        path = tmp_path / "three.json"
+        config.save_config(spec, bayesnet.TimeGrid(times), path)
+        checks, at = [], []
+        for t in times:
+            found = thermo.relation_checks(ledgers_at(spec, t))
+            checks += found
+            at += [t] * len(found)
+        text = self.assert_matches("verify", checks, at)
+        assert cli.main(["verify", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_validate_and_example_reports(self, example_config, tmp_path, capsys):
+        assert cli.main(["validate", "--config", example_config]) == 0
+        spec = config.load_config(example_config).spec
+        assert capsys.readouterr().out == self.assert_matches(
+            "validate", system.validate(spec).checks)
+        report = tmp_path / "report.json"
+        assert cli.main(["example", "--sweep", "0:2:5", "--out", str(tmp_path / "ex.csv"),
+                         "--report", str(report)]) == 0
+        record, = json.loads(report.read_text())["records"]
+        check = system.CheckResult(record["name"], record["value"], cli.ORACLE_TOL)
+        assert report.read_text() == self.assert_matches("example", [check])
+
+    SYNTHETIC = [
+        system.CheckResult("nan", np.nan, 1e-9),
+        system.CheckResult("inf", np.inf, 1e-9, expected=-np.inf),
+        system.CheckResult("-inf", -np.inf, np.inf),
+        system.CheckResult("negative zero", -0.0, 0.0, expected=-0.0),
+        system.CheckResult("tiny", 1e-300, 1e-300, expected=np.float64(5e-324)),
+        system.CheckResult('quote " backslash \\ psi \u03c8 e \u00e9', np.float64(0.1), 0.25),
+        system.CheckResult("control \n\t\x00", 123456789.125, 1e300, expected=1.0),
+    ]
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_synthetic_records(self, timed):
+        times = [0.0, -0.0, 1e-300, np.nan, np.inf, 2.5, 1e22] if timed else None
+        for command in ("verify", "validate", "example"):
+            text = self.assert_matches(command, self.SYNTHETIC, times)
+            assert text.isascii() and "NaN" in text and "-Infinity" in text
+        # one failed record fails the report; records that pass pass it
+        passing = [c for c in self.SYNTHETIC if c.passed]
+        assert passing and len(passing) < len(self.SYNTHETIC)
+        self.assert_matches("verify", passing, times and times[:len(passing)])
+
+    @pytest.mark.parametrize("times", [None, []])
+    def test_no_records(self, times):
+        text = self.assert_matches("validate", [], times)
+        assert '"records": []' in text
+
+
+class TestOutputFile:
+    """``--out`` and ``example --report`` rewrite an existing file in place,
+    with the bytes, mode and links that ``open(path, "w")`` leaves, and
+    raise the errors that it raises."""
+
+    ARGV = ["verify", "--dims", "2x2", "--seed", "0"]
+
+    @staticmethod
+    def run(*argv):
+        # a file object left open warns only when it is collected
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(list(argv))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        return code
+
+    def expected(self, capsys):
+        assert self.run(*self.ARGV) == 0
+        return capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("old_size", ["longer", "same"])
+    def test_rewrites_existing_file(self, old_size, tmp_path, capsys):
+        want = self.expected(capsys)
+        path = tmp_path / "report.json"
+        path.write_bytes(b"x" * (65536 if old_size == "longer" else len(want)))
+        inode = path.stat().st_ino
+        assert self.run(*self.ARGV, "--out", str(path)) == 0
+        assert path.read_bytes() == want and path.stat().st_ino == inode
+        assert capsys.readouterr().out == ""
+
+    def test_new_file_mode_is_that_of_open(self, tmp_path, capsys):
+        want = self.expected(capsys)
+        for mask in (0o022, 0o077):
+            old = os.umask(mask)
+            try:
+                with open(tmp_path / f"open-{mask:o}", "w"):
+                    pass
+                path = tmp_path / f"new-{mask:o}.json"
+                assert self.run(*self.ARGV, "--out", str(path)) == 0
+            finally:
+                os.umask(old)
+            assert path.read_bytes() == want
+            mode = stat.S_IMODE((tmp_path / f"open-{mask:o}").stat().st_mode)
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device(self, capsys):
+        assert self.run(*self.ARGV, "--out", os.devnull) == 0
+        assert self.run("heat", "--dims", "2x2", "--sweep", "0:1:3", "--out", os.devnull) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_links_rewrite_their_target(self, tmp_path, capsys):
+        want = self.expected(capsys)
+        target, soft, hard = tmp_path / "target.json", tmp_path / "soft", tmp_path / "hard"
+        target.write_bytes(b"y" * 5000)
+        soft.symlink_to(target)
+        os.link(target, hard)
+        assert self.run(*self.ARGV, "--out", str(soft)) == 0
+        assert soft.is_symlink() and soft.resolve() == target.resolve()
+        assert target.read_bytes() == hard.read_bytes() == want
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_path_error_is_that_of_open(self, where, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x.json" if where == "missing" else tmp_path)
+        with pytest.raises(OSError) as raised:
+            open(path, "w")
+        for argv in ([*self.ARGV, "--out", path],
+                     ["example", "--sweep", "0:2:3", "--out", os.devnull, "--report", path]):
+            assert self.run(*argv) == 2
+            assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+
+    def test_example_report_uses_the_writer(self, tmp_path, monkeypatch):
+        written, write = [], cli._write_file
+        monkeypatch.setattr(cli, "_write_file",
+                            lambda path, text: written.append(path) or write(path, text))
+        out, report = tmp_path / "ex.csv", tmp_path / "report.json"
+        argv = ["example", "--sweep", "0:2:5", "--out", str(out), "--report", str(report)]
+        assert self.run(*argv) == 0
+        fresh = out.read_bytes(), report.read_bytes()
+        for path in (out, report):
+            path.write_bytes(b"z" * 100000)
+        assert self.run(*argv) == 0
+        assert (out.read_bytes(), report.read_bytes()) == fresh
+        assert written == [str(out), str(report)] * 2
