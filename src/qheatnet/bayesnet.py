@@ -197,7 +197,11 @@ def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator
     each member the bits of the one-time operation, so the t = 0 frame
     is that of v_0 alone and ``block.at(k)`` is the basis of that time
     alone bit for bit, whatever the block size.  The blocks share the
-    t = 0 arrays: treat them as read-only.
+    t = 0 arrays: treat them as read-only.  The t = 0 member is one more
+    than the budget counts, and being views of it, the t = 0 arrays keep
+    the first block's whole local frame alive for the rest of the sweep;
+    a failed check of a first-block decomposition names the stacked
+    member, ``[0]`` for t = 0 and ``[k + 1]`` for its time k.
     """
     times = TimeGrid(tuple(times)).times
     start = system.initial_state(spec)

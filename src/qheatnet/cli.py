@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
-import stat
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -110,27 +108,10 @@ def _load_spec(args) -> tuple[system.BipartiteSpec, tuple[float, ...]]:
     return spec, times
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write the ASCII ``text`` to ``path`` with the bytes, mode and link
-    behaviour of ``open(path, "w")``, but rewrite an existing file in
-    place: no truncation before writing, only after, to the written
-    length, and only for a regular file (so ``/dev/null`` and pipes are
-    written as they are)."""
-    data = text.encode("ascii")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        written = 0
-        while written < len(data):
-            written += os.write(fd, data[written:])
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
-
-
 def _write_out(args, text: str) -> None:
     if args.out:
-        _write_file(args.out, text)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -282,7 +263,8 @@ def cmd_example(args) -> int:
     check = system.CheckResult("analytic_oracle_deviation", float(np.max(deviations)),
                                ORACLE_TOL)
     if args.report:
-        _write_file(args.report, _report_text("example", [check]))
+        with open(args.report, "w") as fh:
+            fh.write(_report_text("example", [check]))
     return 0 if check.passed else 1
 
 

@@ -576,13 +576,11 @@ class HeatBalance:
 
 
 def _athermality(pops: np.ndarray, energies: np.ndarray, gibbs: system.GibbsState,
-                 entropy: float | None = None) -> float:
+                 entropy: float) -> float:
     """D(rho || gamma) of a reduced state with populations ``pops`` in its
-    eigenbasis and energies <a|H|a> there against its Gibbs state, read
-    from the spectra: no thermal weight enters, so none can underflow.
-    ``entropy`` is S(pops) if the caller has it already."""
-    if entropy is None:
-        entropy = linalg.spectral_entropy(pops)
+    eigenbasis, its entropy S(pops) and energies <a|H|a> there against its
+    Gibbs state, read from the spectra: no thermal weight enters, so none
+    can underflow."""
     e0 = gibbs.energies[0]
     return float(gibbs.beta * np.dot(pops, energies - e0)
                  + np.log(gibbs.z_shifted) - entropy)
@@ -642,9 +640,11 @@ def mean_quantity(ledgers: LedgerSet, quantity: str) -> float:
     _one_time(ledgers, "mean_quantity")
     kp, floor = ledgers.keep, ledgers.floor
     if quantity == "sigma_a":
-        return _athermality(ledgers.marg.a_1, ledgers.e_a1, ledgers.gibbs_a)
+        pops = ledgers.marg.a_1
+        return _athermality(pops, ledgers.e_a1, ledgers.gibbs_a, linalg.spectral_entropy(pops))
     if quantity == "sigma_b":
-        return _athermality(ledgers.marg.b_1, ledgers.e_b1, ledgers.gibbs_b)
+        pops = ledgers.marg.b_1
+        return _athermality(pops, ledgers.e_b1, ledgers.gibbs_b, linalg.spectral_entropy(pops))
     if quantity in _TERMS:
         time = _TERMS[quantity][0]
         w = ledgers.pops[kp, None] * (ledgers.a0_table, ledgers.a1_table)[time][kp]

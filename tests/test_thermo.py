@@ -370,7 +370,7 @@ class TestIntegralFTs:
                                   ("sigma_b", led.marg.b_1, led.e_b1, led.gibbs_b)):
             means[name] = thermo.mean_quantity(led, name)
             assert np.isfinite(means[name])
-            assert means[name] == thermo._athermality(p, e, gibbs)
+            assert means[name] == thermo._athermality(p, e, gibbs, linalg.spectral_entropy(p))
             # D(p || p^th) term by term, ln p^th = -beta (e - E_0) - ln Z
             # taken without an exponential
             ln_pth = -gibbs.beta * (e - gibbs.energies[0]) - np.log(gibbs.z_shifted)
