@@ -85,15 +85,15 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def _load_spec(args) -> tuple[system.BipartiteSpec, tuple[float, ...]]:
-    if args.cfg:
+    if args.cfg is not None:
         # a config is the whole spec; these describe a random one instead
-        for flag, given in (("--dims", args.dims), ("--seed", args.seed is not None),
-                            ("--product", args.product)):
+        for flag, given in (("--dims", args.dims is not None),
+                            ("--seed", args.seed is not None), ("--product", args.product)):
             if given:
                 raise CliError(f"give either --config or {flag}, not both")
         loaded = config.load_config(args.cfg)
         spec, times = loaded.spec, loaded.grid.times
-    elif args.dims:
+    elif args.dims is not None:
         da, db = _parse_dims(args.dims)
         if args.seed is not None and args.seed < 0:
             raise CliError(f"bad --seed {args.seed} (expect an integer >= 0)")
@@ -109,7 +109,7 @@ def _load_spec(args) -> tuple[system.BipartiteSpec, tuple[float, ...]]:
 
 
 def _write_out(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -152,7 +152,7 @@ def _emit_report(args, command: str, checks, times=None) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not args.cfg:
+    if args.cfg is None:
         raise CliError("give --config")
     loaded = config.load_config(args.cfg)
     spec = dataclasses.replace(
@@ -200,10 +200,10 @@ def _heat_rows(ledgers: thermo.LedgerSet) -> list[str]:
 
 
 def cmd_heat(args) -> int:
-    if args.sweep and args.time is not None:
+    if args.sweep is not None and args.time is not None:
         raise CliError("give either --sweep or --time, not both")
     spec, times = _load_spec(args)
-    if args.sweep:
+    if args.sweep is not None:
         sweep = _parse_sweep(args.sweep)
     elif args.time is not None:
         sweep = np.array([_check_time(args.time, "--time")])
@@ -237,7 +237,7 @@ def cmd_example(args) -> int:
         correlated=not args.product,
     )
     spec = qubit.build_example_spec(params, tol=_parse_tol(args.tol, system.Tolerances()))
-    if args.sweep:
+    if args.sweep is not None:
         sweep = _parse_sweep(args.sweep)
     else:
         sweep = np.linspace(0.0, 2.0 * tau, 101)
@@ -262,7 +262,7 @@ def cmd_example(args) -> int:
     _write_out(args, "\n".join(lines) + "\n")
     check = system.CheckResult("analytic_oracle_deviation", float(np.max(deviations)),
                                ORACLE_TOL)
-    if args.report:
+    if args.report is not None:
         with open(args.report, "w") as fh:
             fh.write(_report_text("example", [check]))
     return 0 if check.passed else 1

@@ -41,12 +41,14 @@ MALFORMED = {
 }
 
 #: numbers that are no temperature or time: NaN and infinity are not
-#: finite, and a JSON boolean is no number although float(true) is 1.0
+#: finite, and a JSON boolean or string is no number although float(true)
+#: is 1.0 and float("1.5") is 1.5
 BAD_NUMBERS = {
     "beta_a-nan": ("beta_a", float("nan")),
     "beta_a-inf": ("beta_a", float("inf")),
     "beta_a-true": ("beta_a", True),
     "times-true": ("times", [True]),
+    "beta_a-string": ("beta_a", "1.5"),
 }
 
 
@@ -325,6 +327,26 @@ class TestBinningRule:
         self.assert_matches_reference([below, -below, 0.0], 1.0)
 
 
+def _csv_layout(text: str, header: str, sweep: str) -> np.ndarray:
+    """The rows of a ``heat`` or ``example`` CSV ``text`` as floats, once
+    its layout holds: the ``header``, every field its own ``'%.17g'``
+    text, the times of ``sweep`` (START:STOP:STEPS) in order, each in one
+    run of rows, and within each time Q (column 1) strictly descending."""
+    head, *lines = text.splitlines()
+    assert head == header
+    fields = [line.split(",") for line in lines]
+    assert all(len(row) == header.count(",") + 1 for row in fields)
+    assert all(f == "%.17g" % float(f) for row in fields for f in row)
+    rows = np.array(fields, dtype=float)
+    start, stop, steps = sweep.split(":")
+    t, q = rows[:, 0], rows[:, 1]
+    swept = np.linspace(float(start), float(stop), int(steps)).tolist()
+    assert list(dict.fromkeys(t)) == swept
+    assert np.all(np.diff(t) >= 0)
+    assert np.all(np.diff(q)[np.diff(t) == 0] < 0)
+    return rows
+
+
 def _fresh_cli(argv, *flags) -> subprocess.CompletedProcess:
     """``python FLAGS -m qheatnet.cli ARGV`` in a fresh interpreter that
     imports the qheatnet these tests import."""
@@ -444,7 +466,10 @@ class TestCli:
         ["heat", "--dims", "2x2", "--out", "{missing}/h.csv"],
         ["example", "--sweep", "0:2:3", "--out", "{dir}/ex.csv", "--report", "{missing}/r.json"],
         ["verify", "--dims", "2x2", "--out", "{dir}"],
-    ], ids=["verify-out", "heat-out", "example-report", "out-is-directory"])
+        ["verify", "--dims", "2x2", "--out="],
+        ["example", "--sweep", "0:1:2", "--out", "{dir}/ex.csv", "--report="],
+    ], ids=["verify-out", "heat-out", "example-report", "out-is-directory", "empty-out",
+            "empty-report"])
     def test_unwritable_output_is_input_error(self, argv, tmp_path, capsys):
         argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
         assert cli.main(argv) == 2
@@ -521,19 +546,29 @@ class TestCli:
         val = lines[1].split(",")[2]
         assert float(f"{float(val):.17g}") == float(val)
 
-    @pytest.mark.parametrize("argv", [["--dims", "3x3", "--seed", "0"],
-                                      ["--dims", "4x4", "--seed", "1", "--product"],
-                                      ["--dims", "2x3", "--seed", "2"]])
+    @pytest.mark.parametrize("argv", [
+        ["--dims", "3x3", "--seed", "0", "--sweep", "0:3:21"],
+        ["--dims", "4x4", "--seed", "1", "--product", "--sweep", "0:3:21"],
+        ["--dims", "2x3", "--seed", "2", "--sweep", "0:3:21"],
+        # joint dimensions 64 and 36 on both branches: each time is a block
+        # of its own, its weights formed in chunks of labels, the last one
+        # short at 6x6
+        *(["--dims", dims, "--seed", "0", *product, "--sweep", "0:1:5"]
+          for dims in ("8x8", "6x6") for product in ([], ["--product"])),
+        # the rows of a block are formatted together: three blocks of times
+        ["--dims", "3x3", "--seed", "0", "--sweep", "0:3:101"],
+    ])
     def test_heat_rows_descend_in_q(self, argv, capsys):
-        # each time's rows run in strictly descending heat, every time once
-        assert cli.main(["heat", *argv, "--sweep", "0:3:21"]) == 0
-        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
-        times = list(dict.fromkeys(row[0] for row in rows))
-        assert len(times) == 21
-        for t in times:
-            q = [float(row[1]) for row in rows if row[0] == t]
-            assert len(q) > 1 and all(a > b for a, b in zip(q, q[1:])), t
-        assert [row[0] for row in rows] == sorted((r[0] for r in rows), key=times.index)
+        # each time's rows run in strictly descending heat, every time once;
+        # at each time P_f sums to 1, and psi is finite on every row with
+        # P_f > 1e-14
+        assert cli.main(["heat", *argv]) == 0
+        rows = _csv_layout(capsys.readouterr().out, cli._HEAT_HEADER, argv[-1])
+        t, p_f, psi = rows[:, 0], rows[:, 2], rows[:, 6]
+        for time in np.unique(t):
+            assert np.count_nonzero(t == time) > 1, time
+            assert abs(p_f[t == time].sum() - 1.0) <= 1e-9, time
+        assert np.all(np.isfinite(psi[p_f > 1e-14]))
 
     @pytest.mark.parametrize("source", ["config", "dims", "2x2", "2x2-product",
                                         "4x4", "4x4-product"])
@@ -761,6 +796,9 @@ class TestCli:
         (["verify", "CONFIG", "--seed", "3"], ("--config", "--seed")),
         (["heat", "CONFIG", "--seed", "0", "--time", "0.5"], ("--config", "--seed")),
         (["verify", "CONFIG", "--product"], ("--config", "--product")),
+        # an empty value is a given flag
+        (["heat", "--dims", "2x2", "--time", "0.5", "--sweep="], ("--sweep", "--time")),
+        (["verify", "--config=", "--dims", "2x2"], ("--config", "--dims")),
     ])
     def test_conflicting_sources_rejected(self, example_config, argv, flags, capsys):
         argv = [a for arg in argv
@@ -799,8 +837,23 @@ class TestCli:
         assert here(argv) == fresh(argv)
 
     def test_wide_random_instances(self, capsys):
-        assert cli.main(["verify", "--dims", "5x5"]) == 0
-        assert json.loads(capsys.readouterr().out)["passed"]
+        # joint dimension 64 runs the sparse ledger pairs end to end at the
+        # linalg soft cap, its weights formed in 8 full chunks of 8 labels,
+        # and --time 0 the exact t = 0 basis; at 6x6 (K = 36, m^2 = 1296) a
+        # chunk holds 25 labels, so the last chunk is short.  The joint FT
+        # bins its pairs on one composite key: at binning 1e-16 each
+        # column's keys span up to about 2**59, so every column after the
+        # first replaces the composite or its own keys by their dense rank;
+        # at 1e-3 bins hold many pairs each
+        binned = (["8x8", "--seed", "0"], ["3x3", "--seed", "0"],
+                  ["4x4", "--seed", "2", "--product"])
+        for argv in (["5x5"], *(["8x8", "--seed", seed] for seed in "012"),
+                     ["8x8", "--seed", "0", "--time", "0"], ["6x6", "--seed", "0"],
+                     ["6x6", "--seed", "1"],
+                     *([*dims, "--tol", f"binning={binning}"]
+                       for dims in binned for binning in ("1e-16", "1e-3"))):
+            assert cli.main(["verify", "--dims", *argv]) == 0, argv
+            assert json.loads(capsys.readouterr().out)["passed"], argv
         assert cli.main(["heat", "--dims", "6x6", "--sweep", "0:1:5"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"0", "0.25", "0.5", "0.75", "1"}
@@ -823,28 +876,33 @@ class TestCli:
         assert records["mean_heat_balance"]["passed"]
         assert [n for n, r in records.items() if not r["passed"]] == ["integral_ft[j1]"]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_verify_checks_every_time_of_a_config(self, tmp_path, product_spec, capsys):
         # the cold product spec passes at t = 0 and fails j1 at t = 0.5:
-        # a config of both times fails, naming the time of each record
+        # a config of both times fails, naming the time of each record.
+        # Each time's records, less the time, are the report of that time
+        # alone, and the exit code is the worst of those runs
         spec = dataclasses.replace(product_spec, beta_a=40.0)
         path, out = tmp_path / "cold.json", tmp_path / "report.json"
-        config.save_config(spec, bayesnet.TimeGrid((0.0, 0.5)), path)
-        assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 1
-        report = json.loads(out.read_text())
-        assert report["command"] == "verify" and not report["passed"]
-        records = report["records"]
-        assert [(r["time"], r["name"]) for r in records if not r["passed"]] == [
-            (0.5, "integral_ft[j1]")]
-        # each time's records, less the time, are the report of that time alone
-        for t in (0.0, 0.5):
-            code = cli.main(["verify", "--config", str(path), "--time", repr(t)])
-            alone = json.loads(capsys.readouterr().out)
-            assert code == (1 if t else 0) and alone["passed"] == (not t)
-            assert [{k: v for k, v in r.items() if k != "time"}
-                    for r in records if r["time"] == t] == alone["records"]
+        for source, times, codes, failed in (
+                (spec, (0.0, 0.5), [0, 1], [(0.5, "integral_ft[j1]")]),
+                (randspec.random_spec(0, 4, 4), (0.3, 0.9, 1.6), [0, 0, 0], [])):
+            config.save_config(source, bayesnet.TimeGrid(times), path)
+            code = cli.main(["verify", "--config", str(path), "--out", str(out)])
+            report = json.loads(out.read_text())
+            assert report["command"] == "verify" and report["passed"] == (not failed)
+            records = report["records"]
+            assert [(r["time"], r["name"]) for r in records if not r["passed"]] == failed
             assert all(list(r)[0] == "time" for r in records)
-        assert len(records) == 2 * len(alone["records"])
+            alone_codes = []
+            for t in times:
+                alone_codes.append(cli.main(["verify", "--config", str(path),
+                                             "--time", repr(t)]))
+                alone = json.loads(capsys.readouterr().out)
+                assert alone["records"] and alone["passed"] == (alone_codes[-1] == 0)
+                assert [{k: v for k, v in r.items() if k != "time"}
+                        for r in records if r["time"] == t] == alone["records"]
+            assert alone_codes == codes and code == max(codes)
+            assert len(records) == len(times) * len(alone["records"])
 
         # a config of one time reports no time, byte for byte the --time run
         config.save_config(spec, bayesnet.TimeGrid((0.0,)), path)
@@ -921,7 +979,6 @@ class TestCli:
         assert report == cli._report_text(
             "verify", thermo.relation_checks(ledgers_at(correlated_spec, 0.5)))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("beta_a", [745.0, 800.0])
     def test_psi_on_cold_subsystem_reports_strict_json(self, tmp_path, product_spec,
                                                        beta_a):
@@ -952,7 +1009,6 @@ class TestCli:
         psi = float(rows[1.0]["Psi"])
         assert np.isfinite(psi) if beta_a == 745.0 else psi == np.inf
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec", [
         *(qubit.build_example_spec(qubit.ExampleParams(correlated=c)) for c in (True, False)),
         *(randspec.random_spec(seed, *dims, correlated=c)
@@ -1004,8 +1060,22 @@ class TestCli:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "strictly increasing" in captured.err
+
+    def test_input_errors_through_the_module_entry_point(self, tmp_path, product_spec):
+        # a bad config and a repeated sweep time in a fresh process, its
+        # RuntimeWarnings errors: exit 2 with one error line, no traceback.
+        # At beta_A = 1.5 the product spec is valid, so only the string fails
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_malformed(product_spec, "beta_a-string")))
+        repeated = ["heat", "--dims", "2x2", "--sweep", "1:1:3"]
+        for argv, named in ((["verify", "--config", str(path)], "beta_a"),
+                            (repeated, "strictly increasing")):
+            proc = _fresh_cli(argv, "-W", "error::RuntimeWarning")
+            assert (proc.returncode, proc.stdout) == (2, ""), argv
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, argv
+            assert named in proc.stderr and "Traceback" not in proc.stderr, argv
 
     def test_one_point_sweep_accepted(self, capsys):
         assert cli.main(["heat", "--dims", "2x2", "--sweep", "1:1:1"]) == 0
@@ -1045,19 +1115,21 @@ class TestCli:
         report = tmp_path / "report.json"
         assert cli.main(["example", *product, "--out", str(tmp_path / "example.csv"),
                          "--report", str(report)]) == 0
-        record, = json.loads(report.read_text())["records"]
-        assert record["value"] <= 1e-14
+        rep = json.loads(report.read_text())
+        record, = rep["records"]
+        assert rep["passed"] is True and record["value"] <= 1e-14
 
     def test_example_against_oracle(self, tmp_path):
+        # the sweep of 1001 times spans two blocks
         out = tmp_path / "example.csv"
         report = tmp_path / "report.json"
-        assert cli.main(["example", "--sweep", "0:2:9", "--out", str(out),
-                         "--report", str(report)]) == 0
-        rep = json.loads(report.read_text())
-        assert rep["passed"]
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,Q,P_f,P_f_analytic,P_r,P_r_analytic"
-        assert len(lines) == 1 + 9 * 3
+        for args, sweep in ((["--sweep", "0:2:9"], "0:2:9"), (["--tau", "0.7"], "0:1.4:101"),
+                            (["--sweep", "0:40:1001"], "0:40:1001")):
+            assert cli.main(["example", *args, "--out", str(out),
+                             "--report", str(report)]) == 0, args
+            assert json.loads(report.read_text())["passed"] is True, args
+            rows = _csv_layout(out.read_text(), "t,Q,P_f,P_f_analytic,P_r,P_r_analytic", sweep)
+            assert len(rows) == 3 * int(sweep.split(":")[2]), args
 
     @pytest.mark.parametrize("side", ["closed form", "numeric"])
     def test_example_nan_deviation_fails(self, side, monkeypatch, tmp_path):
@@ -1206,18 +1278,24 @@ class TestOutputFile:
 
     @pytest.mark.parametrize("old_size", [65536, 10])
     def test_rewrites_existing_file(self, old_size, tmp_path):
-        verify = ["verify", "--dims", "2x2", "--seed", "0", "--out"]
-        heat = ["heat", "--dims", "2x2", "--sweep", "0:1:3", "--out"]
+        # over a longer or shorter file, then over the file's own output
         example = ["example", "--sweep", "0:2:5", "--out", str(tmp_path / "ex.csv"), "--report"]
-        for argv in (verify, heat, example):
+        for argv in (["verify", "--dims", "2x2", "--seed", "0", "--out"],
+                     ["verify", "--dims", "3x3", "--seed", "0", "--out"],
+                     ["heat", "--dims", "2x2", "--sweep", "0:1:3", "--out"],
+                     ["heat", "--dims", "3x3", "--seed", "0", "--sweep", "0:3:101", "--out"],
+                     example):
             fresh, old = tmp_path / "fresh", tmp_path / "old"
             fresh.unlink(missing_ok=True)
             old.write_bytes(b"x" * old_size)
             assert self.run(*argv, str(fresh)) == self.run(*argv, str(old)) == 0
             assert old.read_bytes() == fresh.read_bytes()
+            assert self.run(*argv, str(old)) == 0
+            assert old.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_null_device(self, capsys):
         assert self.run("verify", "--dims", "2x2", "--out", os.devnull) == 0
+        assert self.run("verify", "--dims", "3x3", "--seed", "0", "--out", os.devnull) == 0
         assert self.run("heat", "--dims", "2x2", "--sweep", "0:1:3", "--out", os.devnull) == 0
         assert capsys.readouterr() == ("", "")

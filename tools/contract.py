@@ -16,9 +16,10 @@ hashed with their stdout, stderr, exit code, any ``--out`` or
 - ``verify --dims`` 2x2 to 8x8 at seeds 0, 1 and 131: plain,
   ``--product``, ``--time 0.37`` and ``--tol binning`` at 1e-16 and
   1e-3;
-- ``heat --sweep`` and ``example`` as in the CI smoke steps, ``heat
-  --sweep 0:3:101`` on randspec 2x2 to 4x4 and ``example --sweep
-  0:2:101`` on both branches;
+- ``heat --sweep 0:1:5`` on randspec 8x8 and 6x6 and ``heat --sweep
+  0:3:101`` on randspec 2x2 to 4x4, each on both branches, and
+  ``example`` plain, ``--product``, ``--tau 0.7``, ``--sweep 0:40:1001``
+  and ``--sweep 0:2:101`` on both branches;
 - the cold configs of the example's product branch at beta_A = 40, 745
   and 800, and randspec configs, each with one to five times, through
   ``verify``, ``heat`` and ``verify --time`` at each time.
