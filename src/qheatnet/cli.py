@@ -116,14 +116,7 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-#: json's spelling of the floats whose repr it does not use
-_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _RECORD_KEYS = ("name", "value", "expected", "tolerance", "passed")
-
-
-def _json_float(x) -> str:
-    text = repr(float(x))
-    return _JSON_SPECIAL.get(text, text)
 
 
 def _report_text(command: str, checks, times=None) -> str:
@@ -131,12 +124,12 @@ def _report_text(command: str, checks, times=None) -> str:
     passed.  With ``times``, one per check, each record names its time
     first.  The text is that of ``json.dumps(report, indent=2) + "\\n"``,
     its records formatted in one ``%`` call."""
-    records = [(encode_basestring_ascii(c.name), _json_float(c.value),
-                _json_float(c.expected), _json_float(c.tolerance),
+    records = [(encode_basestring_ascii(c.name), config.json_float(c.value),
+                config.json_float(c.expected), config.json_float(c.tolerance),
                 "true" if c.passed else "false") for c in checks]
     keys = _RECORD_KEYS
     if times is not None:
-        records = [(_json_float(t), *r) for t, r in zip(times, records)]
+        records = [(config.json_float(t), *r) for t, r in zip(times, records)]
         keys = ("time",) + keys
     record = "    {\n" + ",\n".join(f'      "{k}": %s' for k in keys) + "\n    }"
     rows = ",\n".join([record] * len(records)) % tuple(v for r in records for v in r)

@@ -4,7 +4,8 @@ A config holds the two local Hamiltonians, the temperatures (directly or
 as two-level excited-state occupations), the correlation and interaction
 matrices, the measurement times and optional tolerance overrides.
 Complex matrices are nested row-major lists of ``[re, im]`` pairs.
-Saving and re-loading reproduces every float bit for bit.
+Saving and re-loading reproduces every finite float bit for bit but for
+the sign of a zero, which decoding's ``re + 1j * im`` drops.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "load_config",
     "config_dict",
     "save_config",
+    "json_float",
 ]
 
 
@@ -34,9 +36,14 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
+def _pairs(m: np.ndarray) -> np.ndarray:
+    """The (rows, cols, 2) float array of the [re, im] pairs of ``m``."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2)
+
+
 def encode_matrix(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return _pairs(m).tolist()
 
 
 #: what ``float`` reads (``float(True)``, ``float("1.5")``) but is no number here
@@ -92,6 +99,8 @@ def load_config(source) -> LoadedConfig:
     unusable value raises ConfigError."""
     data = source
     if isinstance(source, (str, Path)):
+        if source == "":     # Path("") would read the working directory "."
+            raise ConfigError("config path is empty")
         try:
             data = json.loads(Path(source).read_text())
         except OSError as exc:
@@ -149,19 +158,61 @@ def _build(data: dict) -> LoadedConfig:
                                                          for t in times)))
 
 
-def config_dict(spec: system.BipartiteSpec, grid: TimeGrid) -> dict:
+def _config(spec: system.BipartiteSpec, grid: TimeGrid, matrix) -> dict:
+    """The config of ``spec`` and ``grid``, each matrix as ``matrix`` of it."""
     return {
         "dims": [spec.dim_a, spec.dim_b],
         "beta_a": spec.beta_a,
         "beta_b": spec.beta_b,
-        "h_a": encode_matrix(spec.h_a),
-        "h_b": encode_matrix(spec.h_b),
-        "chi": encode_matrix(spec.chi),
-        "h_int": encode_matrix(spec.h_int),
+        "h_a": matrix(spec.h_a),
+        "h_b": matrix(spec.h_b),
+        "chi": matrix(spec.chi),
+        "h_int": matrix(spec.h_int),
         "times": [float(t) for t in grid.times],
         "tolerances": dataclasses.asdict(spec.tol),
     }
 
 
+def config_dict(spec: system.BipartiteSpec, grid: TimeGrid) -> dict:
+    return _config(spec, grid, encode_matrix)
+
+
+#: json's spelling of the floats whose repr it does not use
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_float(x) -> str:
+    """``x`` as json writes a float: its ``float.__repr__``, or NaN,
+    Infinity or -Infinity."""
+    text = repr(float(x))
+    return _JSON_SPECIAL.get(text, text)
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """json's ``indent=2`` text of a list of the texts ``items`` nested
+    ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 def save_config(spec: system.BipartiteSpec, grid: TimeGrid, path) -> None:
-    Path(path).write_text(json.dumps(config_dict(spec, grid), indent=2) + "\n")
+    """Write the text of ``json.dumps(config_dict(spec, grid), indent=2)``
+    and a newline.  json's ``indent`` encoder runs in Python, so it lays
+    out only the scalars, a ``%s`` in place of each matrix, and the
+    matrices' [re, im] pairs are formatted in one ``%`` call."""
+    pairs = []
+
+    def placeholder(m: np.ndarray) -> str:
+        pairs.append(_pairs(m))
+        return "%s"
+
+    layout = json.dumps(_config(spec, grid, placeholder), indent=2).replace('"%s"', "%s")
+    pair = _json_list(["%s", "%s"], 3)
+    template = layout % tuple(_json_list([_json_list([pair] * p.shape[1], 2)] * p.shape[0], 1)
+                              for p in pairs)
+    values = np.concatenate([p.ravel() for p in pairs])
+    values = (values.tolist() if np.isfinite(values).all()
+              else [json_float(v) for v in values.tolist()])
+    Path(path).write_text(template % tuple(values) + "\n")

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from qheatnet import bayesnet, linalg, qubit, randspec, system, thermo
+from qheatnet import bayesnet, config, linalg, qubit, randspec, system, thermo
 
 #: random instances of the acceptance bank
 N_RANDOM = 50
@@ -63,6 +63,13 @@ def reference_report_text(command, checks, times=None):
         "records": records,
     }
     return json.dumps(report, indent=2) + "\n"
+
+
+def reference_config_text(spec, grid):
+    """A config as ``json.dumps(config_dict(spec, grid), indent=2) + "\\n"``
+    spells it: the reference for ``config.save_config``, which formats
+    its matrices in one ``%`` call."""
+    return json.dumps(config.config_dict(spec, grid), indent=2) + "\n"
 
 
 def dense_weights(led):

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from qheatnet import (bayesnet, cli, config, distributions, linalg, qubit, randspec, system,
                       thermo)
 from qheatnet.distributions import DiscreteDistribution
-from conftest import ledgers_at, reference_binned, reference_report_text
+from conftest import (ledgers_at, reference_binned, reference_config_text,
+                      reference_report_text)
 
 
 @pytest.fixture()
@@ -61,10 +62,28 @@ def _malformed(spec, case: str):
     return d
 
 
+#: matrices whose floats json spells apart from their repr (NaN, +-inf)
+#: or whose zeros carry a sign (-0.0), in either part
+SPECIAL_MATRICES = [
+    np.array([[1.0, 2 - 3j], [2 + 3j, -0.5]]),
+    np.array([[-0.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), 5e-324]]),
+    np.array([[complex(np.nan, np.inf), complex(-np.inf, np.nan)],
+              [complex(1.0, -np.inf), complex(np.inf, -0.0)]]),
+    np.array([[complex(-0.0, 1e300)]]),
+]
+
+
 class TestMatrixCodec:
     def test_round_trip(self):
-        m = np.array([[1.0, 2 - 3j], [2 + 3j, -0.5]])
-        assert np.array_equal(config.decode_matrix(config.encode_matrix(m), "m"), m)
+        # the [re, im] pairs keep every bit, also through their JSON text;
+        # decoding sums re + 1j * im, which gives back every finite value
+        for m in SPECIAL_MATRICES:
+            encoded = config.encode_matrix(m)
+            parts = np.stack([m.real, m.imag], axis=-1)
+            for pairs in (encoded, json.loads(json.dumps(encoded))):
+                assert np.array(pairs).tobytes() == parts.tobytes()
+            if np.isfinite(m).all():
+                assert np.array_equal(config.decode_matrix(encoded, "m"), m)
 
     @pytest.mark.parametrize("bad", [
         "x", [[1, 2]], [[[1, 2], [3, 4]]], [[[1], [2]]],
@@ -162,6 +181,50 @@ class TestConfigIO:
         d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
         d["tolerances"]["binning"] = 1e-7
         assert config.load_config(d).spec.tol.binning == 1e-7
+
+
+class TestConfigText:
+    """``save_config`` writes json.dumps's ``indent=2`` text of
+    ``config_dict`` and a newline, byte for byte."""
+
+    TIMES = [(0.37,), (0.0, 0.1, 0.4, 0.9, 2.5)]
+
+    @staticmethod
+    def assert_matches(tmp_path, spec, times):
+        grid = bayesnet.TimeGrid(times)
+        path = tmp_path / "config.json"
+        config.save_config(spec, grid, path)
+        assert path.read_bytes() == reference_config_text(spec, grid).encode()
+
+    @pytest.mark.parametrize("correlated", [True, False])
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_specs(self, tmp_path, dim, correlated):
+        for seed in range(3):
+            spec = randspec.random_spec(seed, dim, dim, correlated=correlated)
+            self.assert_matches(tmp_path, spec, (1.0,))
+
+    @pytest.mark.parametrize("times", TIMES)
+    def test_example_and_cold_example(self, tmp_path, correlated_spec, product_spec, times):
+        for spec in (correlated_spec, product_spec):
+            self.assert_matches(tmp_path, spec, times)
+        for beta_a in (40.0, 745.0, 800.0):
+            self.assert_matches(tmp_path, dataclasses.replace(product_spec, beta_a=beta_a),
+                                times)
+
+    def test_int_values(self, tmp_path, product_spec):
+        # json writes an int as an int; dims are ints as well
+        tol = system.Tolerances(hermiticity=0, marginal=1, probability_floor=0, binning=2)
+        spec = dataclasses.replace(product_spec, beta_a=3, tol=tol)
+        self.assert_matches(tmp_path, spec, (0.5,))
+        assert '"beta_a": 3,' in reference_config_text(spec, bayesnet.TimeGrid((0.5,)))
+
+    @pytest.mark.parametrize("times", TIMES)
+    def test_special_matrices(self, tmp_path, product_spec, times):
+        # an empty matrix and empty rows are json's "[]"
+        for m in [*SPECIAL_MATRICES, np.zeros((0, 0)), np.zeros((2, 0))]:
+            for key in ("h_a", "chi"):
+                self.assert_matches(tmp_path, dataclasses.replace(product_spec, **{key: m}),
+                                    times)
 
 
 class TestDistribution:
@@ -446,6 +509,19 @@ class TestCli:
     def test_validate_needs_config(self, capsys):
         assert cli.main(["validate"]) == 2
         assert capsys.readouterr().err == "error: give --config\n"
+
+    @pytest.mark.parametrize("verb", ["validate", "verify", "heat"])
+    def test_empty_config_path_named(self, verb, capsys):
+        # Path("") is the working directory: the error names the empty
+        # value, not "."
+        assert cli.main([verb, "--config="]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config path is empty\n"
+        # with --dims the flags conflict before the config is read
+        if verb == "verify":
+            assert cli.main([verb, "--config=", "--dims", "2x2"]) == 2
+            assert capsys.readouterr().err == "error: give either --config or --dims, not both\n"
 
     @pytest.mark.parametrize("case", [*MALFORMED, *BAD_NUMBERS])
     def test_malformed_config_is_input_error(self, tmp_path, correlated_spec, case, capsys):

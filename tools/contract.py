@@ -22,7 +22,8 @@ hashed with their stdout, stderr, exit code, any ``--out`` or
   and ``--sweep 0:2:101`` on both branches;
 - the cold configs of the example's product branch at beta_A = 40, 745
   and 800, and randspec configs, each with one to five times, through
-  ``verify``, ``heat`` and ``verify --time`` at each time.
+  ``verify``, ``heat`` and ``verify --time`` at each time, each config
+  body hashed too.
 
 The library outputs are hashed array by array, each with its dtype and
 shape: the ledger tables, both heat distributions, the ``PsiReport``,
@@ -257,6 +258,7 @@ def cli_calls(c: Contract) -> None:
         cfg = f"cfg/{name}-{len(times)}.json"
         config.save_config(spec, bayesnet.TimeGrid(times), cfg)
         label = f"{name} times={','.join(map(repr, times))}"
+        c.add(f"cli/{label}:config", Path(cfg).read_text())
         c.cli(f"verify {label}", ["verify", "--config", cfg, "--out", "report.json"],
               ["report.json"])
         c.cli(f"heat {label}", ["heat", "--config", cfg, "--out", "out.csv"], ["out.csv"])
