@@ -12,6 +12,7 @@ prints it as one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import sys
@@ -40,10 +41,14 @@ def _csv_rows(*columns: np.ndarray) -> list[str]:
     return ["\n".join([row] * len(table)) % tuple(table.ravel().tolist())] if len(table) else []
 
 
-def _parse_tol(pairs, base: system.Tolerances) -> system.Tolerances:
+def _with_tol(spec: system.BipartiteSpec, pairs) -> system.BipartiteSpec:
+    """``spec`` with the ``--tol NAME=VALUE`` overrides ``pairs``, or
+    ``spec`` itself when there are none."""
+    if not pairs:
+        return spec
     kwargs = {}
     known = {f.name for f in dataclasses.fields(system.Tolerances)}
-    for item in pairs or []:
+    for item in pairs:
         name, sep, value = item.partition("=")
         if not sep or name not in known:
             raise CliError(f"bad --tol entry {item!r} (expect NAME=VALUE, "
@@ -52,7 +57,7 @@ def _parse_tol(pairs, base: system.Tolerances) -> system.Tolerances:
             kwargs[name] = float(value)
         except ValueError:
             raise CliError(f"bad --tol value in {item!r}")
-    return base.updated(**kwargs) if kwargs else base
+    return dataclasses.replace(spec, tol=dataclasses.replace(spec.tol, **kwargs))
 
 
 def _check_time(t: float, flag: str) -> float:
@@ -102,18 +107,20 @@ def _load_spec(args) -> tuple[system.BipartiteSpec, tuple[float, ...]]:
         times = (1.0,)
     else:
         raise CliError("give either --config or --dims with --seed")
-    tol = _parse_tol(args.tol, spec.tol)
-    if tol != spec.tol:
-        spec = dataclasses.replace(spec, tol=tol)
-    return spec, times
+    return _with_tol(spec, args.tol), times
 
 
-def _write_out(args, text: str) -> None:
-    if args.out is not None:
-        with open(args.out, "w") as fh:
+def _write(outputs) -> None:
+    """Write each (path, text) of ``outputs``; a path of None is stdout,
+    and a path given twice gets its last text.  Every file is opened
+    before any text is written, so an unwritable path leaves no output
+    but the empty files opened before it."""
+    texts = dict(outputs)
+    with contextlib.ExitStack() as stack:
+        files = [sys.stdout if path is None else stack.enter_context(open(path, "w"))
+                 for path in texts]
+        for fh, text in zip(files, texts.values()):
             fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 _RECORD_KEYS = ("name", "value", "expected", "tolerance", "passed")
@@ -140,16 +147,14 @@ def _report_text(command: str, checks, times=None) -> str:
 
 
 def _emit_report(args, command: str, checks, times=None) -> int:
-    _write_out(args, _report_text(command, checks, times))
+    _write([(args.out, _report_text(command, checks, times))])
     return 0 if all(c.passed for c in checks) else 1
 
 
 def cmd_validate(args) -> int:
     if args.cfg is None:
         raise CliError("give --config")
-    loaded = config.load_config(args.cfg)
-    spec = dataclasses.replace(
-        loaded.spec, tol=_parse_tol(args.tol, loaded.spec.tol))
+    spec = _with_tol(config.load_config(args.cfg).spec, args.tol)
     return _emit_report(args, "validate", system.validate(spec).checks)
 
 
@@ -206,7 +211,7 @@ def cmd_heat(args) -> int:
     for block in bayesnet.sweep_blocks(spec, sweep):
         # the ledgers of one block are dropped before the next is built
         lines.extend(_heat_rows(thermo.compute_ledgers(block)))
-    _write_out(args, "\n".join(lines) + "\n")
+    _write([(args.out, "\n".join(lines) + "\n")])
     return 0
 
 
@@ -229,7 +234,7 @@ def cmd_example(args) -> int:
         tau=tau,
         correlated=not args.product,
     )
-    spec = qubit.build_example_spec(params, tol=_parse_tol(args.tol, system.Tolerances()))
+    spec = _with_tol(qubit.build_example_spec(params), args.tol)
     if args.sweep is not None:
         sweep = _parse_sweep(args.sweep)
     else:
@@ -252,21 +257,30 @@ def cmd_example(args) -> int:
         lines.extend(_csv_rows(np.repeat(block.times, len(qubit.HEAT_VALUES)),
                                np.tile(qubit.HEAT_VALUES, len(block.times)),
                                *(table.ravel() for table in tables)))
-    _write_out(args, "\n".join(lines) + "\n")
     check = system.CheckResult("analytic_oracle_deviation", float(np.max(deviations)),
                                ORACLE_TOL)
+    outputs = [(args.out, "\n".join(lines) + "\n")]
     if args.report is not None:
-        with open(args.report, "w") as fh:
-            fh.write(_report_text("example", [check]))
+        outputs.append((args.report, _report_text("example", [check])))
+    _write(outputs)
     return 0 if check.passed else 1
 
 
-def _add_common(p: argparse.ArgumentParser, spec_source: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, source: str | None = "config") -> None:
+    """The flags every verb takes; ``source`` "config" adds ``--config``,
+    and "instance" adds it with the flags of a random instance."""
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override one validation tolerance (repeatable)")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    if spec_source:
+    if source is not None:
         p.add_argument("--config", dest="cfg", help="JSON problem configuration")
+    if source == "instance":
+        p.add_argument("--dims", help="random instance dimensions, e.g. 2x3")
+        p.add_argument("--seed", type=int, help="random instance seed (default 0)")
+        p.add_argument("--product", action="store_true",
+                       help="random instance without initial correlations")
+        p.add_argument("--time", type=float,
+                       help="evolution time (default: each time of the config, 1 for --dims)")
 
 
 @functools.cache
@@ -283,26 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="check the fluctuation relations")
-    _add_common(p)
-    p.add_argument("--dims", help="random instance dimensions, e.g. 2x3")
-    p.add_argument("--seed", type=int, help="random instance seed (default 0)")
-    p.add_argument("--product", action="store_true",
-                   help="random instance without initial correlations")
-    p.add_argument("--time", type=float,
-                   help="evolution time (default: each time of the config, 1 for --dims)")
+    _add_common(p, "instance")
 
     p = sub.add_parser("heat", help="heat distributions over time as CSV")
-    _add_common(p)
-    p.add_argument("--dims", help="random instance dimensions, e.g. 2x3")
-    p.add_argument("--seed", type=int, help="random instance seed (default 0)")
-    p.add_argument("--product", action="store_true",
-                   help="random instance without initial correlations")
-    p.add_argument("--time", type=float, help="single evolution time")
+    _add_common(p, "instance")
     p.add_argument("--sweep", metavar="START:STOP:STEPS", help="time sweep")
 
     p = sub.add_parser("example",
                        help="two-qubit example against its closed forms")
-    _add_common(p, spec_source=False)
+    _add_common(p, None)
     p.add_argument("--occupation-a", type=float, default=0.2)
     p.add_argument("--occupation-b", type=float, default=0.3)
     p.add_argument("--tau", type=float, default=1.0, help="full swap time")

@@ -4,8 +4,8 @@ A config holds the two local Hamiltonians, the temperatures (directly or
 as two-level excited-state occupations), the correlation and interaction
 matrices, the measurement times and optional tolerance overrides.
 Complex matrices are nested row-major lists of ``[re, im]`` pairs.
-Saving and re-loading reproduces every finite float bit for bit but for
-the sign of a zero, which decoding's ``re + 1j * im`` drops.
+Saving and re-loading reproduces every float bit for bit, the sign of a
+zero included; a matrix entry that is not finite is a ConfigError.
 """
 
 from __future__ import annotations
@@ -61,7 +61,10 @@ def decode_matrix(obj, name: str) -> np.ndarray:
     kinds = {type(x) for row in obj for pair in row for x in pair}
     if any(issubclass(kind, _NOT_NUMBERS) for kind in kinds):
         raise ConfigError(f"{name} is not a numeric matrix")
-    return arr[..., 0] + 1j * arr[..., 1]
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} has an entry that is not finite")
+    # the layout of _pairs: each [re, im] pair is one complex number
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 @dataclass(frozen=True)

@@ -208,11 +208,11 @@ class DiscreteDistribution:
             raise ValueError("distribution support is not one-dimensional")
         return self.points[:, 0]
 
-    def masses_at(self, points, starts=None, default: float = 0.0) -> np.ndarray:
+    def masses_at(self, points, starts=None) -> np.ndarray:
         """The mass at each of ``points`` in each group, shape
         (groups, n): entry [g, j] is the mass of the bins of group g whose
         key ``round(x / binning)`` is that of ``points[j]``, and
-        ``default`` if there is none.  ``points`` has shape (n, k), or (n,)
+        0.0 if there is none.  ``points`` has shape (n, k), or (n,)
         for k = 1.  Group g holds the points ``starts[g]:starts[g + 1]``
         (the groups of a binning by group, ``Bins.starts``); without
         ``starts`` all points are one group."""
@@ -230,10 +230,9 @@ class DiscreteDistribution:
         row, col = np.nonzero(hit)
         cell = np.repeat(np.arange(shape[0]), np.diff(bounds))[row] * shape[1] + col
         mass = np.bincount(cell, weights=self.probs[row], minlength=shape[0] * shape[1])
-        found = np.bincount(cell, minlength=mass.size) > 0
-        return np.where(found, mass, default).reshape(shape)
+        return mass.reshape(shape)
 
-    def prob_at(self, point, default: float = 0.0) -> float:
+    def prob_at(self, point) -> float:
         """Mass of the bin whose key ``round(x / binning)`` is that of
-        ``point``, by the binning rule; ``default`` if none."""
-        return float(self.masses_at(np.reshape(point, (1, -1)), default=default)[0, 0])
+        ``point``, by the binning rule; 0.0 if none."""
+        return float(self.masses_at(np.reshape(point, (1, -1)))[0, 0])

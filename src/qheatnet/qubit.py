@@ -71,10 +71,7 @@ def _square(x) -> np.ndarray:
     return np.asarray(np.frompyfunc(math.pow, 2, 1)(x, 2.0), dtype=float)
 
 
-def build_example_spec(
-    params: ExampleParams = ExampleParams(),
-    tol: system.Tolerances | None = None,
-) -> system.BipartiteSpec:
+def build_example_spec(params: ExampleParams = ExampleParams()) -> system.BipartiteSpec:
     """Spec for the example; basis order on the joint space is
     |00>, |01>, |10>, |11> with |0> the local ground state."""
     h = np.diag([0.0, 1.0]).astype(complex)
@@ -93,10 +90,9 @@ def build_example_spec(
     h_int[1, 2] = g
     h_int[2, 1] = g
 
-    kwargs = {} if tol is None else {"tol": tol}
     return system.BipartiteSpec(
         h_a=h, h_b=h.copy(), beta_a=params.beta_a, beta_b=params.beta_b,
-        chi=chi, h_int=h_int, **kwargs)
+        chi=chi, h_int=h_int)
 
 
 def analytic_heat_masses(

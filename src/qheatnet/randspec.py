@@ -44,7 +44,6 @@ def random_spec(
     dim_a: int = 2,
     dim_b: int = 2,
     correlated: bool = True,
-    tol: system.Tolerances | None = None,
 ) -> system.BipartiteSpec:
     """Draw a valid spec; identical seeds give identical specs.
 
@@ -97,7 +96,6 @@ def random_spec(
     else:
         chi = np.zeros((dim, dim), dtype=complex)
 
-    kwargs = {} if tol is None else {"tol": tol}
     return system.BipartiteSpec(
         h_a=h_a, h_b=h_b, beta_a=beta_a, beta_b=beta_b,
-        chi=chi, h_int=h_int, **kwargs)
+        chi=chi, h_int=h_int)

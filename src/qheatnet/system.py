@@ -9,7 +9,7 @@ can name the first violated condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -61,9 +61,6 @@ class Tolerances:
         if not self.probability_floor < 1:
             raise ValueError(f"tolerance probability_floor = {self.probability_floor!r} "
                              f"must be < 1")
-
-    def updated(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

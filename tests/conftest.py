@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -70,6 +71,16 @@ def reference_config_text(spec, grid):
     spells it: the reference for ``config.save_config``, which formats
     its matrices in one ``%`` call."""
     return json.dumps(config.config_dict(spec, grid), indent=2) + "\n"
+
+
+def negative_zeros(spec):
+    """``spec`` with every zero of its matrices, real or imaginary part,
+    written as -0.0."""
+    def flip(m):
+        parts = np.stack([m.real, m.imag], axis=-1)
+        return np.where(parts == 0, -0.0, parts).view(complex)[..., 0]
+    return dataclasses.replace(spec, **{name: flip(getattr(spec, name))
+                                        for name in ("h_a", "h_b", "chi", "h_int")})
 
 
 def dense_weights(led):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qheatnet import (bayesnet, cli, config, distributions, linalg, qubit, randspec, system,
                       thermo)
 from qheatnet.distributions import DiscreteDistribution
-from conftest import (ledgers_at, reference_binned, reference_config_text,
+from conftest import (ledgers_at, negative_zeros, reference_binned, reference_config_text,
                       reference_report_text)
 
 
@@ -76,14 +76,19 @@ SPECIAL_MATRICES = [
 class TestMatrixCodec:
     def test_round_trip(self):
         # the [re, im] pairs keep every bit, also through their JSON text;
-        # decoding sums re + 1j * im, which gives back every finite value
+        # decoding gives back every finite matrix bit for bit, -0.0
+        # included, and refuses a NaN or infinite entry
         for m in SPECIAL_MATRICES:
             encoded = config.encode_matrix(m)
             parts = np.stack([m.real, m.imag], axis=-1)
             for pairs in (encoded, json.loads(json.dumps(encoded))):
                 assert np.array(pairs).tobytes() == parts.tobytes()
-            if np.isfinite(m).all():
-                assert np.array_equal(config.decode_matrix(encoded, "m"), m)
+                if np.isfinite(m).all():
+                    decoded = config.decode_matrix(pairs, "m")
+                    assert decoded.dtype == complex and decoded.tobytes() == m.tobytes()
+                else:
+                    with pytest.raises(config.ConfigError, match="^m has an entry"):
+                        config.decode_matrix(pairs, "m")
 
     @pytest.mark.parametrize("bad", [
         "x", [[1, 2]], [[[1, 2], [3, 4]]], [[[1], [2]]],
@@ -107,6 +112,16 @@ class TestConfigIO:
         second = tmp_path / "second.json"
         config.save_config(loaded.spec, loaded.grid, second)
         assert second.read_text() == Path(example_config).read_text()
+
+    def test_round_trip_keeps_negative_zeros(self, tmp_path):
+        spec = negative_zeros(randspec.random_spec(0, 3, 3))
+        path = tmp_path / "negative-zeros.json"
+        config.save_config(spec, bayesnet.TimeGrid((1.0,)), path)
+        loaded = config.load_config(path).spec
+        for name in ("h_a", "h_b", "chi", "h_int"):
+            m = getattr(spec, name)
+            assert np.signbit(m.real).any() and np.signbit(m.imag).any()
+            assert getattr(loaded, name).tobytes() == m.tobytes()
 
     def test_occupation_shorthand(self, correlated_spec):
         d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
@@ -289,7 +304,6 @@ class TestDistribution:
         points = [1.6e-9, 1.4e-9, 2.6e-9]
         assert d.masses_at(points).tolist() == [[0.7, 0.3, 0.0]]
         assert d.masses_at(points).tolist() == [[d.prob_at(x) for x in points]]
-        assert d.masses_at(points, default=-1.0).tolist() == [[0.7, 0.3, -1.0]]
 
     def test_masses_at_empty_group_reads_default(self):
         values = np.array([0.0, 1.0, 1.0, -1.0])
@@ -537,6 +551,18 @@ class TestCli:
         if case in BAD_NUMBERS:   # named as the bad number, not as a later failure
             assert BAD_NUMBERS[case][0].split("_")[0] in captured.err
 
+    @pytest.mark.parametrize("entry", [[1.0, -np.inf], [np.nan, 0.0]])
+    def test_non_finite_matrix_entry_named(self, tmp_path, correlated_spec, entry, capsys):
+        d = config.config_dict(correlated_spec, bayesnet.TimeGrid((1.0,)))
+        d["h_a"][0][1] = entry
+        path = tmp_path / "non-finite.json"
+        path.write_text(json.dumps(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for verb in ("validate", "verify", "heat"):
+                assert cli.main([verb, "--config", str(path)]) == 2
+                assert capsys.readouterr() == ("", "error: h_a has an entry that is not finite\n")
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--dims", "2x2", "--out", "{missing}/x.json"],
         ["heat", "--dims", "2x2", "--out", "{missing}/h.csv"],
@@ -544,14 +570,27 @@ class TestCli:
         ["verify", "--dims", "2x2", "--out", "{dir}"],
         ["verify", "--dims", "2x2", "--out="],
         ["example", "--sweep", "0:1:2", "--out", "{dir}/ex.csv", "--report="],
+        ["example", "--sweep", "0:1:2", "--report="],
+        ["example", "--sweep", "0:2:3", "--report", "{missing}/r.json"],
     ], ids=["verify-out", "heat-out", "example-report", "out-is-directory", "empty-out",
-            "empty-report"])
+            "empty-report", "empty-report-csv-on-stdout", "example-report-csv-on-stdout"])
     def test_unwritable_output_is_input_error(self, argv, tmp_path, capsys):
         argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # every output is opened before any is written: the CSV file
+        # opened ahead of the bad report is left empty
+        if "--out" in argv and argv[0] == "example":
+            assert (tmp_path / "ex.csv").read_text() == ""
+
+    def test_output_path_given_twice_gets_the_last_text(self, tmp_path, capsys):
+        both = str(tmp_path / "both")
+        assert cli.main(["example", "--sweep", "0:2:5", "--report", str(tmp_path / "r.json")]) == 0
+        assert cli.main(["example", "--sweep", "0:2:5", "--out", both, "--report", both]) == 0
+        assert Path(both).read_text() == (tmp_path / "r.json").read_text()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("verb", ["verify", "heat"])
     def test_negative_seed_named(self, verb, capsys):
@@ -564,6 +603,29 @@ class TestCli:
     def test_bad_tol_flag(self, example_config, capsys):
         assert cli.main(["verify", "--config", example_config, "--tol", "nope=1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["validate", "--config", "{cfg}"],
+                                      ["verify", "--config", "{cfg}"],
+                                      ["heat", "--config", "{cfg}"],
+                                      ["example", "--sweep", "0:2:3"]],
+                             ids=["validate", "verify", "heat", "example"])
+    def test_every_verb_applies_tol(self, argv, example_config, monkeypatch, tmp_path, capsys):
+        argv = [a.format(cfg=example_config) for a in argv] + ["--out", str(tmp_path / "out")]
+        for bad in ("nope=1", "binning=x", "binning=-1", "probability_floor=1"):
+            assert cli.main(argv + ["--tol", bad]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("error: ") and bad.split("=")[0] in captured.err
+        seen = []
+        validate = system.validate
+        monkeypatch.setattr(system, "validate",
+                            lambda spec: seen.append(spec.tol) or validate(spec))
+        assert cli.main(argv + ["--tol", "marginal=1e-3", "--tol", "binning=1e-8"]) == 0
+        assert seen and set(seen) == {system.Tolerances(marginal=1e-3, binning=1e-8)}
+        # without --tol the spec keeps its own tolerances
+        seen.clear()
+        assert cli.main(argv) == 0
+        assert set(seen) == {system.Tolerances()}
 
     @pytest.mark.parametrize("verb", ["verify", "heat"])
     @pytest.mark.parametrize("tol,name", [

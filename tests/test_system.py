@@ -124,8 +124,3 @@ class TestInitialState:
         with pytest.raises(system.SpecError, match="rho0_positive"):
             system.build_initial_state(bad)
 
-
-def test_tolerances_updated():
-    tol = system.Tolerances().updated(binning=1e-8)
-    assert tol.binning == 1e-8
-    assert tol.marginal == system.Tolerances().marginal

@@ -23,7 +23,14 @@ hashed with their stdout, stderr, exit code, any ``--out`` or
 - the cold configs of the example's product branch at beta_A = 40, 745
   and 800, and randspec configs, each with one to five times, through
   ``verify``, ``heat`` and ``verify --time`` at each time, each config
-  body hashed too.
+  body hashed too;
+- the randspec 3x3 seed-0 config with every zero of its matrices
+  written as -0.0, through ``verify`` and ``heat``, its body hashed too;
+- unusable input, which exits 2: configs of the example with ``beta_a``
+  NaN, Infinity, true or "1.5", ``times`` [true] or an entry [1.0,
+  -Infinity] in ``h_a``, a negative ``--seed``, sweeps that repeat a
+  time, a bad ``--tol`` on each verb and ``example --report=`` with the
+  CSV on stdout.
 
 The library outputs are hashed array by array, each with its dtype and
 shape: the ledger tables, both heat distributions, the ``PsiReport``,
@@ -80,6 +87,13 @@ TIME_LISTS = ((0.5,), (0.0, 0.5), (0.0, 0.5, 1.0))
 #: randspec configs of several times: (seed, dim_a, dim_b, correlated)
 MULTI_TIME_SPECS = ((0, 4, 4, True), (1, 3, 3, True), (2, 4, 4, False))
 MULTI_TIMES = (0.1, 0.4, 0.9, 1.6, 2.5)
+#: config values that are no usable input: (name, key, value), each set
+#: on the example's config
+BAD_CONFIGS = (("beta_a-nan", "beta_a", float("nan")),
+               ("beta_a-inf", "beta_a", float("inf")),
+               ("beta_a-true", "beta_a", True),
+               ("beta_a-string", "beta_a", "1.5"),
+               ("times-true", "times", [True]))
 
 
 def _feed(h, obj) -> None:
@@ -265,6 +279,49 @@ def cli_calls(c: Contract) -> None:
         for t in times:
             c.cli(f"verify {label} --time {t!r}",
                   ["verify", "--config", cfg, "--time", repr(t)])
+
+    cfg = "cfg/rand-3x3-0-negative-zeros.json"
+    config.save_config(negative_zeros(randspec.random_spec(0, 3, 3)), bayesnet.TimeGrid((1.0,)),
+                       cfg)
+    c.add(f"cli/{cfg}:config", Path(cfg).read_text())
+    for verb in ("verify", "heat"):
+        c.cli(f"{verb} {cfg}", [verb, "--config", cfg])
+    input_error_calls(c)
+
+
+def negative_zeros(spec: system.BipartiteSpec) -> system.BipartiteSpec:
+    """``spec`` with every zero of its matrices, real or imaginary part,
+    written as -0.0."""
+    def flip(m):
+        parts = np.stack([m.real, m.imag], axis=-1)
+        return np.where(parts == 0, -0.0, parts).view(complex)[..., 0]
+    return dataclasses.replace(spec, **{name: flip(getattr(spec, name))
+                                        for name in ("h_a", "h_b", "chi", "h_int")})
+
+
+def input_error_calls(c: Contract) -> None:
+    """Unusable input: each call exits 2 with one ``error:`` line."""
+    example = config.config_dict(qubit.build_example_spec(), bayesnet.TimeGrid((1.0,)))
+    cases = [(name, {**example, key: value}) for name, key, value in BAD_CONFIGS]
+    h_a = [list(row) for row in example["h_a"]]
+    h_a[0][1] = [1.0, float("-inf")]
+    cases.append(("h_a-infinite", {**example, "h_a": h_a}))
+    for name, data in cases:
+        cfg = f"cfg/bad-{name}.json"
+        Path(cfg).write_text(json.dumps(data))
+        for verb in ("validate", "verify"):
+            c.cli(f"{verb} {cfg}", [verb, "--config", cfg])
+    calls = [["verify", "--dims", "2x2", "--seed", "-1"],
+             ["heat", "--dims", "2x2", "--seed", "-1"],
+             ["heat", "--dims", "2x2", "--sweep", "1:1:3"],
+             ["example", "--sweep", "0.5:0.5:2"],
+             ["example", "--sweep", "0:1:2", "--report="]]
+    calls += [[*source, "--tol", "binning=-1"]
+              for source in (["validate", "--config", "cfg/bank-0-example-corr.json"],
+                             ["verify", "--dims", "2x2"], ["heat", "--dims", "2x2"],
+                             ["example", "--sweep", "0:1:2"])]
+    for argv in calls:
+        c.cli(" ".join(argv), argv)
 
 
 def library_calls(c: Contract) -> None:
