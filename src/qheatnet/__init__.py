@@ -9,7 +9,7 @@ heat statistics lives in :mod:`qheatnet.qubit`.
 
 from .bayesnet import BasisSet, TimeGrid, build_bases, sweep_blocks
 from .distributions import DiscreteDistribution
-from .system import BipartiteSpec, Tolerances, build_initial_state, validate
+from .system import BipartiteSpec, Tolerances, validate
 from .thermo import LedgerSet, compute_ledgers
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "__version__",
     "BipartiteSpec",
     "Tolerances",
-    "build_initial_state",
     "validate",
     "TimeGrid",
     "BasisSet",

@@ -112,11 +112,10 @@ class BasisSet:
     def at(self, k: int) -> BasisSet:
         """Time ``k`` of a block as a basis of that one time, with no time
         axis: every time-t array read at ``k``, the t = 0 half shared."""
-        def pick(t0, tt):
-            return t0, _take(tt, k)
+        pairs = {name: getattr(self, name) for name in _TIME_PAIRS}
         return BasisSet(spec=self.spec, times=self.times[k], populations=self.populations,
                         gibbs_a=self.gibbs_a, gibbs_b=self.gibbs_b,
-                        **{name: pick(*getattr(self, name)) for name in _TIME_PAIRS})
+                        **{name: (t0, tt[k]) for name, (t0, tt) in pairs.items()})
 
 
 #: the fields of a basis that pair its t = 0 half with its time-t half
@@ -126,28 +125,11 @@ _TIME_PAIRS = ("global_vectors", "local_a", "local_b", "energies_a", "energies_b
 _FRAME = ("local_a", "local_b", "energies_a", "energies_b", "overlaps")
 
 
-def _take(item, index):
-    """``item[index]`` of a stacked array, or of both arrays of a stacked
-    EigenSystem."""
-    if isinstance(item, linalg.EigenSystem):
-        return linalg.EigenSystem(item.values[index], item.vectors[index])
-    return item[index]
-
-
-def _product_vectors(vecs_a: np.ndarray, vecs_b: np.ndarray) -> np.ndarray:
-    """Columns |a b> of the product of two local bases, a-major: the
-    Kronecker product of the eigenvector matrices, member by member for
-    stacks (..., d, d), with the products of ``linalg.tensor_product``
-    (which takes 2-D factors only)."""
-    prod = vecs_a[..., :, None, :, None] * vecs_b[..., None, :, None, :]
-    m = vecs_a.shape[-1] * vecs_b.shape[-1]
-    return prod.reshape(prod.shape[:-4] + (m, m))
-
-
 def _overlap_table(vecs_a: np.ndarray, vecs_b: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """|<a b|v_s>|^2 as a (D, d_A, d_B) table over the columns v_s of
     ``vecs``; stacks give a table per member."""
-    amp = _product_vectors(vecs_a, vecs_b).conj().swapaxes(-1, -2) @ vecs   # (..., d_A*d_B, D)
+    # the amplitudes <a b|v_s>, (..., d_A*d_B, D)
+    amp = linalg.tensor_product(vecs_a, vecs_b).conj().swapaxes(-1, -2) @ vecs
     shape = amp.shape[:-2] + (vecs.shape[-1], vecs_a.shape[-1], vecs_b.shape[-1])
     return np.abs(amp.swapaxes(-1, -2).reshape(shape)) ** 2
 
@@ -221,8 +203,8 @@ def sweep_blocks(spec: system.BipartiteSpec, times: Iterable[float]) -> Iterator
         else:
             # the t = 0 frame is member 0 of the first block's stacked pass
             both = _local_frame(spec, populations, np.concatenate((glob.vectors[None], vecs)))
-            frame0 = [_take(item, 0) for item in both]
-            frame = [_take(item, np.s_[1:]) for item in both]
+            frame0 = [item[0] for item in both]
+            frame = [item[1:] for item in both]
         yield BasisSet(
             spec=spec,
             times=block,
@@ -283,7 +265,7 @@ def local_marginals(basis: BasisSet) -> MarginalTables:
 
     vecs = basis.global_vectors[1]
     rho_t = (vecs * p) @ vecs.conj().swapaxes(-1, -2)
-    prod = _product_vectors(basis.local_a[1].vectors, basis.local_b[1].vectors)
+    prod = linalg.tensor_product(basis.local_a[1].vectors, basis.local_b[1].vectors)
     direct = np.real(np.sum(prod.conj() * (rho_t @ prod), axis=-2))
     direct = direct.reshape(joint_1.shape)
     dev = np.abs(direct - joint_1).max()

@@ -138,9 +138,8 @@ def _report_text(command: str, checks, times=None) -> str:
     if times is not None:
         records = [(config.json_float(t), *r) for t, r in zip(times, records)]
         keys = ("time",) + keys
-    record = "    {\n" + ",\n".join(f'      "{k}": %s' for k in keys) + "\n    }"
-    rows = ",\n".join([record] * len(records)) % tuple(v for r in records for v in r)
-    body = f"[\n{rows}\n  ]" if records else "[]"
+    record = "{\n" + ",\n".join(f'      "{k}": %s' for k in keys) + "\n    }"
+    body = config._json_list([record] * len(records), 1) % tuple(v for r in records for v in r)
     passed = "true" if all(r[-1] == "true" for r in records) else "false"
     return (f'{{\n  "command": {encode_basestring_ascii(command)},\n  "passed": {passed},\n'
             f'  "records": {body}\n}}\n')

@@ -60,7 +60,8 @@ class EigenSystem:
 
     ``values`` are real and sorted descending; column ``k`` of ``vectors``
     is the orthonormal eigenvector paired with ``values[k]``.  For a stack
-    of matrices both carry the stack's leading axes.
+    of matrices both carry the stack's leading axes, and ``eig[index]``
+    is member or members ``index`` of the stack.
     """
 
     values: np.ndarray
@@ -69,6 +70,9 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
+
+    def __getitem__(self, index) -> EigenSystem:
+        return EigenSystem(self.values[index], self.vectors[index])
 
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
@@ -181,15 +185,19 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices, the first factor index-major.
 
     Entry ((i, k), (j, l)) is a[i, j] * b[k, l], the same complex products
-    as ``np.kron`` without its N-d set-up.  Raises :class:`LinalgError`
-    unless both factors are 2-D.
+    as ``np.kron`` without its N-d set-up.  Stacks (..., r, c) are
+    multiplied member by member, their leading axes broadcast as in
+    numpy.  Raises :class:`LinalgError` for a factor that is not at least
+    2-D.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise LinalgError(f"tensor factors must be 2-D, got shapes {a.shape} and {b.shape}")
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    if a.ndim < 2 or b.ndim < 2:
+        raise LinalgError(f"tensor factors must be at least 2-D, got shapes {a.shape} "
+                          f"and {b.shape}")
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (ra * rb, ca * cb))
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

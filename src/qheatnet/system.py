@@ -26,7 +26,6 @@ __all__ = [
     "InitialState",
     "gibbs_state",
     "initial_state",
-    "build_initial_state",
     "validate",
 ]
 
@@ -111,7 +110,6 @@ class GibbsState:
     z_shifted: float
     beta: float
     energies: np.ndarray  # ascending, paired with rho's descending populations
-    vectors: np.ndarray
 
 
 def gibbs_state(h: np.ndarray, beta: float) -> GibbsState:
@@ -130,8 +128,7 @@ def gibbs_state(h: np.ndarray, beta: float) -> GibbsState:
     boltz = np.exp(-beta * (energies - energies[0]))
     z_shifted = float(boltz.sum())
     rho = (vectors * (boltz / z_shifted)) @ vectors.conj().T
-    return GibbsState(rho=rho, z_shifted=z_shifted, beta=beta, energies=energies,
-                      vectors=vectors)
+    return GibbsState(rho=rho, z_shifted=z_shifted, beta=beta, energies=energies)
 
 
 @dataclass(frozen=True)
@@ -244,12 +241,3 @@ def initial_state(spec: BipartiteSpec) -> InitialState:
             f"spec check {bad.name!r} failed with residual {bad.residual:.3e}"
         )
     return report.initial
-
-
-def build_initial_state(spec: BipartiteSpec) -> np.ndarray:
-    """Joint initial state: Gibbs product plus the correlation term.
-
-    Raises :class:`SpecError` naming the first failed check if the spec
-    is invalid.
-    """
-    return initial_state(spec).rho

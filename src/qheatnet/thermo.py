@@ -566,7 +566,9 @@ class HeatBalance:
     -S_A(t) + beta_A * sum_a p_a (e_a - E_0) + ln sum exp(-beta_A (E - E_0))
     over the eigenvalues p_a of rho_A(t), their energies e_a = <a|H_A|a>
     and the Gibbs energies E from the ground energy E_0 (likewise for B).
-    No support threshold enters, and no energy origin."""
+    No energy origin enters, and no threshold but that of the entropies:
+    ``linalg.spectral_entropy``'s default cut counts eigenvalues at or
+    below 1e-14 as zero, not ``probability_floor``."""
 
     mean_q_a: float
     lhs: float

@@ -167,6 +167,15 @@ class TestStackedEigendecompose:
             stack[1, 2], tiebreak=np.diag([1.0, 2, 3, 4])).vectors.tobytes()
         assert np.abs(eig.reconstruct() - stack).max() < 1e-12
 
+    @pytest.mark.parametrize("index", [0, 1, -1, (1, 2), slice(1, None), (1, slice(None, 2))])
+    def test_index_reads_members(self, index):
+        eig = linalg.hermitian_eigendecompose(_hermitian_stack(3, 4, count=6).reshape(2, 3, 4, 4))
+        got = eig[index]
+        assert isinstance(got, linalg.EigenSystem)
+        assert got.values.tobytes() == eig.values[index].tobytes()
+        assert got.vectors.tobytes() == eig.vectors[index].tobytes()
+        assert got.values.shape == eig.values[index].shape
+
     @pytest.mark.parametrize("shape,index", [((5,), "[3]"), ((2, 4), "[0, 3]")])
     def test_non_hermitian_member_named(self, shape, index):
         stack = _hermitian_stack(9, 3, count=int(np.prod(shape))).reshape(*shape, 3, 3)
@@ -258,7 +267,27 @@ class TestTensorAndTrace:
         assert got.shape == expect.shape and got.dtype == expect.dtype
         assert got.tobytes() == expect.tobytes()
 
-    @pytest.mark.parametrize("a,b", [(np.ones(2), np.eye(2)), (np.eye(2), np.ones((2, 2, 2))),
+    @pytest.mark.parametrize("shape_a,shape_b", [((1, 2, 2), (1, 3, 3)), ((4, 2, 3), (4, 3, 2)),
+                                                 ((2, 2), (5, 3, 3)), ((3, 1, 2, 2), (4, 2, 2))])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacks_match_kron_member_by_member(self, shape_a, shape_b, dtype):
+        rng = np.random.default_rng(11)
+
+        def draw(shape):
+            x = rng.normal(size=shape)
+            return x + 1j * rng.normal(size=shape) if dtype is complex else x
+
+        a, b = draw(shape_a), draw(shape_b)
+        got = linalg.tensor_product(a, b)
+        lead = np.broadcast_shapes(shape_a[:-2], shape_b[:-2])
+        assert got.shape == lead + (shape_a[-2] * shape_b[-2], shape_a[-1] * shape_b[-1])
+        a_b = np.broadcast_to(a, lead + shape_a[-2:])
+        b_b = np.broadcast_to(b, lead + shape_b[-2:])
+        for i in np.ndindex(lead):
+            expect = np.kron(np.asarray(a_b[i], dtype=complex), np.asarray(b_b[i], dtype=complex))
+            assert got[i].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("a,b", [(np.ones(2), np.eye(2)), (np.eye(2), np.ones(2)),
                                      (np.float64(1.0), np.eye(2))])
     def test_rejects_non_matrix_factors(self, a, b):
         with pytest.raises(linalg.LinalgError, match="2-D"):

@@ -82,17 +82,17 @@ class TestValidate:
 
 class TestInitialState:
     def test_product_diagonal(self, product_spec):
-        rho = system.build_initial_state(product_spec)
+        rho = system.initial_state(product_spec).rho
         assert np.allclose(np.diag(rho).real, [0.56, 0.24, 0.14, 0.06])
         assert np.abs(rho - np.diag(np.diag(rho))).max() < 1e-15
 
     def test_correlated_spectrum(self, correlated_spec):
-        rho = system.build_initial_state(correlated_spec)
+        rho = system.initial_state(correlated_spec).rho
         evals = np.sort(np.linalg.eigvalsh(rho))[::-1]
         assert np.allclose(evals, [0.56, 0.38, 0.06, 0.0], atol=1e-12)
 
     def test_marginals_stay_thermal(self, correlated_spec):
-        rho = system.build_initial_state(correlated_spec)
+        rho = system.initial_state(correlated_spec).rho
         ra = linalg.partial_trace(rho, 2, 2, "A")
         rb = linalg.partial_trace(rho, 2, 2, "B")
         assert np.allclose(np.diag(ra).real, [0.8, 0.2])
@@ -100,7 +100,7 @@ class TestInitialState:
 
     def test_initial_state_carries_its_gibbs_states(self, correlated_spec):
         start = system.initial_state(correlated_spec)
-        assert np.array_equal(start.rho, system.build_initial_state(correlated_spec))
+        assert np.array_equal(start.rho, system.initial_state(correlated_spec).rho)
         for got, h, beta in ((start.gibbs_a, correlated_spec.h_a, correlated_spec.beta_a),
                              (start.gibbs_b, correlated_spec.h_b, correlated_spec.beta_b)):
             want = system.gibbs_state(h, beta)
@@ -122,5 +122,5 @@ class TestInitialState:
             beta_a=correlated_spec.beta_a, beta_b=correlated_spec.beta_b,
             chi=correlated_spec.chi * 3.0, h_int=correlated_spec.h_int)
         with pytest.raises(system.SpecError, match="rho0_positive"):
-            system.build_initial_state(bad)
+            system.initial_state(bad).rho
 

@@ -30,7 +30,10 @@ hashed with their stdout, stderr, exit code, any ``--out`` or
   NaN, Infinity, true or "1.5", ``times`` [true] or an entry [1.0,
   -Infinity] in ``h_a``, a negative ``--seed``, sweeps that repeat a
   time, a bad ``--tol`` on each verb and ``example --report=`` with the
-  CSV on stdout.
+  CSV on stdout; and the example with 1e-8 added to the real part of
+  ``h_int[1][2]``, through ``validate``, ``verify`` and ``heat`` with
+  ``--tol hermiticity=1e-6`` (``linalg`` refuses what ``validate``
+  accepts).
 
 The library outputs are hashed array by array, each with its dtype and
 shape: the ledger tables, both heat distributions, the ``PsiReport``,
@@ -300,7 +303,9 @@ def negative_zeros(spec: system.BipartiteSpec) -> system.BipartiteSpec:
 
 
 def input_error_calls(c: Contract) -> None:
-    """Unusable input: each call exits 2 with one ``error:`` line."""
+    """Unusable input: each call exits 2 with one ``error:`` line, but
+    ``validate`` of an ``h_int`` within a loosened ``--tol hermiticity``
+    and past ``linalg.HERMITICITY_TOL``, which exits 0."""
     example = config.config_dict(qubit.build_example_spec(), bayesnet.TimeGrid((1.0,)))
     cases = [(name, {**example, key: value}) for name, key, value in BAD_CONFIGS]
     h_a = [list(row) for row in example["h_a"]]
@@ -320,6 +325,12 @@ def input_error_calls(c: Contract) -> None:
               for source in (["validate", "--config", "cfg/bank-0-example-corr.json"],
                              ["verify", "--dims", "2x2"], ["heat", "--dims", "2x2"],
                              ["example", "--sweep", "0:1:2"])]
+    h_int = [list(row) for row in example["h_int"]]
+    h_int[1][2] = [h_int[1][2][0] + 1e-8, h_int[1][2][1]]
+    cfg = "cfg/bad-h_int-hermiticity.json"
+    Path(cfg).write_text(json.dumps({**example, "h_int": h_int}))
+    calls += [[verb, "--config", cfg, "--tol", "hermiticity=1e-6"]
+              for verb in ("validate", "verify", "heat")]
     for argv in calls:
         c.cli(" ".join(argv), argv)
 
